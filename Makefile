@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race chaos chaos-smoke fleet-smoke fuzz bench bench-scale bench-full trace-smoke report examples clean
+.PHONY: all build vet lint test test-short test-race chaos chaos-smoke fleet-smoke fuzz bench bench-smoke bench-scale bench-full trace-smoke report examples clean
 
 all: build lint test
 
@@ -87,6 +87,18 @@ bench:
 	  $(GO) test -run=NONE -bench='BenchmarkFleetGossip' \
 		-benchmem -benchtime=1x ./internal/fleet/gossip ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_2.json
+
+# Repository-benchmark smoke: all five BENCHMARK.json workloads at
+# -quick size (about a second once built). Every correctness check of
+# the full run is intact — replies, bodies, step histories, drop
+# counters, the fast-path count, mbufs out at quiescence — and a
+# workload that fails any of them exits non-zero.
+BENCH_WORKLOADS = tcp_rx_k1 tcp_rx_k14 udp_rpc http_get fleet_gossip
+
+bench-smoke:
+	@for w in $(BENCH_WORKLOADS); do \
+		$(GO) run ./bench --workload $$w -quick || exit 1; \
+	done
 
 # The full accept-path scale run: SYN-flood to one million established
 # connections, then steady-state small-message echo. Asserts 0 allocs/op

@@ -1,10 +1,11 @@
 // Command ldlptrace runs a Poisson UDP workload through the in-memory
 // netstack and emits the server's telemetry flight recorder as a Chrome
 // trace_event file, viewable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. The per-shard tracks show the LDLP layer spans and
-// batch-size counters; run both loads to see the paper's effect — a
-// lightly loaded receiver batches ~1 message per layer pass, a heavily
-// loaded one amortizes each layer over BatchLimit-sized batches.
+// chrome://tracing. The per-shard tracks show one complete span per LDLP
+// layer pass and the batch-size counter; run both loads to see the
+// paper's effect — a lightly loaded receiver batches ~1 message per
+// layer pass, a heavily loaded one amortizes each layer over
+// BatchLimit-sized batches.
 //
 // Usage:
 //
@@ -14,8 +15,9 @@
 //
 // Everything is driven by the Net's simulated clock, so a given seed
 // reproduces the trace byte-for-byte. -check re-reads the emitted file
-// and validates it: well-formed JSON, non-empty, and per-track
-// non-decreasing timestamps. Exit status is non-zero on any failure.
+// and validates it: well-formed JSON, non-empty, per-track
+// non-decreasing timestamps, and a non-negative duration on every
+// complete event. Exit status is non-zero on any failure.
 package main
 
 import (
@@ -120,7 +122,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ldlptrace: trace validation failed: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println("trace validated: well-formed, per-track timestamps monotonic")
+		fmt.Println("trace validated: well-formed, per-track timestamps monotonic, complete events have durations")
 	}
 }
 
@@ -185,19 +187,21 @@ func run(pid, shards int, rate, duration float64, seed int64, ring int, quantum 
 
 // validate re-parses the emitted Chrome trace and checks the structural
 // invariants Perfetto needs: a JSON array of events, at least one
-// non-metadata event, and non-decreasing timestamps within every
-// (pid, tid) track.
+// non-metadata event, non-decreasing timestamps within every (pid, tid)
+// track, and a dur that is present and non-negative on every complete
+// ('X') event.
 func validate(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
 	var evs []struct {
-		Name string  `json:"name"`
-		Ph   string  `json:"ph"`
-		TS   float64 `json:"ts"`
-		PID  int     `json:"pid"`
-		TID  int     `json:"tid"`
+		Name string   `json:"name"`
+		Ph   string   `json:"ph"`
+		TS   float64  `json:"ts"`
+		Dur  *float64 `json:"dur"`
+		PID  int      `json:"pid"`
+		TID  int      `json:"tid"`
 	}
 	if err := json.Unmarshal(raw, &evs); err != nil {
 		return fmt.Errorf("not a JSON event array: %w", err)
@@ -209,7 +213,12 @@ func validate(path string) error {
 		switch ev.Ph {
 		case "M":
 			continue
-		case "B", "E", "I", "C":
+		case "X":
+			if ev.Dur == nil || *ev.Dur < 0 {
+				return fmt.Errorf("event %d (%s): complete event needs a non-negative dur", i, ev.Name)
+			}
+			payload++
+		case "I", "C":
 			payload++
 		default:
 			return fmt.Errorf("event %d: unknown phase %q", i, ev.Ph)

@@ -28,6 +28,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"ldlp/internal/telemetry"
 )
@@ -105,7 +106,7 @@ type Layer[M any] struct {
 	index   int // position in Stack.layers; higher = higher priority
 	handler Handler[M]
 	queue   fifo[M]
-	uppers  []*Layer[M]
+	uppers  bitset // indices of the layers Link lets this one emit to
 
 	// emitQueued and emitCall are this layer's Emit callbacks, built once
 	// at AddLayer. Constructing them per handler invocation (a closure
@@ -175,21 +176,22 @@ type Sink[M any] func(m M)
 
 // Stack is a protocol stack bound to one discipline.
 type Stack[M any] struct {
-	opts   Options
-	layers []*Layer[M]
-	bottom *Layer[M]
-	sink   Sink[M]
-	stats  Stats
-	queued int
+	opts    Options
+	layers  []*Layer[M]
+	bottom  *Layer[M]
+	sink    Sink[M]
+	stats   Stats
+	queued  int
+	pending bitset // layers whose input queue is non-empty
 
 	// onProcess, if set, is called before each handler invocation — the
 	// simulator charges per-layer cache and cycle costs here.
 	onProcess func(l *Layer[M], m M)
 
-	// tracer, if set, flight-records the LDLP schedule: layer
-	// enter/exit spans and batch formation. batchHist, if set, observes
-	// the size of every bottom-layer batch. Both are nil-safe /
-	// gate-checked inside telemetry, so the unwired stack pays nothing.
+	// tracer, if set, flight-records the LDLP schedule: one record per
+	// layer pass. batchHist, if set, observes the size of every
+	// bottom-layer batch. Both are nil-safe / gate-checked inside
+	// telemetry, so the unwired stack pays nothing.
 	tracer    *telemetry.Tracer
 	batchHist *telemetry.Hist
 }
@@ -226,6 +228,7 @@ func (s *Stack[M]) AddLayer(name string, h Handler[M]) *Layer[M] {
 		s.callThrough(to, next)
 	}
 	s.layers = append(s.layers, l)
+	s.pending = s.pending.grown(len(s.layers))
 	if s.bottom == nil {
 		s.bottom = l
 	}
@@ -240,7 +243,8 @@ func (s *Stack[M]) Link(lower, upper *Layer[M]) {
 	if upper.index <= lower.index {
 		panic(fmt.Sprintf("core: link %s -> %s does not point upward", lower.name, upper.name))
 	}
-	lower.uppers = append(lower.uppers, upper)
+	lower.uppers = lower.uppers.grown(upper.index + 1)
+	lower.uppers.set(upper.index)
 }
 
 // OnProcess installs a per-handler-invocation hook (cost accounting).
@@ -327,6 +331,7 @@ func (s *Stack[M]) deliver(m M) {
 //ldlp:hotpath
 func (s *Stack[M]) enqueue(l *Layer[M], m M) {
 	l.queue.push(m)
+	s.pending.set(l.index)
 	s.queued++
 	s.stats.QueueOps++
 	if l.queue.len() > l.MaxQueue {
@@ -335,10 +340,8 @@ func (s *Stack[M]) enqueue(l *Layer[M], m M) {
 }
 
 func (s *Stack[M]) checkLinked(from, to *Layer[M]) {
-	for _, u := range from.uppers {
-		if u == to {
-			return
-		}
+	if from.uppers.has(to.index) && s.layers[to.index] == to {
+		return
 	}
 	panic(fmt.Sprintf("core: %s emitted to unlinked layer %s", from.name, to.name))
 }
@@ -355,32 +358,32 @@ func (s *Stack[M]) Run() int64 {
 		return 0
 	}
 	startDelivered := s.stats.Delivered
+	now := s.tracer.Now()
 	for {
 		l := s.highestPending()
 		if l == nil {
 			break
 		}
 		s.stats.Rounds++
-		s.runLayer(l)
+		now = s.runLayer(l, now)
 	}
 	return s.stats.Delivered - startDelivered
 }
 
 //ldlp:hotpath
 func (s *Stack[M]) highestPending() *Layer[M] {
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		if s.layers[i].queue.len() > 0 {
-			return s.layers[i]
-		}
+	if i := s.pending.highest(); i >= 0 {
+		return s.layers[i]
 	}
 	return nil
 }
 
 // runLayer processes the layer's queue to completion (bounded by
-// BatchLimit at the bottom layer), emitting upward into queues.
+// BatchLimit at the bottom layer), emitting upward into queues. start is
+// the tracer-clock time the previous pass ended; it returns its own end.
 //
 //ldlp:hotpath
-func (s *Stack[M]) runLayer(l *Layer[M]) {
+func (s *Stack[M]) runLayer(l *Layer[M], start int64) int64 {
 	limit := l.queue.len()
 	if l == s.bottom && s.opts.BatchLimit > 0 && limit > s.opts.BatchLimit {
 		limit = s.opts.BatchLimit
@@ -388,16 +391,11 @@ func (s *Stack[M]) runLayer(l *Layer[M]) {
 	if limit > s.stats.LargestBatch {
 		s.stats.LargestBatch = limit
 	}
-	if l == s.bottom {
+	if l == s.bottom && s.batchHist != nil {
 		// One batch has formed at the injection layer — the §3 online
-		// batching rule, observed. Record before the pass so the trace
-		// shows the batch counter stepping at the span open.
-		s.tracer.Event(telemetry.EvBatchFormed, l.index, int64(limit))
-		if s.batchHist != nil {
-			s.batchHist.Observe(int64(limit))
-		}
+		// batching rule, observed.
+		s.batchHist.Observe(int64(limit))
 	}
-	s.tracer.Event(telemetry.EvLayerEnter, l.index, int64(limit))
 	for i := 0; i < limit; i++ {
 		m, ok := l.queue.pop()
 		if !ok {
@@ -406,5 +404,40 @@ func (s *Stack[M]) runLayer(l *Layer[M]) {
 		s.queued--
 		s.process(l, m, l.emitQueued)
 	}
-	s.tracer.Event(telemetry.EvLayerExit, l.index, int64(limit))
+	if l.queue.len() == 0 {
+		s.pending.clear(l.index)
+	}
+	return s.tracer.Pass(l.index, limit, start)
+}
+
+// bitset is a set of layer indices: one word per 64 layers.
+type bitset []uint64
+
+// grown returns b with room for indices below n.
+func (b bitset) grown(n int) bitset {
+	for len(b)*64 < n {
+		b = append(b, 0)
+	}
+	return b
+}
+
+//ldlp:hotpath
+func (b bitset) set(i int) { b[i>>6] |= 1 << (i & 63) }
+
+//ldlp:hotpath
+func (b bitset) clear(i int) { b[i>>6] &^= 1 << (i & 63) }
+
+//ldlp:hotpath
+func (b bitset) has(i int) bool { return i>>6 < len(b) && b[i>>6]&(1<<(i&63)) != 0 }
+
+// highest returns the largest index in the set, or -1 if it is empty.
+//
+//ldlp:hotpath
+func (b bitset) highest() int {
+	for w := len(b) - 1; w >= 0; w-- {
+		if b[w] != 0 {
+			return w<<6 + bits.Len64(b[w]) - 1
+		}
+	}
+	return -1
 }

@@ -183,3 +183,80 @@ func TestGraphPriorityMatchesTopology(t *testing.T) {
 		t.Errorf("order = %q, want %q", got, want)
 	}
 }
+
+// TestBuildStackBeyondOneBitsetWord builds a 150-layer graph — a chain
+// with one diamond up at layers 100–103, past the first and second
+// 64-bit words of the link and pending bitsets — and checks it schedules
+// like any other stack: blocked at the bottom, the diamond's higher
+// branch first, everything delivered, and an emit across a missing link
+// between two high layers still panics.
+func TestBuildStackBeyondOneBitsetWord(t *testing.T) {
+	const n = 150
+	name := func(i int) string { return fmt.Sprintf("l%03d", i) }
+	var spec strings.Builder
+	for i := 0; i+1 < n; i++ {
+		switch i {
+		case 100: // l100 > l101, l102 ; both > l103
+			fmt.Fprintf(&spec, "%s > %s, %s\n", name(100), name(101), name(102))
+		case 101:
+			fmt.Fprintf(&spec, "%s > %s\n", name(101), name(103))
+		default:
+			fmt.Fprintf(&spec, "%s > %s\n", name(i), name(i+1))
+		}
+	}
+	var order []string
+	var layers map[string]*Layer[int]
+	skip := false // when set, l110 emits to l112, which it has no link to
+	handlers := map[string]Handler[int]{}
+	for i := 0; i < n; i++ {
+		i := i
+		handlers[name(i)] = func(m int, emit Emit[int]) {
+			if i == 0 || i >= 100 && i <= 103 {
+				order = append(order, fmt.Sprintf("%d:%d", i, m))
+			}
+			switch {
+			case i == n-1:
+				emit(nil, m)
+			case i == 100:
+				emit(layers[name(101+m%2)], m)
+			case i == 101:
+				emit(layers[name(103)], m)
+			case i == 110 && skip:
+				emit(layers[name(112)], m)
+			default:
+				emit(layers[name(i+1)], m)
+			}
+		}
+	}
+	s, ls, err := BuildStack(Options{Discipline: LDLP, BatchLimit: 2}, spec.String(), handlers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers = ls
+	for m := 0; m < 3; m++ {
+		if err := s.Inject(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Run(); got != 3 {
+		t.Fatalf("delivered %d, want 3", got)
+	}
+	// Batch limit 2: messages 0 and 1 climb together, 2 follows. At the
+	// diamond l102 (message 1) outranks l101 (message 0).
+	want := "0:0 0:1 100:0 100:1 102:1 103:1 101:0 103:0 0:2 100:2 101:2 103:2"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("order = %q\nwant    %q", got, want)
+	}
+	if st := s.Stats(); st.Processed != 3*(n-1) || st.LargestBatch != 2 || s.Pending() != 0 {
+		t.Errorf("stats = %+v pending %d, want %d processed, largest batch 2, none pending", st, s.Pending(), 3*(n-1))
+	}
+
+	skip = true
+	defer func() {
+		if recover() == nil {
+			t.Error("emit across a missing link between high layers should panic")
+		}
+	}()
+	_ = s.Inject(0)
+	s.Run()
+}

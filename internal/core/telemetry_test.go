@@ -37,52 +37,45 @@ func TestStackTelemetryRecordsBatchesAndSpans(t *testing.T) {
 		t.Fatalf("layer names not registered: %v", tr.Layers)
 	}
 
-	var batches []int64
-	enters, exits := 0, 0
-	for _, ev := range tr.Events {
-		switch ev.Kind {
-		case telemetry.EvBatchFormed:
-			if ev.Layer != 0 {
-				t.Errorf("batch recorded at non-bottom layer %d", ev.Layer)
-			}
-			batches = append(batches, ev.Arg)
-		case telemetry.EvLayerEnter:
-			enters++
-		case telemetry.EvLayerExit:
-			exits++
-		}
+	// Exactly one record per (round, layer) pass: nothing else records
+	// on this tracer, and every scheduling round runs one pass.
+	if rounds := s.Stats().Rounds; int64(len(tr.Events)) != rounds || tr.Lost != 0 {
+		t.Fatalf("%d records (%d lost) for %d rounds, want one per pass", len(tr.Events), tr.Lost, rounds)
 	}
 	// 10 messages with BatchLimit 4: the schedule is data-dependent, but
-	// every bottom batch is capped at 4 and they must total 10.
-	var total int64
-	for _, b := range batches {
-		if b > 4 {
-			t.Errorf("batch %d exceeds BatchLimit 4", b)
+	// every bottom pass is capped at 4 and they must total 10, as must
+	// the passes of the layer above.
+	var batches, total, upper int64
+	last := int64(0)
+	for _, ev := range tr.Events {
+		if ev.Kind != telemetry.EvLayerEnter || ev.Dur <= 0 {
+			t.Fatalf("not a pass record with a duration: %+v", ev)
 		}
-		total += b
+		// Starts come from the injected clock, strictly increasing.
+		if ev.TS <= last {
+			t.Fatalf("pass starts not monotonic: %d after %d", ev.TS, last)
+		}
+		last = ev.TS
+		if ev.Layer != 0 {
+			upper += ev.Arg
+			continue
+		}
+		if ev.Arg > 4 {
+			t.Errorf("batch %d exceeds BatchLimit 4", ev.Arg)
+		}
+		batches++
+		total += ev.Arg
 	}
-	if total != 10 {
-		t.Errorf("batch sizes total %d, want 10 (batches %v)", total, batches)
-	}
-	if enters == 0 || enters != exits {
-		t.Errorf("unbalanced layer spans: %d enters, %d exits", enters, exits)
+	if total != 10 || upper != 10 {
+		t.Errorf("pass sizes total %d at the bottom and %d above, want 10 and 10", total, upper)
 	}
 
 	h, ok := snap.Hist("ldlp-batch")
 	if !ok {
 		t.Fatal("ldlp-batch histogram missing from snapshot")
 	}
-	if h.Count != int64(len(batches)) || h.Sum != 10 {
-		t.Errorf("batch hist count/sum = %d/%d, want %d/10", h.Count, h.Sum, len(batches))
-	}
-
-	// Timestamps come from the injected clock and are strictly monotonic.
-	last := int64(0)
-	for _, ev := range tr.Events {
-		if ev.TS <= last {
-			t.Fatalf("timestamps not monotonic: %d after %d", ev.TS, last)
-		}
-		last = ev.TS
+	if h.Count != batches || h.Sum != 10 {
+		t.Errorf("batch hist count/sum = %d/%d, want %d/10", h.Count, h.Sum, batches)
 	}
 }
 

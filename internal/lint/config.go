@@ -80,18 +80,23 @@ func DefaultAnalyzers() []*Analyzer {
 				"ldlp/internal/core.Stack.highestPending",
 				"ldlp/internal/core.fifo.push",
 				"ldlp/internal/core.fifo.pop",
+				"ldlp/internal/core.bitset.set",
+				"ldlp/internal/core.bitset.clear",
+				"ldlp/internal/core.bitset.has",
+				"ldlp/internal/core.bitset.highest",
 				"ldlp/internal/checksum.Accumulator.Add",
 				"ldlp/internal/checksum.Accumulator.Sum16",
 				"ldlp/internal/checksum.Simple",
 				// The flight recorder's record path: the telemetry promise
 				// is that these stay allocation- and lock-free forever.
 				"ldlp/internal/telemetry.Ring.Record",
+				"ldlp/internal/telemetry.Ring.RecordSpan",
 				"ldlp/internal/telemetry.Tracer.Event",
-				"ldlp/internal/telemetry.Tracer.EventAt",
+				"ldlp/internal/telemetry.Tracer.Now",
+				"ldlp/internal/telemetry.Tracer.Pass",
 				"ldlp/internal/telemetry.Hist.Observe",
 				"ldlp/internal/telemetry.Counter.Inc",
 				"ldlp/internal/telemetry.Counter.Add",
-				"ldlp/internal/telemetry.Enabled",
 			},
 			// The closed list of declared cold steps reachable from the hot
 			// closure. Each carries //ldlp:coldpath at its declaration; the

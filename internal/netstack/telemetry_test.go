@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"strings"
 	"testing"
 
 	"ldlp/internal/core"
@@ -9,8 +10,9 @@ import (
 )
 
 // TestTelemetryRecordsLDLPRun drives a small UDP exchange under the
-// LDLP schedule and checks the flight recorder saw it: layer spans on
-// the receive shard, batch-size observations, and a tx-flush counter
+// LDLP schedule and checks the flight recorder saw it: one pass record
+// per layer pass on the receive shard, batch-size observations from the
+// bottom-layer passes, and a tx-flush counter
 // event on the pump tracer — all stamped from the Net's simulated
 // clock, so timestamps are non-decreasing per tracer.
 func TestTelemetryRecordsLDLPRun(t *testing.T) {
@@ -47,35 +49,37 @@ func TestTelemetryRecordsLDLPRun(t *testing.T) {
 	if shard == nil {
 		t.Fatal("no shard0 tracer in snapshot")
 	}
-	var batches, enters, exits int
+	var batches int
 	var batchSum int64
+	perLayer := map[string]int64{}
 	for i, ev := range shard.Events {
 		if i > 0 && ev.TS < shard.Events[i-1].TS {
 			t.Fatalf("timestamps went backwards at event %d: %d < %d", i, ev.TS, shard.Events[i-1].TS)
 		}
-		switch ev.Kind {
-		case telemetry.EvBatchFormed:
+		if ev.Kind != telemetry.EvLayerEnter {
+			continue
+		}
+		perLayer[shard.LayerName(int(ev.Layer))] += ev.Arg
+		if ev.Layer == 0 {
 			batches++
 			batchSum += ev.Arg
-		case telemetry.EvLayerEnter:
-			enters++
-		case telemetry.EvLayerExit:
-			exits++
 		}
 	}
 	if batches == 0 || batchSum != 8 {
-		t.Errorf("batch events: %d totaling %d messages, want >0 totaling 8", batches, batchSum)
+		t.Errorf("bottom-layer passes: %d totaling %d messages, want >0 totaling 8", batches, batchSum)
 	}
-	if enters == 0 || enters != exits {
-		t.Errorf("layer spans unbalanced: %d enters, %d exits", enters, exits)
+	for _, name := range []string{"device", "ether", "ip", "udp"} {
+		if perLayer[name] != 8 {
+			t.Errorf("passes of %s carried %d messages, want 8 (all: %v)", name, perLayer[name], perLayer)
+		}
 	}
 	if name := shard.LayerName(int(shard.Events[0].Layer)); name != "device" {
 		t.Errorf("first event layer = %q, want device (bottom of rx path)", name)
 	}
 
 	bh, ok := snap.Hist("ldlp-batch")
-	if !ok || bh.Count == 0 || bh.Sum != 8 {
-		t.Errorf("ldlp-batch hist = %+v, want count>0 sum 8", bh)
+	if !ok || bh.Count != int64(batches) || bh.Sum != 8 {
+		t.Errorf("ldlp-batch hist = %+v, want count %d sum 8", bh, batches)
 	}
 	// The transmit side lives on the sender: a's pump tracer flushed
 	// each datagram's frame batch.
@@ -99,6 +103,67 @@ func TestTelemetryRecordsLDLPRun(t *testing.T) {
 		t.Error("no EvTxFlush events on the sender's pump tracer")
 	}
 	checkNoLeaks(t)
+}
+
+// TestTelemetryRecordBudgetPerACK pins the flight recorder's cost on
+// the light-load fast path as a count that repeats exactly: one
+// replayed bare TCP ACK under LDLP leaves exactly four records on the
+// shard tracer — one pass each of device, ether, ip and tcp, each of one
+// message — and none on the pump tracer; under Conventional it leaves
+// none at all.
+func TestTelemetryRecordBudgetPerACK(t *testing.T) {
+	for _, disc := range []core.Discipline{core.LDLP, core.Conventional} {
+		n, a, b := twoHosts(t, disc)
+		if _, err := b.ListenTCP(80); err != nil {
+			t.Fatal(err)
+		}
+		s := a.DialTCP(ipB, 80)
+		n.RunUntilIdle()
+		if !s.Established() {
+			t.Fatal("handshake did not complete")
+		}
+		bpcb := b.findPCB(fourTuple{raddr: ipA, rport: s.pcb.tuple.lport, lport: 80})
+		ack := buildBareAck(bpcb, ipA, ipB)
+
+		recorded := func() (total uint64, shard telemetry.TracerSnapshot) {
+			for _, tr := range b.Telemetry().Snapshot().Tracers {
+				total += tr.Recorded
+				if tr.Label == "shard0" {
+					shard = tr
+				}
+			}
+			return total, shard
+		}
+		before, _ := recorded()
+		fast := b.Counters.TCPFastPath
+		b.deliver(mbuf.FromBytes(ack))
+		b.process()
+		if b.Counters.TCPFastPath != fast+1 {
+			t.Fatalf("%v: replayed ACK missed the fast path", disc)
+		}
+		after, shard := recorded()
+
+		if disc == core.Conventional {
+			if after != before {
+				t.Errorf("conventional: one ACK wrote %d records, want 0", after-before)
+			}
+			continue
+		}
+		if after-before != 4 {
+			t.Fatalf("ldlp: one ACK wrote %d records, want 4", after-before)
+		}
+		var got []string
+		for _, ev := range shard.Events[len(shard.Events)-4:] {
+			if ev.Kind != telemetry.EvLayerEnter || ev.Arg != 1 {
+				t.Errorf("ldlp: not a one-message pass record: %+v", ev)
+			}
+			got = append(got, shard.LayerName(int(ev.Layer)))
+		}
+		if want := "device ether ip tcp"; strings.Join(got, " ") != want {
+			t.Errorf("ldlp: passes = %v, want %s", got, want)
+		}
+		checkNoLeaks(t)
+	}
 }
 
 // TestTelemetryRecordsDrops corrupts an IP header so the receive path

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"sort"
+	"strconv"
 )
 
 // Snapshot is one domain's exported state: every tracer's retained
@@ -21,20 +23,20 @@ type TracerSnapshot struct {
 	Shard  int      `json:"shard"`
 	Layers []string `json:"layers,omitempty"`
 	Events []Event  `json:"events"`
-	// Recorded counts events ever recorded; Lost is how many of those
-	// the ring had already overwritten (or tore mid-snapshot) by the
-	// time this snapshot ran.
+	// Recorded counts events recorded when the snapshot began; Lost is
+	// how many of those the ring had already overwritten, so Recorded
+	// == Lost + len(Events) and Events is contiguous in Seq.
 	Recorded uint64 `json:"recorded"`
 	Lost     uint64 `json:"lost"`
 }
 
 // LayerName resolves a layer index against the snapshot's registered
-// names, mirroring Tracer.LayerName for offline consumers.
+// names ("L<i>" for an unregistered index).
 func (ts TracerSnapshot) LayerName(index int) string {
 	if index >= 0 && index < len(ts.Layers) && ts.Layers[index] != "" {
 		return ts.Layers[index]
 	}
-	return "L" + itoa(index)
+	return "L" + strconv.Itoa(index)
 }
 
 // HistEntry is one named histogram in a snapshot.
@@ -55,22 +57,26 @@ func (s Snapshot) Hist(name string) (HistSnapshot, bool) {
 
 // TraceEvent is one Chrome trace_event entry ("JSON Array Format", the
 // subset Perfetto and chrome://tracing both accept). TS and Dur are in
-// microseconds, per the format.
+// microseconds, per the format; Dur is set on 'X' (complete) events.
 type TraceEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	TS   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"`
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
 // ChromeTrace renders the snapshot as Chrome trace_event entries: one
-// thread per tracer (shard), layer enter/exit as 'B'/'E' spans named by
-// the registered layer names, batch/txflush events as 'C' counters, and
+// thread per tracer (shard), each layer pass as one 'X' complete event
+// named by the registered layer name, a "batch" 'C' counter derived
+// from every bottom-layer pass, txflush events as 'C' counters, and
 // drop/retransmit/fault events as 'I' instants with decoded args.
 // Metadata events name the process after the domain and each thread
-// after its tracer label.
+// after its tracer label. Within a thread, events are ordered by
+// timestamp: a pass is recorded at its exit under its start time, so
+// ring order puts it after the instants that fell inside it.
 func (s Snapshot) ChromeTrace(pid int) []TraceEvent {
 	out := make([]TraceEvent, 0, 2+len(s.Tracers))
 	out = append(out, TraceEvent{
@@ -83,9 +89,7 @@ func (s Snapshot) ChromeTrace(pid int) []TraceEvent {
 			Name: "thread_name", Ph: "M", PID: pid, TID: tid,
 			Args: map[string]any{"name": tr.Label},
 		})
-		// Depth of currently-open 'B' spans; unmatched exits at the head
-		// of a wrapped ring are dropped rather than emitted unbalanced.
-		depth := 0
+		first := len(out)
 		for _, ev := range tr.Events {
 			info := ev.Kind.Kind()
 			te := TraceEvent{
@@ -97,18 +101,17 @@ func (s Snapshot) ChromeTrace(pid int) []TraceEvent {
 			}
 			switch ev.Kind {
 			case EvLayerEnter:
-				te.Name = tr.LayerName(int(ev.Layer))
-				te.Args = map[string]any{"queued": ev.Arg}
-				depth++
-			case EvLayerExit:
-				if depth == 0 {
-					continue
+				if ev.Layer == 0 {
+					batch := te
+					batch.Name, batch.Ph = "batch", "C"
+					batch.Args = map[string]any{"batch": ev.Arg}
+					out = append(out, batch)
 				}
-				depth--
 				te.Name = tr.LayerName(int(ev.Layer))
-				te.Args = map[string]any{"processed": ev.Arg}
-			case EvBatchFormed:
-				te.Args = map[string]any{"batch": ev.Arg}
+				// Viewers drop a complete event that has no dur, and a
+				// simulated clock does not advance inside a pump.
+				te.Dur = float64(max(ev.Dur, 1)) / 1e3
+				te.Args = map[string]any{"n": ev.Arg}
 			case EvTxFlush:
 				te.Args = map[string]any{"frames": ev.Arg}
 			case EvDrop:
@@ -125,13 +128,8 @@ func (s Snapshot) ChromeTrace(pid int) []TraceEvent {
 			}
 			out = append(out, te)
 		}
-		// Close any spans the ring's tail left open so the JSON stays
-		// balanced for strict viewers.
-		for ; depth > 0; depth-- {
-			out = append(out, TraceEvent{
-				Name: "truncated", Ph: "E", TS: float64(s.Now) / 1e3, PID: pid, TID: tid,
-			})
-		}
+		track := out[first:]
+		sort.SliceStable(track, func(i, j int) bool { return track[i].TS < track[j].TS })
 	}
 	return out
 }

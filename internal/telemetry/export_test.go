@@ -16,11 +16,12 @@ func buildSnapshot(t *testing.T) Snapshot {
 	tr.RegisterLayer(1, "ip")
 
 	now = 1000
-	tr.Event(EvLayerEnter, 1, 4)
+	start := tr.Now()
 	now = 2000
-	tr.Event(EvBatchFormed, 0, 4)
-	now = 3000
-	tr.Event(EvLayerExit, 1, 4)
+	tr.Pass(0, 4, start) // bottom layer: also the batch observation
+	start = tr.Now()
+	now = 3500
+	tr.Pass(1, 4, start)
 	now = 4000
 	tr.Event(EvDrop, 1, int64(DropBadIP))
 	tr.Event(EvRetransmit, 0, 17)
@@ -48,7 +49,10 @@ func TestSnapshotJSONStable(t *testing.T) {
 	if err := json.Unmarshal(b1, &back); err != nil {
 		t.Fatalf("snapshot JSON does not round-trip: %v", err)
 	}
-	if back.Domain != "host-a" || len(back.Tracers) != 1 || len(back.Tracers[0].Events) != 7 {
+	if pass := back.Tracers[0].Events[1]; pass.TS != 2000 || pass.Dur != 1500 || pass.Layer != 1 || pass.Arg != 4 {
+		t.Fatalf("pass record lost layer, size, start or duration in JSON: %+v", pass)
+	}
+	if back.Domain != "host-a" || len(back.Tracers) != 1 || len(back.Tracers[0].Events) != 6 {
 		t.Fatalf("round-trip lost data: %+v", back)
 	}
 	if h, ok := back.Hist("rx-batch"); !ok || h.Count != 1 {
@@ -75,19 +79,21 @@ func TestChromeTraceStructure(t *testing.T) {
 		}
 		byPh[ev.Ph] = append(byPh[ev.Ph], ev)
 	}
-	// One B/E pair named by the registered layer.
-	if len(byPh["B"]) != 1 || byPh["B"][0].Name != "ip" {
-		t.Fatalf("B events wrong: %+v", byPh["B"])
+	// One complete event per pass, named by the registered layer.
+	x := byPh["X"]
+	if len(x) != 2 || x[0].Name != "device" || x[1].Name != "ip" {
+		t.Fatalf("X events wrong: %+v", x)
 	}
-	if len(byPh["E"]) != 1 || byPh["E"][0].Name != "ip" {
-		t.Fatalf("E events wrong: %+v", byPh["E"])
+	if x[1].TS != 2.0 || x[1].Dur != 1.5 || x[1].Args["n"] != int64(4) {
+		t.Fatalf("pass start/duration/size not carried (ns->us): %+v", x[1])
 	}
-	if byPh["B"][0].TS != 1.0 || byPh["E"][0].TS != 3.0 {
-		t.Fatalf("span ts not converted ns->us: B=%v E=%v", byPh["B"][0].TS, byPh["E"][0].TS)
+	if len(byPh["B"])+len(byPh["E"]) != 0 {
+		t.Fatalf("begin/end events emitted: %+v %+v", byPh["B"], byPh["E"])
 	}
-	// Counters: batch + txflush.
-	if len(byPh["C"]) != 2 {
-		t.Fatalf("C events = %+v, want batch and txflush", byPh["C"])
+	// Counters: the batch derived from the bottom-layer pass + txflush.
+	c := byPh["C"]
+	if len(c) != 2 || c[0].Name != "batch" || c[0].TS != 1.0 || c[0].Args["batch"] != int64(4) || c[1].Name != "txflush" {
+		t.Fatalf("C events = %+v, want batch (from the device pass) and txflush", c)
 	}
 	// Instants: drop, retransmit, fault — with decoded args.
 	var sawDrop, sawRetx, sawFault bool
@@ -115,37 +121,40 @@ func TestChromeTraceStructure(t *testing.T) {
 	}
 }
 
-func TestChromeTraceBalancesTruncatedSpans(t *testing.T) {
-	// An exit whose enter was overwritten must be dropped; an enter
-	// whose exit has not happened yet must be closed.
+// TestChromeTraceOrdersTrackByTimestamp: a pass is recorded when it
+// ends, under the time it began, so the ring holds it after the drop
+// that happened inside it; the exported track must still read in time
+// order (and a pass under a clock that stood still keeps a dur, or
+// viewers discard it).
+func TestChromeTraceOrdersTrackByTimestamp(t *testing.T) {
 	s := Snapshot{
 		Domain: "d",
-		Now:    9000,
 		Tracers: []TracerSnapshot{{
 			Label: "s0",
 			Events: []Event{
-				{Seq: 10, TS: 100, Kind: EvLayerExit, Layer: 2, Arg: 1}, // orphan exit
-				{Seq: 11, TS: 200, Kind: EvLayerEnter, Layer: 3, Arg: 1},
-				{Seq: 12, TS: 300, Kind: EvLayerExit, Layer: 3, Arg: 1},
-				{Seq: 13, TS: 400, Kind: EvLayerEnter, Layer: 4, Arg: 1}, // dangling enter
+				{Seq: 10, TS: 250, Kind: EvDrop, Layer: 2, Arg: int64(DropBadIP)},
+				{Seq: 11, TS: 200, Dur: 100, Kind: EvLayerEnter, Layer: 2, Arg: 3},
+				{Seq: 12, TS: 300, Kind: EvLayerEnter, Layer: 3, Arg: 2},
 			},
 		}},
 	}
-	events := s.ChromeTrace(1)
-	depth := 0
-	for _, ev := range events {
-		switch ev.Ph {
-		case "B":
-			depth++
-		case "E":
-			depth--
-			if depth < 0 {
-				t.Fatalf("unbalanced: E without matching B at %+v", ev)
-			}
+	var got []string
+	last := -1.0
+	for _, ev := range s.ChromeTrace(1) {
+		if ev.Ph == "M" {
+			continue
 		}
+		if ev.TS < last {
+			t.Fatalf("track goes back in time at %+v", ev)
+		}
+		last = ev.TS
+		if ev.Ph == "X" && ev.Dur <= 0 {
+			t.Errorf("complete event without a dur: %+v", ev)
+		}
+		got = append(got, ev.Ph+":"+ev.Name)
 	}
-	if depth != 0 {
-		t.Fatalf("unbalanced: %d unclosed B spans", depth)
+	if want := "X:L2 I:drop X:L3"; strings.Join(got, " ") != want {
+		t.Fatalf("track = %v, want %s", got, want)
 	}
 }
 
@@ -171,7 +180,7 @@ func TestTracerSnapshotLost(t *testing.T) {
 	d := NewDomain("d", func() int64 { return 0 })
 	tr := d.Tracer("s0", 4)
 	for i := 0; i < 10; i++ {
-		tr.Event(EvBatchFormed, 0, int64(i))
+		tr.Event(EvTxFlush, 0, int64(i))
 	}
 	s := d.Snapshot()
 	ts := s.Tracers[0]
@@ -190,7 +199,7 @@ func TestKindTableComplete(t *testing.T) {
 			t.Errorf("kind %d has no registered name", k)
 		}
 		switch info.Phase {
-		case 'B', 'E', 'I', 'C':
+		case 'X', 'I', 'C':
 		default:
 			t.Errorf("kind %d has invalid phase %q", k, info.Phase)
 		}

@@ -16,7 +16,6 @@ const HistBuckets = 64
 // merge exactly, so per-shard histograms aggregate without locks.
 type Hist struct {
 	buckets [HistBuckets]atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 }
@@ -33,7 +32,6 @@ func (h *Hist) Observe(v int64) {
 		v = 0
 	}
 	h.buckets[bits.Len64(uint64(v))&(HistBuckets-1)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		old := h.max.Load()
@@ -43,22 +41,17 @@ func (h *Hist) Observe(v int64) {
 	}
 }
 
-// Count returns the number of samples observed so far.
-func (h *Hist) Count() int64 { return h.count.Load() }
-
-// Max returns the largest sample observed so far (0 when empty).
-func (h *Hist) Max() int64 { return h.max.Load() }
-
-// Snapshot copies the histogram's state. Exact when writers are
-// quiescent; a consistent-enough point-in-time view otherwise (bucket
+// Snapshot copies the histogram's state; Count is the sum of the
+// buckets, which is why Observe keeps no count word. Exact when writers
+// are quiescent; a consistent-enough point-in-time view otherwise (bucket
 // counts are read individually, so a snapshot taken mid-Observe may be
 // one sample short in the aggregate fields).
 func (h *Hist) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	s.Max = h.max.Load()
 	return s
@@ -70,7 +63,6 @@ func (h *Hist) Reset() {
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
 	}
-	h.count.Store(0)
 	h.sum.Store(0)
 	h.max.Store(0)
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -26,25 +27,26 @@ func TestRingCapacityRounding(t *testing.T) {
 func TestRingRecordAndSnapshot(t *testing.T) {
 	r := NewRing(8)
 	for i := 0; i < 5; i++ {
-		r.Record(int64(100+i), EvBatchFormed, 2, int64(i))
+		r.RecordSpan(int64(100+i), int64(i), EvTxFlush, 2, int64(i))
 	}
-	evs := r.Snapshot()
-	if len(evs) != 5 {
-		t.Fatalf("got %d events, want 5", len(evs))
+	evs, head := r.Snapshot()
+	if len(evs) != 5 || head != 5 {
+		t.Fatalf("got %d events at head %d, want 5 at 5", len(evs), head)
 	}
 	for i, ev := range evs {
 		if ev.Seq != uint64(i) {
 			t.Errorf("event %d: Seq = %d, want %d", i, ev.Seq, i)
 		}
-		if ev.TS != int64(100+i) || ev.Kind != EvBatchFormed || ev.Layer != 2 || ev.Arg != int64(i) {
+		if ev.TS != int64(100+i) || ev.Dur != int64(i) || ev.Kind != EvTxFlush || ev.Layer != 2 || ev.Arg != int64(i) {
 			t.Errorf("event %d decoded wrong: %+v", i, ev)
 		}
 	}
 }
 
 // TestRingWraparound overfills a small ring several times over and
-// checks the snapshot retains exactly the newest capacity-many events,
-// oldest-first and contiguous.
+// checks the snapshot retains exactly the newest capacity-1 events (the
+// slot the writer would fill next is never trusted), oldest-first and
+// contiguous.
 func TestRingWraparound(t *testing.T) {
 	const capacity = 16
 	r := NewRing(capacity)
@@ -55,12 +57,12 @@ func TestRingWraparound(t *testing.T) {
 	if got := r.Recorded(); got != uint64(total) {
 		t.Fatalf("Recorded() = %d, want %d", got, total)
 	}
-	evs := r.Snapshot()
-	if len(evs) != capacity {
-		t.Fatalf("snapshot retained %d events, want %d", len(evs), capacity)
+	evs, head := r.Snapshot()
+	if len(evs) != capacity-1 || head != uint64(total) {
+		t.Fatalf("snapshot retained %d events at head %d, want %d at %d", len(evs), head, capacity-1, total)
 	}
 	for i, ev := range evs {
-		wantSeq := uint64(total - capacity + i)
+		wantSeq := uint64(total - len(evs) + i)
 		if ev.Seq != wantSeq {
 			t.Fatalf("event %d: Seq = %d, want %d (not the newest contiguous tail)", i, ev.Seq, wantSeq)
 		}
@@ -70,74 +72,74 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
-// TestRingTornReadSafety hammers a small ring from writers while
-// concurrent readers snapshot it. Every event a snapshot returns must
-// be internally consistent (payload derived from one recording, never a
-// mix of two) — the per-slot sequence lock is what guarantees this, and
-// the all-atomic slot fields are what make it clean under -race.
-func TestRingTornReadSafety(t *testing.T) {
-	const (
-		writers   = 4
-		readers   = 4
-		perWriter = 20000
-	)
-	r := NewRing(32) // small: maximizes overwrite pressure
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				// Encode a checkable invariant: arg == ts*3 and the layer
-				// is ts mod 251, for whatever ts the writer stamps.
-				ts := int64(i)
-				r.Record(ts, EvDrop, uint8(ts%251), ts*3)
-			}
-		}()
+// seqEvent is the event the lap tests record at logical index seq:
+// every payload field a pure function of seq, so a reader can tell a
+// slot that was overwritten (or half overwritten) while it was copied
+// from one that was not.
+func seqEvent(seq uint64) Event {
+	return Event{
+		Seq:   seq,
+		TS:    int64(seq) * 7,
+		Dur:   int64(seq % 1000),
+		Kind:  EvDrop,
+		Layer: uint8(seq % 251),
+		Arg:   -int64(seq) * 3,
 	}
+}
 
-	errc := make(chan string, readers)
-	for g := 0; g < readers; g++ {
+// checkSnapshot reports what is wrong with one Ring.Snapshot result:
+// events must be exactly seqEvent of their Seq, oldest first without a
+// gap, ending at head-1.
+func checkSnapshot(evs []Event, head uint64) string {
+	for i, ev := range evs {
+		if ev != seqEvent(ev.Seq) {
+			return "torn or overwritten slot returned"
+		}
+		if want := head - uint64(len(evs)) + uint64(i); ev.Seq != want {
+			return "events not contiguous up to the validated head"
+		}
+	}
+	return ""
+}
+
+// TestRingTornReadSafety has the ring's one writer lap a 64-slot ring
+// over a thousand times while two readers snapshot it. No snapshot may
+// ever return a slot the writer had started to reuse: the published
+// head is what guarantees this, and the all-atomic slot words are what
+// make it clean under -race.
+func TestRingTornReadSafety(t *testing.T) {
+	const laps = 1200
+	r := NewRing(64)
+	total := uint64(laps * r.Cap())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for seq := uint64(0); seq < total; seq++ {
+			ev := seqEvent(seq)
+			r.RecordSpan(ev.TS, ev.Dur, ev.Kind, ev.Layer, ev.Arg)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	errc := make(chan string, 2)
+	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
+				if msg := checkSnapshot(r.Snapshot()); msg != "" {
+					errc <- msg
+					return
+				}
 				select {
-				case <-stop:
+				case <-done:
 					return
 				default:
-				}
-				evs := r.Snapshot()
-				lastSeq := uint64(0)
-				for i, ev := range evs {
-					if ev.Arg != ev.TS*3 || ev.Layer != uint8(ev.TS%251) || ev.Kind != EvDrop {
-						errc <- "torn event: payload fields from different recordings"
-						return
-					}
-					if i > 0 && ev.Seq <= lastSeq {
-						errc <- "snapshot not in increasing Seq order"
-						return
-					}
-					lastSeq = ev.Seq
 				}
 			}
 		}()
 	}
-
-	// Let writers finish, then stop readers.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	writersDone := make(chan struct{})
-	go func() {
-		// Writers have no stop channel; wait for their counts.
-		for r.Recorded() < uint64(writers*perWriter) {
-		}
-		close(writersDone)
-	}()
-	<-writersDone
-	close(stop)
+	wg.Wait()
 	<-done
 	select {
 	case msg := <-errc:
@@ -145,16 +147,56 @@ func TestRingTornReadSafety(t *testing.T) {
 	default:
 	}
 
-	// Post-quiescence snapshot is exact: full capacity, all consistent.
-	evs := r.Snapshot()
-	if len(evs) != r.Cap() {
-		t.Fatalf("quiescent snapshot has %d events, want full capacity %d", len(evs), r.Cap())
+	// Post-quiescence snapshot is exact: everything retained, to the end.
+	evs, head := r.Snapshot()
+	if len(evs) != r.Cap()-1 || head != total {
+		t.Fatalf("quiescent snapshot has %d events at head %d, want %d at %d", len(evs), head, r.Cap()-1, total)
+	}
+	if msg := checkSnapshot(evs, head); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// TestDomainSnapshotLostUnderLiveWriter snapshots a domain while its
+// tracer's writer runs. Recorded and Lost must come from the one head
+// the events were validated against: counting from a later read of the
+// head reports events recorded during the snapshot as lost.
+func TestDomainSnapshotLostUnderLiveWriter(t *testing.T) {
+	d := NewDomain("live", func() int64 { return 0 })
+	tr := d.Tracer("s0", 64)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				tr.Event(EvDrop, 1, 2)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for tr.Ring().Recorded() == 0 { // the writer is running
+		runtime.Gosched()
+	}
+	for i := 0; i < 50000; i++ {
+		ts := d.Snapshot().Tracers[0]
+		if ts.Recorded != ts.Lost+uint64(len(ts.Events)) {
+			t.Fatalf("Recorded %d != Lost %d + %d events", ts.Recorded, ts.Lost, len(ts.Events))
+		}
+		for j, ev := range ts.Events {
+			if ev.Seq != ts.Lost+uint64(j) {
+				t.Fatalf("event %d has Seq %d, want %d (contiguous from Lost)", j, ev.Seq, ts.Lost+uint64(j))
+			}
+		}
 	}
 }
 
 func TestRingSnapshotEmptyRing(t *testing.T) {
-	if evs := NewRing(8).Snapshot(); len(evs) != 0 {
-		t.Fatalf("empty ring snapshot returned %d events", len(evs))
+	if evs, head := NewRing(8).Snapshot(); len(evs) != 0 || head != 0 {
+		t.Fatalf("empty ring snapshot returned %d events at head %d", len(evs), head)
 	}
 }
 
@@ -165,25 +207,29 @@ func TestEnableGate(t *testing.T) {
 
 	prev := Enable(false)
 	defer Enable(prev)
-	tr.Event(EvBatchFormed, 0, 9)
+	tr.Event(EvTxFlush, 0, 9)
+	tr.Pass(1, 9, tr.Now())
 	h.Observe(9)
 	if got := tr.Ring().Recorded(); got != 0 {
 		t.Errorf("disabled tracer recorded %d events", got)
 	}
-	if got := h.Count(); got != 0 {
+	if got := tr.Now(); got != 0 {
+		t.Errorf("disabled tracer read its clock: Now() = %d", got)
+	}
+	if got := h.Snapshot().Count; got != 0 {
 		t.Errorf("disabled hist observed %d samples", got)
 	}
 
 	Enable(true)
-	tr.Event(EvBatchFormed, 0, 9)
+	tr.Event(EvTxFlush, 0, 9)
 	h.Observe(9)
 	if got := tr.Ring().Recorded(); got != 1 {
 		t.Errorf("enabled tracer recorded %d events, want 1", got)
 	}
-	if got := h.Count(); got != 1 {
+	if got := h.Snapshot().Count; got != 1 {
 		t.Errorf("enabled hist observed %d samples, want 1", got)
 	}
-	evs := tr.Ring().Snapshot()
+	evs, _ := tr.Ring().Snapshot()
 	if len(evs) != 1 || evs[0].TS != 42 {
 		t.Errorf("event not stamped by domain clock: %+v", evs)
 	}
@@ -192,20 +238,17 @@ func TestEnableGate(t *testing.T) {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Event(EvDrop, 1, 2) // must not panic
-	tr.EventAt(5, EvDrop, 1, 2)
+	tr.Pass(1, 2, tr.Now())
 	tr.RegisterLayer(0, "x")
 	if tr.Now() != 0 {
 		t.Error("nil tracer Now() != 0")
-	}
-	if got := tr.LayerName(3); got != "L3" {
-		t.Errorf("nil tracer LayerName = %q", got)
 	}
 }
 
 func TestRecordAllocFree(t *testing.T) {
 	r := NewRing(64)
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Record(1, EvBatchFormed, 0, 2)
+		r.Record(1, EvTxFlush, 0, 2)
 	})
 	if allocs != 0 {
 		t.Fatalf("Ring.Record allocates %v/op, want 0", allocs)
@@ -213,10 +256,11 @@ func TestRecordAllocFree(t *testing.T) {
 	d := NewDomain("a", func() int64 { return 7 })
 	tr := d.Tracer("s0", 64)
 	allocs = testing.AllocsPerRun(1000, func() {
-		tr.Event(EvLayerEnter, 1, 3)
+		tr.Event(EvDrop, 1, 3)
+		tr.Pass(1, 3, tr.Now())
 	})
 	if allocs != 0 {
-		t.Fatalf("Tracer.Event allocates %v/op, want 0", allocs)
+		t.Fatalf("Tracer.Event + Pass allocate %v/op, want 0", allocs)
 	}
 	h := d.Hist("h")
 	allocs = testing.AllocsPerRun(1000, func() {
@@ -231,7 +275,7 @@ func BenchmarkRingRecord(b *testing.B) {
 	r := NewRing(1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Record(int64(i), EvBatchFormed, 3, 17)
+		r.Record(int64(i), EvLayerEnter, 3, 17)
 	}
 }
 
@@ -242,6 +286,6 @@ func BenchmarkTracerEventDisabled(b *testing.B) {
 	defer Enable(prev)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Event(EvBatchFormed, 3, 17)
+		tr.Event(EvLayerEnter, 3, 17)
 	}
 }

@@ -8,13 +8,14 @@
 // Three pieces, layered:
 //
 //   - Per-shard ring-buffer event traces (Ring, Tracer): fixed-size
-//     flight recorders holding the most recent scheduling events — batch
-//     formed, layer entered/exited, drop, retransmit, fault verdict —
-//     recorded through a pre-registered event table with zero
-//     allocations and no locks on the record path. Each record is an
-//     atomic fetch-add plus a handful of atomic stores guarded by a
-//     per-slot sequence lock, so concurrent readers can snapshot a live
-//     ring and discard torn slots instead of blocking writers.
+//     flight recorders holding the most recent scheduling events — one
+//     record per layer pass (layer, batch size, start, duration), drop,
+//     retransmit, fault verdict — recorded through a pre-registered
+//     event table with zero allocations and no locks on the record
+//     path. Each ring has one writer, which stores a record's three
+//     words and then publishes a new head, so concurrent readers can
+//     snapshot a live ring and discard the slots the writer may have
+//     lapped instead of blocking it.
 //
 //   - Lock-free power-of-two-bucket histograms (Hist): batch-size and
 //     latency distributions with mergeable snapshots, replacing ad-hoc
@@ -26,7 +27,7 @@
 //     Perfetto/chrome://tracing, which makes the §3 online batching rule
 //     directly visible as per-shard, per-layer spans.
 //
-// Recording is gated by one global flag (Enable/Enabled, default on:
+// Recording is gated by one global flag (Enable, default on:
 // "flight recorder" means always-on). The disabled path is a couple of
 // branches — no clock read, no ring write — which is what lets the hot
 // path keep the gate permanently compiled in. Timestamps come from a
@@ -50,11 +51,6 @@ func init() { enabled.Store(true) }
 // state (convenient for benchmarks restoring the prior setting).
 func Enable(on bool) bool { return enabled.Swap(on) }
 
-// Enabled reports whether recording is on.
-//
-//ldlp:hotpath
-func Enabled() bool { return enabled.Load() }
-
 // Clock supplies event timestamps in nanoseconds on whatever timeline
 // its owner runs: simulated time for the explicitly pumped Net and the
 // sim engine, a monotonic wall clock for real-time drivers. Keeping the
@@ -71,14 +67,13 @@ type EventKind uint8
 const (
 	// EvNone marks an empty slot; it is never recorded.
 	EvNone EventKind = iota
-	// EvBatchFormed records one LDLP batch forming at the bottom layer;
-	// Arg is the batch size (the §3 online batching rule, observed).
-	EvBatchFormed
-	// EvLayerEnter/EvLayerExit bracket one run-to-completion pass of a
-	// layer's input queue. Layer is the layer index; Arg is the number
-	// of messages the pass will/did process.
+	// EvLayerEnter is the pass record: one run-to-completion pass of a
+	// layer's input queue, written once, at pass exit. TS is the pass's
+	// start, Dur its length, Arg the messages it processed; a pass of
+	// layer 0 is also one LDLP batch forming (the §3 online batching
+	// rule, observed). The name predates the single record and is kept
+	// because the repository benchmark compiles against it.
 	EvLayerEnter
-	EvLayerExit
 	// EvDrop records a message dying mid-path; Arg is a DropReason.
 	EvDrop
 	// EvRetransmit records a transport retransmission; Arg is the
@@ -95,7 +90,7 @@ const (
 )
 
 // KindInfo is one row of the event table: the stable export name and the
-// Chrome trace_event phase the kind maps to ('B'/'E' span brackets, 'I'
+// Chrome trace_event phase the kind maps to ('X' complete spans, 'I'
 // instants, 'C' counters).
 type KindInfo struct {
 	Name  string
@@ -106,9 +101,7 @@ type KindInfo struct {
 // recording validates kinds in tests, not on the hot path.
 var kindTable = [numEventKinds]KindInfo{
 	EvNone:         {Name: "none", Phase: 'I'},
-	EvBatchFormed:  {Name: "batch", Phase: 'C'},
-	EvLayerEnter:   {Name: "layer", Phase: 'B'},
-	EvLayerExit:    {Name: "layer", Phase: 'E'},
+	EvLayerEnter:   {Name: "layer", Phase: 'X'},
 	EvDrop:         {Name: "drop", Phase: 'I'},
 	EvRetransmit:   {Name: "retransmit", Phase: 'I'},
 	EvFaultVerdict: {Name: "fault", Phase: 'I'},

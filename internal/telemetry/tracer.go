@@ -16,12 +16,6 @@ type Tracer struct {
 	layers []string
 }
 
-// Label returns the tracer's registration label.
-func (t *Tracer) Label() string { return t.label }
-
-// Shard returns the tracer's shard index within its domain.
-func (t *Tracer) Shard() int { return t.shard }
-
 // Ring exposes the underlying ring (tests, direct snapshotting).
 func (t *Tracer) Ring() *Ring { return t.ring }
 
@@ -36,15 +30,6 @@ func (t *Tracer) RegisterLayer(index int, name string) {
 	t.layers[index] = name
 }
 
-// LayerName resolves a registered layer name ("L<i>"-style fallback for
-// unregistered indices).
-func (t *Tracer) LayerName(index int) string {
-	if t != nil && index >= 0 && index < len(t.layers) && t.layers[index] != "" {
-		return t.layers[index]
-	}
-	return "L" + itoa(index)
-}
-
 // Event records one flight-recorder event with the domain clock's
 // current timestamp. Nil-safe and gated on the global enable flag, so
 // call sites stay branch-cheap whether or not telemetry is wired or on.
@@ -57,43 +42,31 @@ func (t *Tracer) Event(kind EventKind, layer int, arg int64) {
 	t.ring.Record(t.clock(), kind, uint8(layer), arg)
 }
 
-// EventAt records one event with an explicit timestamp (callers that
-// already read the clock for their own bookkeeping avoid a second
-// read).
+// Now reads the tracer's clock for the first Pass of a run: 0 for a nil
+// tracer or with recording off, so the gated path reads no clock.
 //
 //ldlp:hotpath
-func (t *Tracer) EventAt(ts int64, kind EventKind, layer int, arg int64) {
-	if t == nil || !enabled.Load() {
-		return
-	}
-	t.ring.Record(ts, kind, uint8(layer), arg)
-}
-
-// Now reads the tracer's clock (0 for a nil tracer).
 func (t *Tracer) Now() int64 {
-	if t == nil {
+	if t == nil || !enabled.Load() {
 		return 0
 	}
 	return t.clock()
 }
 
-// itoa is a minimal non-negative integer formatter so LayerName does
-// not pull fmt into the package (export path, but keep it lean).
-func itoa(n int) string {
-	if n < 0 {
-		return "?"
+// Pass records one completed layer pass, the only record a pass leaves:
+// n messages through layer, from start to the clock's current reading,
+// which it returns: passes run back to back, so one's end is the next
+// one's start. Nil-safe and gated like Event (returning 0). Enable is
+// flipped while engines idle; a run straddling a flip records a start of 0.
+//
+//ldlp:hotpath
+func (t *Tracer) Pass(layer, n int, start int64) int64 {
+	if t == nil || !enabled.Load() {
+		return 0
 	}
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	end := t.clock()
+	t.ring.RecordSpan(start, end-start, EvLayerEnter, uint8(layer), int64(n))
+	return end
 }
 
 // Domain is one component's telemetry namespace — a host, a sim engine
@@ -156,8 +129,9 @@ func (d *Domain) Hist(name string) *Hist {
 }
 
 // Snapshot captures every tracer's retained events and every
-// histogram's state. Safe concurrently with recording (rings are
-// seqlocked, histograms atomic); exact when writers are quiescent.
+// histogram's state. Safe concurrently with recording (a ring snapshot
+// validates against the published head, histograms are atomic); exact
+// when writers are quiescent.
 func (d *Domain) Snapshot() Snapshot {
 	d.mu.Lock()
 	tracers := append([]*Tracer(nil), d.tracers...)
@@ -166,15 +140,15 @@ func (d *Domain) Snapshot() Snapshot {
 
 	s := Snapshot{Domain: d.name, Now: d.clock()}
 	for _, t := range tracers {
-		ts := TracerSnapshot{
+		events, head := t.ring.Snapshot()
+		s.Tracers = append(s.Tracers, TracerSnapshot{
 			Label:    t.label,
 			Shard:    t.shard,
 			Layers:   append([]string(nil), t.layers...),
-			Events:   t.ring.Snapshot(),
-			Recorded: t.ring.Recorded(),
-		}
-		ts.Lost = ts.Recorded - uint64(len(ts.Events))
-		s.Tracers = append(s.Tracers, ts)
+			Events:   events,
+			Recorded: head,
+			Lost:     head - uint64(len(events)),
+		})
 	}
 	for _, nh := range hists {
 		s.Hists = append(s.Hists, HistEntry{Name: nh.name, Hist: nh.h.Snapshot()})
