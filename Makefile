@@ -68,8 +68,10 @@ fuzz:
 #   1. Micro tier — the allocation-sensitive hot-path cycles, sampled:
 #      100 iterations x 3 counts, so CI timing diffs compare the best of
 #      three instead of one noisy singleton. allocs/op for
-#      BenchmarkHotPathInject* must stay 0 — the steady-state guarantee —
-#      and any sample allocating taints the merged record (max-of-N).
+#      BenchmarkHotPathInject* (TCP ACK and, as BenchmarkHotPathInjectUDP,
+#      the small-datagram path through socket queue and Recv) must stay
+#      0 — the steady-state guarantee — and any sample allocating taints
+#      the merged record (max-of-N).
 #   2. Macro tier — whole-workload runs (Poisson sweep, accept-path
 #      scale in its -short 10k-flow shape), one iteration.
 #   3. Dispatch tier — the Zipf skew model, static vs load-aware; the

@@ -150,7 +150,8 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 			if !ok {
 				break
 			}
-			gotBig = append(gotBig, dg.Data)
+			// Kept across later pumps; dg.Data is the socket's until then.
+			gotBig = append(gotBig, bytes.Clone(dg.Data))
 		}
 	}
 

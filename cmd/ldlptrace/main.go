@@ -165,7 +165,7 @@ func run(pid, shards int, rate, duration float64, seed int64, ring int, quantum 
 		}
 		n.Tick(quantum)
 		for {
-			if _, ok := ssock.Recv(); !ok {
+			if _, ok := ssock.Recv(); !ok { // counted, never kept
 				break
 			}
 			received++

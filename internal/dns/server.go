@@ -47,7 +47,7 @@ func (s *Server) Poll() {
 			return
 		}
 		s.Queries++
-		q, err := Decode(dg.Data)
+		q, err := Decode(dg.Data) // copies out: names become strings, nothing aliases dg.Data
 		reply := &Message{Flags: FlagQR | FlagAA}
 		if err != nil || len(q.Questions) == 0 {
 			s.FormErr++
@@ -166,7 +166,7 @@ func (r *Resolver) Poll() {
 		if !ok {
 			return
 		}
-		m, err := Decode(dg.Data)
+		m, err := Decode(dg.Data) // copies out, as in Server.Poll
 		if err != nil || !m.Response() {
 			continue
 		}

@@ -90,7 +90,12 @@ func (m *Msg) AppendTo(b []byte) []byte {
 
 // Decode parses one datagram. Trailing bytes are an error: a gossip
 // datagram is exactly one message.
-func Decode(b []byte) (Msg, error) {
+func Decode(b []byte) (Msg, error) { return decodeInto(b, nil) }
+
+// decodeInto is Decode with the vector parsed into vec's storage, which
+// the returned Msg.Vec then aliases; a vec too small for the message
+// is replaced by a fresh one.
+func decodeInto(b []byte, vec []VecEntry) (Msg, error) {
 	if len(b) < headerLen {
 		return Msg{}, fmt.Errorf("gossip: short datagram (%d bytes)", len(b))
 	}
@@ -111,7 +116,10 @@ func Decode(b []byte) (Msg, error) {
 		return Msg{}, fmt.Errorf("gossip: datagram is %d bytes, want %d for %d vector entries", len(b), want, nvec)
 	}
 	if nvec > 0 {
-		m.Vec = make([]VecEntry, nvec)
+		if cap(vec) < nvec {
+			vec = make([]VecEntry, nvec)
+		}
+		m.Vec = vec[:nvec]
 		for i := range m.Vec {
 			off := headerLen + 8*i
 			m.Vec[i] = VecEntry{

@@ -94,6 +94,11 @@ type Runner struct {
 	sent    int64
 	reached int // nodes at TargetStep
 	scratch []byte
+	// rxVec and txVec hold the vector of the message being handled and of
+	// the message being built. One of each serves every node: the fleet
+	// runs one hook at a time, handle reads a message's vector before it
+	// sends anything, and SendTo copies the encoded bytes.
+	rxVec, txVec []VecEntry
 }
 
 // NewRunner validates cfg and builds the protocol state for n nodes.
@@ -101,7 +106,11 @@ func NewRunner(cfg Config, n int) (*Runner, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	return &Runner{cfg: cfg, n: n, nodes: make([]*nodeState, n)}, nil
+	return &Runner{
+		cfg: cfg, n: n, nodes: make([]*nodeState, n),
+		rxVec: make([]VecEntry, MaxVec),
+		txVec: make([]VecEntry, 0, cfg.VectorCap),
+	}, nil
 }
 
 // threshold returns ceil(frac*deg), at least 1, at most deg.
@@ -172,7 +181,7 @@ func (r *Runner) Poll(n *fleet.Node, now float64) {
 		if !ok {
 			return
 		}
-		m, err := Decode(dg.Data)
+		m, err := decodeInto(dg.Data, r.rxVec)
 		if err != nil {
 			continue // not ours / mangled beyond the UDP checksum's care
 		}
@@ -257,8 +266,9 @@ func (r *Runner) tryAdvance(n *fleet.Node, st *nodeState, now float64) {
 // vector assembles the piggyback: self first, then a rotating window of
 // peers with known witness state, capped at VectorCap. Rotation spreads
 // transitive knowledge across successive messages deterministically.
+// The result lives in r.txVec until the next call.
 func (r *Runner) vector(id int, st *nodeState) []VecEntry {
-	vec := make([]VecEntry, 0, r.cfg.VectorCap)
+	vec := r.txVec[:0]
 	if st.knownWit[id] > 0 {
 		vec = append(vec, VecEntry{ID: uint32(id), WitStep: st.knownWit[id]})
 	}

@@ -2,10 +2,14 @@ package gossip
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ldlp/internal/core"
 	"ldlp/internal/fleet"
+	"ldlp/internal/layers"
+	"ldlp/internal/mbuf"
+	"ldlp/internal/netstack"
 	"ldlp/internal/telemetry"
 )
 
@@ -171,5 +175,58 @@ func TestFigureFleetGossipSmall(t *testing.T) {
 	s := tab.String()
 	if len(s) == 0 {
 		t.Fatal("empty figure")
+	}
+}
+
+// Poll decodes every datagram into the runner's one receive vector.
+// Back-to-back messages with different vector lengths must each be
+// handled with their own entries: none dropped when a longer message
+// follows a shorter one, none left over when a shorter follows a longer.
+func TestPollScratchVectorDoesNotLeakBetweenDatagrams(t *testing.T) {
+	r, err := NewRunner(Config{TargetStep: 1}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fleet.New(fleet.Config{Topology: fleet.FullMesh(16), Discipline: core.LDLP, Seed: 1}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	// A stand-in for node 1 puts real frames on a captured wire.
+	var frames [][]byte
+	peer := netstack.NewNet()
+	peer.SetCarrier(func(_ layers.MACAddr, m *mbuf.Mbuf) {
+		frames = append(frames, bytes.Clone(m.Contiguous()))
+		m.FreeChain()
+	})
+	sock, err := peer.AddHost("n1", fleet.IPOf(1), netstack.DefaultOptions(core.Conventional)).UDPSocket(9090)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stale-step acks: only their vectors have any effect on node 0.
+	for _, vec := range [][]VecEntry{
+		{{ID: 2, WitStep: 1}, {ID: 3, WitStep: 1}},
+		{{ID: 4, WitStep: 2}, {ID: 5, WitStep: 2}, {ID: 6, WitStep: 2}, {ID: 7, WitStep: 2}, {ID: 8, WitStep: 2}},
+		{{ID: 9, WitStep: 3}},
+		nil,
+	} {
+		m := Msg{Type: Ack, Sender: 1, Step: 99, Vec: vec}
+		sock.SendTo(fleet.IPOf(0), 9090, m.AppendTo(nil))
+	}
+
+	n0 := f.Node(0)
+	for _, fr := range frames {
+		n0.Host().InjectFrame(n0.Host().FrameFromBytes(fr))
+	}
+	n0.Host().Pump()
+	r.Poll(n0, 0)
+
+	want := []uint32{0, 0, 1, 1, 2, 2, 2, 2, 2, 3, 0, 0, 0, 0, 0, 0}
+	if got := r.nodes[0].knownWit; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("knownWit after four datagrams = %v, want %v", got, want)
+	}
+	if r.sent != 0 {
+		t.Errorf("stale acks provoked %d sends", r.sent)
 	}
 }

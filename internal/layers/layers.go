@@ -187,6 +187,7 @@ type UDP struct {
 // checksum field is nonzero, verifies the checksum over payload.
 func (h *UDP) Decode(b []byte, src, dst IPAddr) (int, error) {
 	if len(b) < UDPLen {
+		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
 		return 0, fmt.Errorf("udp: %w (%d bytes)", ErrTruncated, len(b))
 	}
 	h.SrcPort = be.Uint16(b[0:2])
@@ -194,6 +195,7 @@ func (h *UDP) Decode(b []byte, src, dst IPAddr) (int, error) {
 	h.Length = int(be.Uint16(b[4:6]))
 	h.Checksum = be.Uint16(b[6:8])
 	if h.Length < UDPLen || h.Length > len(b) {
+		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
 		return 0, fmt.Errorf("udp: %w (len %d, have %d)", ErrBadLength, h.Length, len(b))
 	}
 	if h.Checksum != 0 {
@@ -201,6 +203,7 @@ func (h *UDP) Decode(b []byte, src, dst IPAddr) (int, error) {
 		pseudoHeader(&acc, src, dst, ProtoUDP, h.Length)
 		acc.Add(b[:h.Length])
 		if acc.Sum16() != 0 {
+			//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
 			return 0, fmt.Errorf("udp: %w", ErrBadChecksum)
 		}
 	}

@@ -40,6 +40,11 @@ func DefaultAnalyzers() []*Analyzer {
 				"ldlp/internal/netstack.rxPath.tcpInput",
 				"ldlp/internal/netstack.rxPath.sockInput",
 				"ldlp/internal/netstack.rxPath.freeChain",
+				// The small-datagram path BenchmarkHotPathInjectUDP drives:
+				// checksum, demux, drop-before-copy, copy into a reused
+				// socket slot.
+				"ldlp/internal/netstack.rxPath.udpInput",
+				"ldlp/internal/netstack.UDPSock.slot",
 				// The million-flow PCB lookup path: the flow cache and the
 				// open-addressed table must stay allocation-free per lookup
 				// (growth allocates, but only in the untagged cold grow()).
@@ -114,10 +119,8 @@ func DefaultAnalyzers() []*Analyzer {
 				// small-message protocol, and the buffers allocate by
 				// design (O(log k) per k-fragment datagram).
 				"ldlp/internal/netstack.transportShard.reassemble",
-				// UDP/ICMP delivery: socket-queue appends and reply
-				// buffers. Outside the TCP small-message contract that
-				// BenchmarkHotPathInject measures.
-				"ldlp/internal/netstack.rxPath.udpInput",
+				// ICMP delivery: reply buffers. Outside the small-message
+				// contract that BenchmarkHotPathInject* measures.
 				"ldlp/internal/netstack.rxPath.icmpInput",
 			},
 			// The engine invokes layer handlers through function values
@@ -132,6 +135,7 @@ func DefaultAnalyzers() []*Analyzer {
 					"ldlp/internal/netstack.rxPath.etherInput",
 					"ldlp/internal/netstack.rxPath.ipInput",
 					"ldlp/internal/netstack.rxPath.tcpInput",
+					"ldlp/internal/netstack.rxPath.udpInput",
 					"ldlp/internal/netstack.rxPath.sockInput",
 				},
 			},

@@ -152,7 +152,8 @@ func runChaosScenario(t *testing.T, cfg faults.Config, combo chaosCombo) {
 			if !ok {
 				break
 			}
-			gotBig = append(gotBig, d.Data)
+			// Checked after later pumps; d.Data is the socket's until then.
+			gotBig = append(gotBig, bytes.Clone(d.Data))
 		}
 	}
 

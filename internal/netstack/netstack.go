@@ -99,10 +99,10 @@ type Counters struct {
 	// ledgers for (the checked invariant that replaced PR 6's documented
 	// caveat).
 	TCPReinjects int64
-	TxBatches           int64 // transmit-side LDLP: queued-output flushes
-	TxMaxBatch          int   // largest single transmit flush
-	WindowProbes        int64 // zero-window persist probes sent
-	TimeoutDrops        int64 // connections reaped after retransmission gave up
+	TxBatches    int64 // transmit-side LDLP: queued-output flushes
+	TxMaxBatch   int   // largest single transmit flush
+	WindowProbes int64 // zero-window persist probes sent
+	TimeoutDrops int64 // connections reaped after retransmission gave up
 }
 
 // inc bumps a counter; atomic because sharded receive paths update
@@ -209,11 +209,16 @@ type heldFrame struct {
 
 // Net is a broadcast segment connecting hosts, with an explicit clock.
 type Net struct {
-	hosts  map[layers.MACAddr]*Host
-	byIP   map[layers.IPAddr]*Host
-	wire   []frame
-	now    float64
-	inPump bool
+	hosts map[layers.MACAddr]*Host
+	byIP  map[layers.IPAddr]*Host
+	// wire[wireHead:] is the frames in flight, oldest first. The pump
+	// pops by advancing wireHead and resets both when the wire drains
+	// (which every pump ends with), so the backing array is reused
+	// instead of being walked off the end of and reallocated.
+	wire     []frame
+	wireHead int
+	now      float64
+	inPump   bool
 	// Loss, if set, is consulted per frame; returning true drops it
 	// (failure injection for retransmission tests). Runs before any
 	// Impair injector.
@@ -308,10 +313,10 @@ func (n *Net) AddHost(name string, ip layers.IPAddr, opts Options) *Host {
 //
 //ldlp:quiescent
 func (n *Net) Close() {
-	for _, f := range n.wire {
+	for _, f := range n.wire[n.wireHead:] {
 		f.m.FreeChain()
 	}
-	n.wire = nil
+	n.wire, n.wireHead = nil, 0
 	for _, hf := range n.held {
 		hf.f.m.FreeChain()
 	}
@@ -337,7 +342,7 @@ func (n *Net) send(f frame) {
 		n.carrier(f.dst, f.m)
 		return
 	}
-	//lint:ignore hotpathalloc per-pump wire queue, drained every pump; growth is amortized over the batch
+	//lint:ignore hotpathalloc wire queue drained and reset every pump, backing array included; it grows only to the deepest backlog seen
 	n.wire = append(n.wire, f)
 }
 
@@ -382,7 +387,7 @@ func (n *Net) RunUntilIdle() int {
 		if guard > 1_000_000 {
 			panic("netstack: network failed to quiesce (routing loop?)")
 		}
-		if len(n.wire) == 0 {
+		if n.wireHead == len(n.wire) {
 			// Let every host drain its LDLP queues; processing can emit
 			// more frames.
 			progress := false
@@ -391,13 +396,17 @@ func (n *Net) RunUntilIdle() int {
 					progress = true
 				}
 			}
-			if !progress && len(n.wire) == 0 {
+			if !progress && n.wireHead == len(n.wire) {
 				return delivered
 			}
 			continue
 		}
-		f := n.wire[0]
-		n.wire = n.wire[1:]
+		f := n.wire[n.wireHead]
+		n.wire[n.wireHead] = frame{} // the chain is the receiver's now
+		n.wireHead++
+		if n.wireHead == len(n.wire) {
+			n.wire, n.wireHead = n.wire[:0], 0
+		}
 		dst, ok := n.hosts[f.dst]
 		if !ok {
 			f.m.FreeChain() // frame to nowhere
@@ -465,9 +474,9 @@ func (n *Net) impairFrame(inj *faults.Injector, f frame, dst *Host) bool {
 		n.held = append(n.held, heldFrame{due: n.now + act.Delay, f: f})
 		return false
 	}
-	if act.ReorderSpan > 0 && len(n.wire) > 0 {
+	if act.ReorderSpan > 0 && n.wireHead < len(n.wire) {
 		// Reinsert behind up to ReorderSpan frames currently on the wire.
-		at := min(act.ReorderSpan, len(n.wire))
+		at := n.wireHead + min(act.ReorderSpan, len(n.wire)-n.wireHead)
 		n.wire = append(n.wire, frame{})
 		copy(n.wire[at+1:], n.wire[at:])
 		n.wire[at] = f
@@ -670,9 +679,9 @@ type shardTally struct {
 // tests: what it carried and what it currently owns. Read while the
 // network is quiescent.
 type ShardTransportStats struct {
-	Shard     int
-	TCPSegs   int64 // TCP segments that reached this shard's TCP layer
-	UDPDgrams int64 // datagrams queued to sockets by this shard
+	Shard      int
+	TCPSegs    int64 // TCP segments that reached this shard's TCP layer
+	UDPDgrams  int64 // datagrams queued to sockets by this shard
 	TxFrames   int64 // frames this shard queued for transmit
 	Reinjects  int64 // reassembled datagrams re-routed to their flow's owner
 	ReasmLocal int64 // reassembled datagrams whose flow this shard already owned

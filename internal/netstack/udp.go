@@ -10,7 +10,21 @@ import (
 	"ldlp/internal/telemetry"
 )
 
-// Datagram is one received UDP message.
+// The socket boundary copies. udpInput copies each payload out of the
+// mbuf chain into a slot the socket owns and reuses, so the chain goes
+// back to its pool inside the pump and application code never aliases
+// pool storage (DESIGN §8, rule 4) — and in steady state nothing is
+// allocated, because the slot's buffer from the last lap is refilled in
+// place. What the application gets from Recv is a view of that slot,
+// valid until the host is next pumped. There is deliberately no lease
+// that lends the mbuf itself: the largest datagram any benchmark
+// workload carries is 532 B, and a lease adds an ownership state and a
+// Release call on every receive to save a copy that costs less than
+// that bookkeeping.
+
+// Datagram is one received UDP message. Data is owned by the socket
+// that returned it and stays valid until the receiving host is next
+// pumped (RunUntilIdle, Tick, Pump); copy it to keep it longer.
 type Datagram struct {
 	Src     layers.IPAddr
 	SrcPort uint16
@@ -25,8 +39,14 @@ type UDPSock struct {
 	// remotes, so its datagrams hash to different shards by design —
 	// the queue is the declared cross-shard meeting point, and the lock
 	// is held only for the append/pop, never across an emit or a send.
-	mu    sync.Mutex
+	mu sync.Mutex
+	// queue[head:] are the buffered datagrams, oldest first. Recv
+	// advances head and resets both once the queue drains; udpInput
+	// re-extends queue into its own capacity and refills the slot's old
+	// Data buffer, so only as many slots as the deepest backlog ever
+	// exist and none is allocated twice.
 	queue []Datagram
+	head  int
 	// QueueLimit bounds buffered datagrams (drop-tail beyond it).
 	QueueLimit int
 	// Dropped counts datagrams discarded at a full queue. Updated with
@@ -67,15 +87,20 @@ func (s *UDPSock) SendTo(dst layers.IPAddr, port uint16, payload []byte) {
 }
 
 // Recv pops the next datagram, reporting ok=false when the queue is
-// empty.
+// empty. The datagram's Data aliases socket-owned memory: it stays
+// intact across further Recv and SendTo calls and is overwritten once
+// the host is next pumped, so a caller that keeps it must copy it.
 func (s *UDPSock) Recv() (Datagram, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
+	if s.head == len(s.queue) {
 		return Datagram{}, false
 	}
-	d := s.queue[0]
-	s.queue = s.queue[1:]
+	d := s.queue[s.head]
+	s.head++
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
 	return d, true
 }
 
@@ -83,16 +108,42 @@ func (s *UDPSock) Recv() (Datagram, bool) {
 func (s *UDPSock) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queue)
+	return len(s.queue) - s.head
 }
 
-// udpInput is the receive-path UDP layer. The checksum and the payload
-// copy run lock-free; only the queue append takes the socket lock,
-// because one socket receives from remotes spread across every shard.
-// A declared cold step: UDP delivery copies into the socket queue and
-// sits outside the TCP small-message zero-alloc contract.
+// slot returns the queue slot for one more datagram, its Data buffer
+// from an earlier lap still attached. Caller holds mu.
 //
-//ldlp:coldpath
+//ldlp:hotpath
+func (s *UDPSock) slot() *Datagram {
+	n := len(s.queue)
+	if live := n - s.head; n == cap(s.queue) && s.head > 0 && s.head >= live {
+		// A reader that never quite drains would walk head off the end
+		// of the array. Rotate the live datagrams down over the consumed
+		// slots instead — by swapping, so every buffer stays attached to
+		// exactly one slot. At least half the array is consumed here,
+		// which keeps the move amortised O(1) per datagram.
+		for i := s.head; i < n; i++ {
+			s.queue[i-s.head], s.queue[i] = s.queue[i], s.queue[i-s.head]
+		}
+		n -= s.head
+		s.queue, s.head = s.queue[:n], 0
+	}
+	if n < cap(s.queue) {
+		s.queue = s.queue[:n+1]
+	} else {
+		//lint:ignore hotpathalloc amortized growth of a reused slot array; it grows only to the deepest backlog seen
+		s.queue = append(s.queue, Datagram{})
+	}
+	return &s.queue[n]
+}
+
+// udpInput is the receive-path UDP layer. The checksum and the socket
+// lookup run lock-free; the queue-limit check and the copy into the
+// socket's slot take the socket lock, because one socket receives from
+// remotes spread across every shard. A full queue drops before copying.
+//
+//ldlp:hotpath
 func (rx *rxPath) udpInput(p *Packet, emit core.Emit[*Packet]) {
 	h := rx.h
 	buf := p.M.Contiguous()
@@ -111,15 +162,17 @@ func (rx *rxPath) udpInput(p *Packet, emit core.Emit[*Packet]) {
 		rx.reject(p, rx.udpin, telemetry.DropNoSocket)
 		return
 	}
-	payload := append([]byte(nil), buf[n:p.UDP.Length]...)
 	sock.mu.Lock()
-	if len(sock.queue) >= sock.QueueLimit {
+	if len(sock.queue)-sock.head >= sock.QueueLimit {
 		sock.mu.Unlock()
 		atomic.AddInt64(&sock.Dropped, 1)
 		rx.reject(p, rx.udpin, telemetry.DropSockBuffer)
 		return
 	}
-	sock.queue = append(sock.queue, Datagram{Src: p.IP.Src, SrcPort: p.UDP.SrcPort, Data: payload})
+	d := sock.slot()
+	d.Src, d.SrcPort = p.IP.Src, p.UDP.SrcPort
+	//lint:ignore hotpathalloc refills the slot's buffer from its last lap; it grows only to the largest datagram the slot has held
+	d.Data = append(d.Data[:0], buf[n:p.UDP.Length]...)
 	sock.mu.Unlock()
 	emit(rx.sock, p)
 }

@@ -55,7 +55,7 @@ type message struct {
 	payload []byte
 }
 
-func (m *message) encode() []byte {
+func (m message) encode() []byte {
 	b := make([]byte, headerLen+len(m.payload))
 	be := binary.BigEndian
 	be.PutUint32(b[0:4], m.xid)
@@ -67,27 +67,31 @@ func (m *message) encode() []byte {
 	return b
 }
 
-func decodeMessage(b []byte) (*message, error) {
+// decodeMessage parses b in place: the returned message's payload
+// aliases b and lives exactly as long as b does.
+func decodeMessage(b []byte) (message, error) {
 	if len(b) < headerLen {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrTruncated, len(b))
+		return message{}, fmt.Errorf("%w (%d bytes)", ErrTruncated, len(b))
 	}
 	be := binary.BigEndian
-	m := &message{
-		xid:    be.Uint32(b[0:4]),
-		typ:    be.Uint32(b[4:8]),
-		prog:   be.Uint32(b[8:12]),
-		proc:   be.Uint32(b[12:16]),
-		status: be.Uint32(b[16:20]),
+	m := message{
+		xid:     be.Uint32(b[0:4]),
+		typ:     be.Uint32(b[4:8]),
+		prog:    be.Uint32(b[8:12]),
+		proc:    be.Uint32(b[12:16]),
+		status:  be.Uint32(b[16:20]),
+		payload: b[headerLen:],
 	}
 	if m.typ != msgCall && m.typ != msgReply {
-		return nil, fmt.Errorf("rpc: bad message type %d", m.typ)
+		return message{}, fmt.Errorf("rpc: bad message type %d", m.typ)
 	}
-	m.payload = append([]byte(nil), b[headerLen:]...)
 	return m, nil
 }
 
 // Handler executes one procedure: decode args from the payload, return
-// the reply payload (or an error, which maps to StatusSystemErr).
+// the reply payload (or an error, which maps to StatusSystemErr). args
+// aliases the received datagram (netstack.Datagram's lifetime: gone at
+// the next pump), so a handler that keeps any of it must copy it.
 type Handler func(args []byte) ([]byte, error)
 
 type procKey struct {
@@ -109,8 +113,12 @@ type Server struct {
 	// Duplicate-request cache: retransmitted calls are answered from
 	// here, never re-executed — what makes retrying WRITE safe.
 	dupCache map[dupKey][]byte
-	dupOrder []dupKey
-	// DupCacheSize bounds the cache (FIFO eviction).
+	// dupRing holds the cached keys in arrival order; once it has
+	// DupCacheSize of them, dupNext is the oldest, overwritten next.
+	dupRing []dupKey
+	dupNext int
+	// DupCacheSize bounds the cache (FIFO eviction). Set it before the
+	// first call is served; <= 0 disables the cache.
 	DupCacheSize int
 
 	// Calls/Duplicates/Errors count server activity.
@@ -155,7 +163,7 @@ func (s *Server) Poll() {
 			s.sock.SendTo(dg.Src, dg.SrcPort, cached)
 			continue
 		}
-		reply := &message{xid: call.xid, typ: msgReply, prog: call.prog, proc: call.proc}
+		reply := message{xid: call.xid, typ: msgReply, prog: call.prog, proc: call.proc}
 		if h, ok := s.procs[procKey{call.prog, call.proc}]; !ok {
 			if s.hasProg(call.prog) {
 				reply.status = StatusProcUnavail
@@ -189,14 +197,18 @@ func (s *Server) hasProg(prog uint32) bool {
 	return false
 }
 
+// remember caches the reply to a call Poll has just found absent from
+// the cache, evicting the oldest entry once DupCacheSize are held.
 func (s *Server) remember(key dupKey, wire []byte) {
-	if _, exists := s.dupCache[key]; !exists {
-		s.dupOrder = append(s.dupOrder, key)
-		for len(s.dupOrder) > s.DupCacheSize {
-			evict := s.dupOrder[0]
-			s.dupOrder = s.dupOrder[1:]
-			delete(s.dupCache, evict)
-		}
+	if s.DupCacheSize <= 0 {
+		return
+	}
+	if len(s.dupRing) < s.DupCacheSize {
+		s.dupRing = append(s.dupRing, key)
+	} else {
+		delete(s.dupCache, s.dupRing[s.dupNext])
+		s.dupRing[s.dupNext] = key
+		s.dupNext = (s.dupNext + 1) % len(s.dupRing)
 	}
 	s.dupCache[key] = wire
 }
@@ -204,15 +216,16 @@ func (s *Server) remember(key dupKey, wire []byte) {
 // Pending is one in-flight (or finished) call.
 type Pending struct {
 	// Done reports completion; then Status and Reply (or Err) are valid.
+	// Reply is the caller's own copy.
 	Done   bool
 	Status uint32
 	Reply  []byte
 	Err    error
 
-	xid      uint32
-	prog     uint32
-	proc     uint32
-	args     []byte
+	xid uint32
+	// wire is the encoded call, built once and re-sent as is on every
+	// retry — same XID, same bytes.
+	wire     []byte
 	deadline float64
 	attempts int
 }
@@ -250,20 +263,21 @@ func NewClient(h *netstack.Host, localPort uint16, server layers.IPAddr, port ui
 	}, nil
 }
 
-// Call starts one RPC; pump the network and Poll/Tick until Done.
+// Call starts one RPC; pump the network and Poll/Tick until Done. args
+// is copied into the call's wire form before Call returns.
 func (c *Client) Call(prog, proc uint32, args []byte) *Pending {
 	c.nextX++
-	p := &Pending{xid: c.nextX, prog: prog, proc: proc, args: append([]byte(nil), args...)}
+	call := message{xid: c.nextX, typ: msgCall, prog: prog, proc: proc, payload: args}
+	p := &Pending{xid: c.nextX, wire: call.encode()}
 	c.pending[p.xid] = p
 	c.transmit(p)
 	return p
 }
 
 func (c *Client) transmit(p *Pending) {
-	m := &message{xid: p.xid, typ: msgCall, prog: p.prog, proc: p.proc, payload: p.args}
 	p.attempts++
 	p.deadline = c.host.Now() + c.RetryInterval
-	c.sock.SendTo(c.server, c.port, m.encode())
+	c.sock.SendTo(c.server, c.port, p.wire)
 }
 
 // Poll consumes replies.
@@ -285,7 +299,8 @@ func (c *Client) Poll() {
 		p.Done = true
 		p.Status = m.status
 		if m.status == StatusOK {
-			p.Reply = m.payload
+			// The one copy of the payload: m aliases the socket's slot.
+			p.Reply = append([]byte(nil), m.payload...)
 		} else {
 			p.Err = fmt.Errorf("rpc: status %d", m.status)
 		}

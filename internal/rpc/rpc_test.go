@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -60,7 +61,7 @@ func call(t *testing.T, n *netstack.Net, srv *Server, cli *Client, prog, proc ui
 
 func TestMessageCodecRoundTrip(t *testing.T) {
 	f := func(xid, prog, proc, status uint32, payload []byte) bool {
-		m := &message{xid: xid, typ: msgCall, prog: prog, proc: proc, status: status, payload: payload}
+		m := message{xid: xid, typ: msgCall, prog: prog, proc: proc, status: status, payload: payload}
 		got, err := decodeMessage(m.encode())
 		return err == nil && got.xid == xid && got.prog == prog &&
 			got.proc == proc && got.status == status && bytes.Equal(got.payload, payload)
@@ -74,7 +75,7 @@ func TestMessageCodecRejectsGarbage(t *testing.T) {
 	if _, err := decodeMessage([]byte{1, 2, 3}); err == nil {
 		t.Error("short message accepted")
 	}
-	bad := (&message{typ: 9}).encode()
+	bad := message{typ: 9}.encode()
 	if _, err := decodeMessage(bad); err == nil {
 		t.Error("bad type accepted")
 	}
@@ -205,8 +206,8 @@ func TestDupCacheEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		call(t, n, srv, cli, NFSProgram, ProcNull, nil)
 	}
-	if len(srv.dupCache) > 4 || len(srv.dupOrder) > 4 {
-		t.Errorf("dup cache grew beyond bound: %d/%d", len(srv.dupCache), len(srv.dupOrder))
+	if len(srv.dupCache) > 4 || len(srv.dupRing) > 4 {
+		t.Errorf("dup cache grew beyond bound: %d/%d", len(srv.dupCache), len(srv.dupRing))
 	}
 }
 
@@ -273,5 +274,111 @@ func BenchmarkNFSGetAttr(b *testing.B) {
 		if !p.Done {
 			b.Fatal("stuck")
 		}
+	}
+}
+
+// One GETATTR round trip, args encoding included, costs six heap
+// allocations — the args, the Pending, the call's wire form, the
+// handler's result, the cached reply, the caller's Reply — and nothing
+// in the netstack under it. Pinned as a count (with one spare for a map
+// rehash); there is no timing gate.
+func TestGetAttrRoundTripAllocations(t *testing.T) {
+	for _, d := range []core.Discipline{core.Conventional, core.LDLP} {
+		n, srv, fs, cli := deploy(t, d)
+		fh := fs.Create("f", []byte("sixteen bytes..."))
+		roundTrip := func() *Pending {
+			p := cli.Call(NFSProgram, ProcGetAttr, GetAttrArgs(fh))
+			n.RunUntilIdle()
+			srv.Poll()
+			n.RunUntilIdle()
+			cli.Poll()
+			return p
+		}
+		for i := 0; i < 2*srv.DupCacheSize; i++ { // fill the dup cache, warm the queues
+			roundTrip()
+		}
+		var last *Pending
+		allocs := testing.AllocsPerRun(200, func() { last = roundTrip() })
+		if a, err := GetAttrReply(last.Reply); !last.Done || err != nil || a.Size != 16 {
+			t.Fatalf("[%v] GETATTR reply: %+v, %v (done %v)", d, a, err, last.Done)
+		}
+		if allocs > 7 {
+			t.Errorf("[%v] %v allocations per GETATTR round trip, want <= 7", d, allocs)
+		}
+		n.Close()
+	}
+}
+
+// A retry puts the same bytes on the wire as the first attempt, and the
+// server answers it from the dup cache without running WRITE again.
+func TestRetryResendsIdenticalBytes(t *testing.T) {
+	n, srv, fs, cli := deploy(t, core.Conventional)
+	cli.RetryInterval = 0.3
+	fh := fs.Create("append.log", nil)
+	var calls [][]byte
+	n.Loss = func(dst layers.IPAddr, frame []byte) bool {
+		if dst == ipSrv {
+			calls = append(calls, bytes.Clone(frame))
+			return false
+		}
+		return len(calls) == 1 // lose the reply to the first attempt only
+	}
+	args := WriteArgs(fh, 0, []byte("once"))
+	p := cli.Call(NFSProgram, ProcWrite, args)
+	copy(args, "scribbled over after Call") // Call took its copy
+	pump(n, srv, cli)
+	n.Tick(0.35)
+	cli.Tick()
+	pump(n, srv, cli)
+	if !p.Done || p.Err != nil {
+		t.Fatalf("retry failed: done=%v err=%v", p.Done, p.Err)
+	}
+	if len(calls) != 2 {
+		t.Fatalf("%d call frames reached the server link, want 2", len(calls))
+	}
+	// The IP ID differs between the two frames (and with it the header
+	// checksum); everything from the UDP header on must not.
+	udp := layers.EthernetLen + layers.IPv4MinLen
+	if !bytes.Equal(calls[0][udp:], calls[1][udp:]) {
+		t.Errorf("retry differs from the first attempt:\n%x\n%x", calls[0][udp:], calls[1][udp:])
+	}
+	if srv.Duplicates != 1 || fs.Writes != 1 {
+		t.Errorf("duplicates = %d, writes = %d; want 1 and 1", srv.Duplicates, fs.Writes)
+	}
+	if n, err := WriteReply(p.Reply); err != nil || n != 4 {
+		t.Errorf("WRITE reply = %d, %v", n, err)
+	}
+}
+
+// The key ring evicts in arrival order, exactly as the FIFO it replaced:
+// at DupCacheSize calls every one is cached, one more evicts the oldest
+// and only the oldest.
+func TestDupCacheEvictsOldestFirst(t *testing.T) {
+	n, srv, _, cli := deploy(t, core.Conventional)
+	srv.DupCacheSize = 4
+	key := func(xid int) dupKey { return dupKey{client: ipCli, port: 900, xid: uint32(xid)} }
+	cached := func() (xids []int) {
+		for x := 1; x <= 16; x++ {
+			if _, ok := srv.dupCache[key(x)]; ok {
+				xids = append(xids, x)
+			}
+		}
+		return xids
+	}
+	for i := 0; i < srv.DupCacheSize; i++ {
+		call(t, n, srv, cli, NFSProgram, ProcNull, nil)
+	}
+	if got := fmt.Sprint(cached()); got != "[1 2 3 4]" {
+		t.Errorf("after DupCacheSize calls the cache holds %s, want [1 2 3 4]", got)
+	}
+	call(t, n, srv, cli, NFSProgram, ProcNull, nil)
+	if got := fmt.Sprint(cached()); got != "[2 3 4 5]" {
+		t.Errorf("after one more the cache holds %s, want [2 3 4 5]", got)
+	}
+	for i := 0; i < 6; i++ { // wrap the ring
+		call(t, n, srv, cli, NFSProgram, ProcNull, nil)
+	}
+	if got := fmt.Sprint(cached()); got != "[8 9 10 11]" {
+		t.Errorf("after 11 calls the cache holds %s, want [8 9 10 11]", got)
 	}
 }

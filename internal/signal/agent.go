@@ -203,7 +203,7 @@ func (a *Agent) Poll() {
 			return
 		}
 		a.Stats.MsgsIn++
-		m, err := Decode(dg.Data)
+		m, err := Decode(dg.Data) // a Message is all values: nothing aliases dg.Data
 		if err != nil {
 			a.Stats.BadMessages++
 			continue

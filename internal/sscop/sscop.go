@@ -343,7 +343,13 @@ func (l *Link) handle(dg netstack.Datagram) {
 		ns := binary.BigEndian.Uint32(b[5:9])
 		// The POLL's N(S) tells us how far the transmitter has sequenced;
 		// anything missing below it is a gap even if no later SD arrived.
-		if after(ns, l.highSeen) {
+		// A peer's window ends at our vr + Window, so an N(S) past that
+		// is forged or corrupt and says nothing: it is counted and
+		// ignored (believing it would make gapList walk the distance),
+		// and the POLL is still answered.
+		if after(ns, l.vr+Window) {
+			l.Stats.BadPDUs++
+		} else if after(ns, l.highSeen) {
 			l.highSeen = ns
 		}
 		l.sendStat(ps)
@@ -355,6 +361,12 @@ func (l *Link) handle(dg netstack.Datagram) {
 		nr := binary.BigEndian.Uint32(b[5:9])
 		ngaps := int(b[9])
 		if len(b) < 10+8*ngaps {
+			l.Stats.BadPDUs++
+			return
+		}
+		if after(nr, l.vs) {
+			// Acknowledges data never sent. Honouring it would discard
+			// unacked SDs the peer does not have, so drop the whole PDU.
 			l.Stats.BadPDUs++
 			return
 		}
@@ -390,6 +402,13 @@ func (l *Link) handleSD(seq uint32, payload []byte) {
 		l.Stats.Duplicates++
 		return
 	}
+	if !before(seq, l.vr+Window) {
+		// Beyond the receive window: the transmitter's own window never
+		// reaches this far, and buffering it would open a gap of that
+		// size for every later STAT to enumerate.
+		l.Stats.BadPDUs++
+		return
+	}
 	if _, dup := l.reorder[seq]; dup {
 		l.Stats.Duplicates++
 		return
@@ -406,6 +425,7 @@ func (l *Link) handleSD(seq uint32, payload []byte) {
 			l.sendUstat(lo, seq)
 		}
 	}
+	// payload is the socket's until the next pump; the link keeps its own.
 	l.reorder[seq] = append([]byte(nil), payload...)
 	if after(seq+1, l.highSeen) {
 		l.highSeen = seq + 1
@@ -423,6 +443,8 @@ func (l *Link) handleSD(seq uint32, payload []byte) {
 	}
 }
 
+// ackThrough releases every SD below nr. The caller has checked that
+// nr is not after vs, so the walk is at most the unacked window.
 func (l *Link) ackThrough(nr uint32) {
 	for s := l.ackBase; before(s, nr); s++ {
 		delete(l.unacked, s)
@@ -432,8 +454,23 @@ func (l *Link) ackThrough(nr uint32) {
 	}
 }
 
+// retransmitRange re-sends the unacked SDs in [lo, hi). The range is the
+// peer's word, so it is cut down to the live transmit window
+// [ackBase, vs) before it bounds a loop. That is done on plain integer
+// offsets from ackBase: order mod 2³² is not transitive, so holding lo
+// and hi to the window one at a time can still leave 2³¹ sequence
+// numbers between them. A range reaching below ackBase is merely stale;
+// one reaching past vs names data never sent and is counted as a bad
+// PDU.
 func (l *Link) retransmitRange(lo, hi uint32) {
-	for s := lo; before(s, hi); s++ {
+	sent := int32(l.vs - l.ackBase)
+	from, to := int32(lo-l.ackBase), int32(hi-l.ackBase)
+	if from > sent || to > sent {
+		l.Stats.BadPDUs++
+	}
+	from, to = max(from, 0), min(to, sent)
+	for off := from; off < to; off++ {
+		s := l.ackBase + uint32(off)
 		if rec, ok := l.unacked[s]; ok {
 			l.Stats.Retransmissions++
 			l.sendSD(s, rec)

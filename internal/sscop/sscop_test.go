@@ -1,10 +1,12 @@
 package sscop
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ldlp/internal/core"
 	"ldlp/internal/layers"
@@ -367,5 +369,66 @@ func TestGarbagePDUsDoNotBreakTheLink(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// One forged PDU used to spin the receiver for up to 2³¹ iterations:
+// peer-supplied sequence numbers bounded loops in retransmitRange,
+// ackThrough and gapList. Each is now held to the live window, counted
+// as a bad PDU, and the link carries on.
+func TestForgedSequenceNumbersAreClampedToTheWindow(t *testing.T) {
+	n, la, lb := linkPair(t)
+	connect(t, n, la, lb)
+	// Three SDs in flight and unacknowledged on A, none yet seen by B.
+	for i := 0; i < 3; i++ {
+		if err := la.Send([]byte(fmt.Sprintf("m%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u32 := binary.BigEndian.AppendUint32
+	forged := [][]byte{
+		// USTAT {0, 0x7fffffff}: a retransmission range of 2³¹ SDs.
+		u32(u32([]byte{pduUSTAT}, 0), 0x7fffffff),
+		// USTAT whose ends are each "not past the window" taken alone
+		// (order mod 2³² is not transitive) yet 1.5 × 2³⁰ apart.
+		u32(u32([]byte{pduUSTAT}, 0x2d7fc5b8), 0x897649e6),
+		// STAT acknowledging 2³⁰ SDs A never sent, with no gaps.
+		append(u32(u32([]byte{pduSTAT}, 1), la.vs+1<<30), 0),
+	}
+	start := time.Now()
+	for _, pdu := range forged {
+		lb.sock.SendTo(ipA, port, pdu)
+	}
+	// POLL claiming A has sequenced 2³⁰ SDs past B's window, and an SD
+	// that far ahead: either would open a 2³⁰-wide gap for gapList.
+	la.sock.SendTo(ipB, port, u32(u32([]byte{pduPOLL}, 9), lb.vr+1<<30))
+	la.sock.SendTo(ipB, port, append(u32([]byte{pduSD}, lb.vr+1<<30), "far"...))
+	pump(n, la, lb)
+
+	if after(la.ackBase, la.vs) {
+		t.Errorf("forged STAT moved ackBase (%d) past vs (%d)", la.ackBase, la.vs)
+	}
+	if la.Stats.BadPDUs != 3 || lb.Stats.BadPDUs != 2 {
+		t.Errorf("bad PDUs: a=%d b=%d, want 3 and 2", la.Stats.BadPDUs, lb.Stats.BadPDUs)
+	}
+	if after(lb.highSeen, lb.vr+Window) {
+		t.Errorf("highSeen %d beyond the receive window (vr %d)", lb.highSeen, lb.vr)
+	}
+	// The link still delivers: the three SDs, then a fourth.
+	if err := la.Send([]byte("m3")); err != nil {
+		t.Fatal(err)
+	}
+	tickPump(n, PollInterval, la, lb)
+	for i := 0; i < 4; i++ {
+		m, ok := lb.Recv()
+		if want := fmt.Sprintf("m%d", i); !ok || string(m) != want {
+			t.Fatalf("delivery %d = %q, %v; want %q", i, m, ok, want)
+		}
+	}
+	if len(la.unacked) != 0 {
+		t.Errorf("%d SDs still unacked after a POLL/STAT round", len(la.unacked))
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("forged PDUs took %v to handle: a peer-supplied range is bounding a loop", d)
 	}
 }

@@ -30,7 +30,10 @@ type Host = netstack.Host
 // HostOptions configures a host's receive path.
 type HostOptions = netstack.Options
 
-// TCPSock, TCPListener and UDPSock are the socket API.
+// TCPSock, TCPListener and UDPSock are the socket API. A Datagram's
+// Data belongs to the UDPSock that returned it and is valid until the
+// receiving host is next pumped (Net.RunUntilIdle, Net.Tick,
+// Host.Pump); copy it to keep it.
 type (
 	TCPSock     = netstack.TCPSock
 	TCPListener = netstack.TCPListener
