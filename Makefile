@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race chaos chaos-smoke fleet-smoke fuzz bench bench-smoke bench-scale bench-full trace-smoke report examples clean
+.PHONY: all build vet lint test test-short test-race chaos chaos-smoke fleet-smoke fuzz bench-smoke bench-full trace-smoke report examples clean
 
 all: build lint test
 
@@ -63,33 +63,6 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzChainOps -fuzztime=10s ./internal/mbuf
 	$(GO) test -run=^$$ -fuzz=FuzzFlowTable -fuzztime=10s ./internal/flowtable
 
-# CI benchmarks, summarized to BENCH_2.json in three tiers through one
-# benchjson (which folds repeated samples min-of-N):
-#   1. Micro tier — the allocation-sensitive hot-path cycles, sampled:
-#      100 iterations x 3 counts, so CI timing diffs compare the best of
-#      three instead of one noisy singleton. allocs/op for
-#      BenchmarkHotPathInject* (TCP ACK and, as BenchmarkHotPathInjectUDP,
-#      the small-datagram path through socket queue and Recv) must stay
-#      0 — the steady-state guarantee — and any sample allocating taints
-#      the merged record (max-of-N).
-#   2. Macro tier — whole-workload runs (Poisson sweep, accept-path
-#      scale in its -short 10k-flow shape), one iteration.
-#   3. Dispatch tier — the Zipf skew model, static vs load-aware; the
-#      shard-imbalance and p99-wait-slots metrics land in the summary.
-#   4. Fleet tier — 1000-node threshold gossip, LDLP and conventional
-#      back to back; gossip_rounds_per_step, delivery_p99_ns and the
-#      ldlp_latency_ratio headline land in the summary.
-bench:
-	{ $(GO) test -run=NONE -bench='BenchmarkHotPathInject|BenchmarkPoolAllocFree|BenchmarkPrependHeader|BenchmarkAllocFreeCluster' \
-		-benchmem -benchtime=100x -count=3 -short ./internal/netstack ./internal/mbuf && \
-	  $(GO) test -run=NONE -bench='BenchmarkSimPoisson|BenchmarkAcceptScale' \
-		-benchmem -benchtime=1x -short ./internal/netstack . && \
-	  $(GO) test -run=NONE -bench='BenchmarkDispatchSkewed' \
-		-benchmem -benchtime=1x -short ./internal/sim && \
-	  $(GO) test -run=NONE -bench='BenchmarkFleetGossip' \
-		-benchmem -benchtime=1x ./internal/fleet/gossip ; } \
-		| $(GO) run ./cmd/benchjson -out BENCH_2.json
-
 # Repository-benchmark smoke: all five BENCHMARK.json workloads at
 # -quick size (about a second once built). Every correctness check of
 # the full run is intact — replies, bodies, step histories, drop
@@ -102,14 +75,6 @@ bench-smoke:
 		$(GO) run ./bench --workload $$w -quick || exit 1; \
 	done
 
-# The full accept-path scale run: SYN-flood to one million established
-# connections, then steady-state small-message echo. Asserts 0 allocs/op
-# and bounded p99 probe depth at full population.
-bench-scale:
-	$(GO) test -run=NONE -bench=BenchmarkAcceptScale -benchmem -benchtime=1x \
-		-timeout=30m ./internal/netstack \
-		| $(GO) run ./cmd/benchjson -out BENCH_SCALE.json
-
 # Flight-recorder smoke: run a short Poisson workload through
 # cmd/ldlptrace at both load points and validate the emitted Chrome
 # trace (well-formed JSON, per-track monotonic timestamps). The
@@ -117,9 +82,13 @@ bench-scale:
 trace-smoke:
 	$(GO) run ./cmd/ldlptrace -out trace.json -load both -duration 0.02 -check
 
-# The full benchmark sweep (slow; numbers, not smoke).
+# Every Benchmark* function, the million-flow accept-path scale run
+# included (slow; numbers, not smoke). The zero-allocation gates these
+# paths carry are tests — Test{TCP,UDP}ReceivePathAllocFree and
+# TestAcceptScaleSteadyStateAllocFree in internal/netstack — and run
+# under plain `go test`.
 bench-full:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -bench=. -benchmem -timeout=30m ./...
 
 # Regenerate every table/figure/ablation into results/ (add PAPER=1 for
 # the full 100-seed methodology).

@@ -98,9 +98,7 @@ func simCfg(d core.Discipline, seed int) sim.Config {
 // BenchmarkSimPoissonLDLP runs the §4 Poisson workload under LDLP and
 // reports the telemetry histogram quantiles alongside ns/op: batch
 // sizes from the engine's dispatch loop and end-to-end message latency
-// from the simulated clock. benchjson lifts these units into its
-// telemetry summary, so the BENCH artifact tracks the distributions,
-// not just means.
+// from the simulated clock: the distributions, not just means.
 func BenchmarkSimPoissonLDLP(b *testing.B) {
 	var res sim.Result
 	for i := 0; i < b.N; i++ {

@@ -16,6 +16,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -91,9 +92,19 @@ func main() {
 
 // runScenario drives TCP, small-UDP and fragmented-UDP traffic between
 // two impaired hosts and returns every invariant violation found.
+//
+// A TCP end that gives up with ErrTimeout after tcpMaxRetries unanswered
+// tries is the stack working as documented whenever the link can lose
+// that many frames in a row (under bursty's LossBad 0.8 a fraction of
+// seeds do). Under such a preset it is an outcome with invariants of its
+// own, checked below — which seeds it falls on says nothing about the
+// stack — and under a preset that loses nothing it can only be a bug.
 func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, rounds int, verbose bool, name string) []error {
 	var errs []error
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	// A link takes a frame away by a drop model, or by a bit flip the
+	// receiver's checksum then discards.
+	lossy := cfg.Loss > 0 || cfg.GE != nil || len(cfg.Partitions) > 0 || cfg.CorruptProb > 0
 
 	mbuf.ResetPool()
 	n := netstack.NewNet()
@@ -114,13 +125,16 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 	}
 	cli := a.DialTCP(ipB, 80)
 	var srv *netstack.TCPSock
-	for i := 0; i < 400 && srv == nil; i++ {
+	// 30 s: past the ~20 s a SYN takes to give up, so the loop ends on an
+	// outcome, not on its own bound.
+	for i := 0; i < 600 && srv == nil && cli.Err() == nil; i++ {
 		n.Tick(0.05)
 		srv = l.Accept()
 	}
-	if srv == nil {
-		return []error{fmt.Errorf("TCP handshake never completed (client %s, err %v)", cli.State(), cli.Err())}
+	if srv == nil && cli.Err() == nil {
+		return []error{fmt.Errorf("TCP handshake never completed (client %s)", cli.State())}
 	}
+	tcpDied := func() bool { return cli.Err() != nil || (srv != nil && srv.Err() != nil) }
 
 	utx, _ := a.UDPSocket(1000)
 	urx, _ := b.UDPSocket(2000)
@@ -135,7 +149,11 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 	var want, got bytes.Buffer
 	rbuf := make([]byte, 8192)
 	drain := func() {
-		for nr := srv.Recv(rbuf); nr > 0; nr = srv.Recv(rbuf) {
+		for srv != nil {
+			nr := srv.Recv(rbuf)
+			if nr <= 0 {
+				break
+			}
 			got.Write(rbuf[:nr])
 		}
 		for {
@@ -160,10 +178,12 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 		for i := range chunk {
 			chunk[i] = byte(r*31 + i)
 		}
-		want.Write(chunk)
-		if err := cli.Send(chunk); err != nil {
-			fail("round %d: TCP send: %v", r, err)
-			return errs
+		if !tcpDied() {
+			if err := cli.Send(chunk); err != nil {
+				fail("round %d: TCP send: %v", r, err)
+				return errs
+			}
+			want.Write(chunk)
 		}
 		msg := fmt.Sprintf("dgram-%04d", r)
 		sentSmall[msg] = true
@@ -176,11 +196,7 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 		n.Tick(0.05)
 		drain()
 	}
-	for i := 0; i < 600 && got.Len() < want.Len(); i++ {
-		if cli.Err() != nil || srv.Err() != nil {
-			fail("TCP connection died: cli=%v srv=%v", cli.Err(), srv.Err())
-			return errs
-		}
+	for i := 0; i < 600 && got.Len() < want.Len() && !tcpDied(); i++ {
 		n.Tick(0.25)
 		drain()
 	}
@@ -190,7 +206,38 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 	}
 	drain()
 
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+	// Each host ran one connection and never closed it, so its books
+	// read exactly one of: alive (a PCB, no timeout drop) or gave up (one
+	// timeout drop, PCB reaped). A nil srv is a handshake that gave up
+	// before Accept: the server holds an embryonic connection at most.
+	for _, e := range []struct {
+		h    *netstack.Host
+		sock *netstack.TCPSock
+	}{{a, cli}, {b, srv}} {
+		drops, pcbs := e.h.Counters.TimeoutDrops, int64(e.h.FlowStats().PCBs)
+		switch {
+		case e.sock == nil:
+			if drops+pcbs > 1 {
+				fail("%s: never-accepted connection left %d timeout drops and %d PCBs", e.h.Name(), drops, pcbs)
+			}
+		case e.sock.Err() == nil:
+			if drops != 0 || pcbs != 1 {
+				fail("%s: live connection, but %d timeout drops and %d PCBs", e.h.Name(), drops, pcbs)
+			}
+		case !errors.Is(e.sock.Err(), netstack.ErrTimeout) || !lossy:
+			fail("TCP connection died on %s under a link that loses nothing: %v", e.h.Name(), e.sock.Err())
+		case drops != 1 || pcbs != 0:
+			fail("%s: connection gave up, but %d timeout drops and %d PCBs (want 1 and reaped)", e.h.Name(), drops, pcbs)
+		}
+	}
+	if tcpDied() {
+		if !bytes.HasPrefix(want.Bytes(), got.Bytes()) {
+			fail("TCP gave up, but the %d bytes received are not a prefix of the %d sent", got.Len(), want.Len())
+		}
+		if verbose {
+			fmt.Printf("  %-12s TCP gave up after %d of %d bytes (cli=%v)\n", name, got.Len(), want.Len(), cli.Err())
+		}
+	} else if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		fail("TCP stream mismatch: got %d bytes, want %d", got.Len(), want.Len())
 	}
 	for _, m := range gotSmall {

@@ -7,14 +7,17 @@
 // duplication, reordering, corruption and partitions; this package
 // produces those impairments reproducibly.
 //
-// An Injector is a pure decision engine: given the frame sequence it is
-// shown (and the simulated clock), it answers "what happens to this
-// frame" — the carrier (netstack.Net per destination, sim's faulted
-// traffic source) applies the verdict. Decisions come from a private
-// seeded PRNG, so the same seed and the same frame sequence yield the
-// same impairment pattern under any discipline or shard count; that is
-// what lets the chaos suite assert observational equivalence across
-// schedules while the link misbehaves identically.
+// An Injector decides: given the frame sequence it is shown (and the
+// simulated clock), Frame answers "what happens to this frame". For a
+// carrier whose frames are mbuf chains (netstack.Net per destination,
+// fleet per link) Apply also does what the verdict does to buffers —
+// free, copy, flip — so that rule lives here once; timing stays with the
+// carrier, and sim's faulted traffic source, which has no buffers, uses
+// Frame alone. Decisions come from a private seeded Stream, so the same
+// seed and the same frame sequence yield the same impairment pattern
+// under any discipline or shard count; that is what lets the chaos suite
+// assert observational equivalence across schedules while the link
+// misbehaves identically.
 //
 // Every impairment keeps its own counter, so a test can reconcile the
 // books exactly: frames offered = delivered + dropped, with each drop
@@ -25,8 +28,9 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
+
+	"ldlp/internal/mbuf"
 )
 
 // Window is a half-open interval of simulated time [From, To) during
@@ -88,22 +92,22 @@ type Config struct {
 // Validate reports configuration errors (probabilities outside [0,1],
 // negative delays, inverted windows).
 func (c Config) Validate() error {
-	// An ordered slice, not a map: with several probabilities out of
-	// range, map iteration made the reported error vary run to run.
-	type probEntry struct {
+	// An ordered array, not a map: with several probabilities out of
+	// range, map iteration made the reported error vary run to run. An
+	// absent GE checks as all-zero, so the array has one fixed shape and
+	// New's only allocation is the Injector itself.
+	var ge GilbertElliott
+	if c.GE != nil {
+		ge = *c.GE
+	}
+	probs := [...]struct {
 		name string
 		p    float64
-	}
-	probs := []probEntry{
+	}{
 		{"Loss", c.Loss}, {"DupProb", c.DupProb},
 		{"ReorderProb", c.ReorderProb}, {"CorruptProb", c.CorruptProb},
-	}
-	if c.GE != nil {
-		probs = append(probs,
-			probEntry{"GE.PGoodBad", c.GE.PGoodBad},
-			probEntry{"GE.PBadGood", c.GE.PBadGood},
-			probEntry{"GE.LossGood", c.GE.LossGood},
-			probEntry{"GE.LossBad", c.GE.LossBad})
+		{"GE.PGoodBad", ge.PGoodBad}, {"GE.PBadGood", ge.PBadGood},
+		{"GE.LossGood", ge.LossGood}, {"GE.LossBad", ge.LossBad},
 	}
 	for _, e := range probs {
 		if e.p < 0 || e.p > 1 {
@@ -224,17 +228,46 @@ func MergeStats(all ...Stats) Stats {
 	return out
 }
 
+// Stream is the module's seeded draw: a splitmix64 sequence, eight
+// bytes of state held by value, one per consumer (a link's verdicts, a
+// link's jitter, a topology's rewiring), so each sequence depends on its
+// own seed alone. A golden test pins the constants: changing them
+// re-deals every seeded run in the repo.
+type Stream struct{ state uint64 }
+
+// NewStream starts a stream at seed. Nearby seeds give unrelated
+// sequences (the output function mixes the whole state).
+func NewStream(seed uint64) Stream { return Stream{state: seed} }
+
+// Uint64 returns the next 64 bits.
+func (s *Stream) Uint64() uint64 {
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return z
+}
+
+// Float64 returns the next draw in [0, 1).
+func (s *Stream) Float64() float64 { return float64(s.Uint64()>>11) / (1 << 53) }
+
+// Intn returns the next draw in [0, n); n must be positive.
+func (s *Stream) Intn(n int) int { return int(s.Uint64() % uint64(n)) }
+
 // Injector makes seeded impairment decisions for one link direction.
 // Not safe for concurrent use: one goroutine (the network pump, one sim
 // run) owns it, which is also what keeps its decisions deterministic.
 type Injector struct {
 	cfg   Config
-	rng   *rand.Rand
+	rng   Stream
 	bad   bool // Gilbert–Elliott state
 	stats Stats
 }
 
-// New builds an injector for cfg with its own PRNG seeded by seed.
+// New builds an injector for cfg with its own Stream seeded by seed.
 // Panics on an invalid config (impairment configs are static test/tool
 // inputs; failing loudly beats silently sanitizing them).
 func New(cfg Config, seed int64) *Injector {
@@ -244,7 +277,7 @@ func New(cfg Config, seed int64) *Injector {
 	if cfg.ReorderProb > 0 && cfg.ReorderSpan == 0 {
 		cfg.ReorderSpan = 3
 	}
-	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	return &Injector{cfg: cfg, rng: NewStream(uint64(seed))}
 }
 
 // Stats returns a snapshot of the per-impairment counters.
@@ -312,6 +345,30 @@ func (inj *Injector) Frame(now float64, bits int) Action {
 		inj.stats.Corrupted++
 	}
 	return act
+}
+
+// Apply draws the verdict for the frame in chain m at simulated time now
+// and carries out everything it does to buffers, in the one order that
+// is right: a dropped chain is freed and nothing else happens to it; a
+// duplicate is copied by alloc (the receiver's pump-side pool: the copy
+// is born on the receiver's side of the link) while the original is
+// still pristine; only then is the corrupted bit flipped. The caller
+// keeps m unless act.Drop, owns dup when non-nil (it has had its
+// verdict), and does the timing: act.Delay and act.ReorderSpan mean
+// different things on a ticked wire queue and on an event heap.
+func (inj *Injector) Apply(now float64, m *mbuf.Mbuf, alloc func([]byte) *mbuf.Mbuf) (act Action, dup *mbuf.Mbuf) {
+	act = inj.Frame(now, m.PktLen()*8)
+	if act.Drop {
+		m.FreeChain()
+		return act, nil
+	}
+	if act.Duplicate {
+		dup = alloc(m.Contiguous())
+	}
+	if act.CorruptBit >= 0 {
+		m.FlipBit(act.CorruptBit)
+	}
+	return act, dup
 }
 
 // Presets returns the named impairment mixes the chaos suite and the

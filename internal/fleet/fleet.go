@@ -313,13 +313,11 @@ func (f *Fleet) Stop() { f.stopped = true }
 // across every link injector.
 func (f *Fleet) Stats() Stats {
 	s := f.stats
-	all := make([]faults.Stats, 0, len(f.linkList))
 	for _, ls := range f.linkList {
 		if ls.inj != nil {
-			all = append(all, ls.inj.Stats())
+			s.Faults.Merge(ls.inj.Stats())
 		}
 	}
-	s.Faults = faults.MergeStats(all...)
 	return s
 }
 
@@ -344,27 +342,22 @@ func (f *Fleet) transmit(src int32, dst layers.MACAddr, m *mbuf.Mbuf) {
 	f.launch(ls, m, now, false)
 }
 
-// launch runs one frame down a link: fault verdict, serialization,
-// propagation, then an arrival event. dup marks an injected duplicate,
-// which gets no second verdict (mirroring netstack's impaired flag).
+// launch runs one frame down a link: the injector's verdict and its
+// buffer effects, then this medium's timing — held back by overtake
+// count, or delayed, serialized and propagated into an arrival event.
+// dup marks an injected duplicate, which gets no second verdict
+// (mirroring netstack's impaired flag).
 func (f *Fleet) launch(ls *linkState, m *mbuf.Mbuf, now float64, dup bool) {
 	bytes := m.PktLen()
 	if ls.inj != nil && !dup {
-		act := ls.inj.Frame(now, bytes*8)
+		act, cp := ls.inj.Apply(now, m, f.nodes[ls.dst].host.FrameFromBytes)
 		if act.Drop {
-			m.FreeChain()
 			f.releaseReorders(ls, now) // a dropped frame still overtakes held ones
 			return
 		}
-		if act.Duplicate {
-			// Copy taken before corruption, from the receiver's pool —
-			// the same choice netstack.impairFrame makes.
-			cp := f.nodes[ls.dst].host.FrameFromBytes(m.Contiguous())
+		if cp != nil {
 			f.stats.Duplicated++
 			f.launch(ls, cp, now, true)
-		}
-		if act.CorruptBit >= 0 {
-			flipBit(m, act.CorruptBit)
 		}
 		if act.ReorderSpan > 0 {
 			ls.held = append(ls.held, heldReorder{m: m, sentAt: now, span: act.ReorderSpan})
@@ -391,7 +384,7 @@ func (f *Fleet) propagate(ls *linkState, now float64, bytes int) float64 {
 	}
 	lat := ls.cfg.Latency + ls.cfg.DistanceWeight*ls.dist
 	if ls.cfg.Jitter > 0 {
-		lat += ls.jit.float64() * ls.cfg.Jitter
+		lat += ls.jit.Float64() * ls.cfg.Jitter
 	}
 	return start + lat
 }
@@ -618,17 +611,4 @@ func (f *Fleet) MergedTelemetry() []telemetry.HistEntry {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// flipBit flips one bit of the chain's packet data (the corruption
-// injection; always caught by the Internet checksum downstream).
-func flipBit(m *mbuf.Mbuf, bit int) {
-	off := bit / 8
-	for cur := m; cur != nil; cur = cur.Next() {
-		if off < cur.Len() {
-			cur.Bytes()[off] ^= 1 << (bit % 8)
-			return
-		}
-		off -= cur.Len()
-	}
 }

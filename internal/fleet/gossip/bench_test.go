@@ -8,12 +8,11 @@ import (
 	"ldlp/internal/fleet"
 )
 
-// BenchmarkFleetGossip is the CI fleet tier: threshold gossip at 1000
-// nodes (256 under -short), LDLP and conventional back to back, on a
-// clean and a lossy link model. The custom metrics land in BENCH_2.json
-// via cmd/benchjson: rounds-per-step and delivery-p99-ns describe the
-// LDLP run; ldlp-latency-ratio is conventional p99 over LDLP p99 — the
-// fleet-scale headline, expected well above 1.
+// BenchmarkFleetGossip is threshold gossip at 1000 nodes (256 under
+// -short), LDLP and conventional back to back, on a clean and a lossy
+// link model. Custom metrics: rounds-per-step and delivery-p99-ns
+// describe the LDLP run; ldlp-latency-ratio is conventional p99 over
+// LDLP p99 — the fleet-scale headline, expected well above 1.
 func BenchmarkFleetGossip(b *testing.B) {
 	nodes := 1000
 	if testing.Short() {

@@ -15,7 +15,7 @@ type LinkConfig struct {
 	// Latency is the fixed one-way propagation delay in seconds.
 	Latency float64
 	// Jitter adds a uniform [0, Jitter) seconds per frame, drawn from a
-	// per-link splitmix64 stream (deterministic per fleet seed).
+	// per-link faults.Stream (deterministic per fleet seed).
 	Jitter float64
 	// DistanceWeight adds seconds per unit of topology coordinate
 	// distance between the endpoints — far corners of the unit square
@@ -63,26 +63,6 @@ func FaultyLink(base LinkConfig, preset string) LinkConfig {
 	return base
 }
 
-// prng is a splitmix64 stream — one per link for jitter draws, so a
-// link's jitter sequence depends only on the fleet seed and the link
-// identity, never on global state or other links' traffic.
-type prng struct{ state uint64 }
-
-func (p *prng) next() uint64 {
-	p.state += 0x9e3779b97f4a7c15
-	z := p.state
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-func (p *prng) float64() float64 { return float64(p.next()>>11) / (1 << 53) }
-
-func (p *prng) intn(n int) int { return int(p.next() % uint64(n)) }
-
 // heldReorder is a frame parked by a reorder verdict: it is released
 // after span later frames on the same link have overtaken it.
 type heldReorder struct {
@@ -92,17 +72,17 @@ type heldReorder struct {
 }
 
 // linkState is the mutable per-directed-link runtime: the resolved
-// config, the lazily created fault injector (a seeded rand.Rand is
-// ~5 KB; a 1000-node mesh has a million potential links, so injectors
-// materialize only for links that carry traffic — lazily is still
-// deterministic because the event order that first touches a link is),
-// the serialization horizon, and the reorder holdback queue.
+// config, the fault injector and jitter stream, the serialization
+// horizon, and the reorder holdback queue. Links materialize on first
+// use only because a mesh has N² of them (a million at 1000 nodes) and
+// a run touches a fraction; each one is small. Lazily is still
+// deterministic: the event order that first touches a link is.
 type linkState struct {
 	src, dst  int32
 	cfg       LinkConfig
 	dist      float64
 	inj       *faults.Injector
-	jit       prng
+	jit       faults.Stream
 	busyUntil float64
 	held      []heldReorder
 }
@@ -121,7 +101,7 @@ func (f *Fleet) link(src, dst int32) *linkState {
 		dst:  dst,
 		cfg:  cfg,
 		dist: f.cfg.Topology.Dist(int(src), int(dst)),
-		jit:  prng{state: uint64(f.cfg.Seed)*0x100000001b3 ^ key},
+		jit:  faults.NewStream(uint64(f.cfg.Seed)*0x100000001b3 ^ key),
 	}
 	if cfg.Faults != nil {
 		seed := cfg.FaultSeed

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"ldlp/internal/faults"
 )
 
 // Topology is an undirected peer graph plus unit-square coordinates for
@@ -140,24 +142,24 @@ func Torus(rows, cols int) *Topology {
 
 // SmallWorld is a Watts–Strogatz graph: Ring(n, k) with each forward
 // edge rewired to a uniform random target with probability beta. The
-// rewiring draws from a private splitmix64 stream seeded by the caller,
+// rewiring draws from a private faults.Stream seeded by the caller,
 // so the same (n, k, beta, seed) always yields the same graph.
 func SmallWorld(n, k int, beta float64, seed int64) *Topology {
 	if beta < 0 || beta > 1 {
 		panic(fmt.Sprintf("fleet: rewiring probability %v outside [0,1]", beta))
 	}
 	t := Ring(n, k)
-	rng := prng{state: uint64(seed) ^ 0x5ca1ab1e}
+	rng := faults.NewStream(uint64(seed) ^ 0x5ca1ab1e)
 	for i := 0; i < n; i++ {
 		for d := 1; d <= k; d++ {
-			if rng.float64() >= beta {
+			if rng.Float64() >= beta {
 				continue
 			}
 			old := int32((i + d) % n)
 			// Draw a fresh target that is not self, not already a peer.
-			nt := int32(rng.intn(n))
+			nt := int32(rng.Intn(n))
 			for nt == int32(i) || hasPeer(t.peers[i], nt) {
-				nt = int32(rng.intn(n))
+				nt = int32(rng.Intn(n))
 			}
 			t.peers[i] = replacePeer(t.peers[i], old, nt)
 			t.peers[old] = removePeer(t.peers[old], int32(i))

@@ -1,5 +1,7 @@
 package lint
 
+import "slices"
+
 // DefaultAnalyzers returns the seven analyzers configured for this
 // repository's invariants. The qualified names below are load-bearing:
 // hotpathalloc.Required doubles as the regression guard for the
@@ -11,6 +13,45 @@ package lint
 // cross-shard surface — extending any of them is a design decision, not
 // a lint chore.
 func DefaultAnalyzers() []*Analyzer {
+	// The closed list of declared cold steps reachable from the hot
+	// closure. Each carries //ldlp:coldpath at its declaration; the
+	// transitive walk stops there instead of reporting the allocations
+	// inside. Adding an entry is a perf decision — it concedes the hot
+	// path can take that step.
+	coldPaths := []string{
+		// Table growth: amortized O(1) over insertions, runs once per
+		// doubling.
+		"ldlp/internal/flowtable.Table.grow",
+		// Passive open: SYN handling allocates the PCB; the steady-state
+		// segment path never reaches it.
+		"ldlp/internal/netstack.rxPath.tcpPassiveOpen",
+		// Reassembly: fragmented datagrams are the exception in a
+		// small-message protocol, and the buffers allocate by design
+		// (O(log k) per k-fragment datagram).
+		"ldlp/internal/netstack.transportShard.reassemble",
+		// ICMP delivery: reply buffers. Outside the small-message
+		// contract that BenchmarkHotPathInject* measures.
+		"ldlp/internal/netstack.rxPath.icmpInput",
+	}
+	// The engine invokes layer handlers through function values cached
+	// at Use() time, so Stack.process's true callees are invisible to the
+	// resolver. Every registered handler, written once: quiescence, whose
+	// reachability must overapproximate, takes the whole list;
+	// hotpathalloc takes it minus the declared cold paths, and its proof
+	// then covers worker -> Inject -> ... -> process -> handler -> ...
+	// without a dynamic-dispatch analysis.
+	rxHandlers := []string{
+		"ldlp/internal/netstack.rxPath.deviceInput",
+		"ldlp/internal/netstack.rxPath.etherInput",
+		"ldlp/internal/netstack.rxPath.ipInput",
+		"ldlp/internal/netstack.rxPath.tcpInput",
+		"ldlp/internal/netstack.rxPath.udpInput",
+		"ldlp/internal/netstack.rxPath.icmpInput",
+		"ldlp/internal/netstack.rxPath.sockInput",
+	}
+	hotHandlers := slices.DeleteFunc(slices.Clone(rxHandlers), func(h string) bool {
+		return slices.Contains(coldPaths, h)
+	})
 	return []*Analyzer{
 		NewMbufOwn(MbufOwnConfig{
 			AllocFns: []string{
@@ -103,41 +144,9 @@ func DefaultAnalyzers() []*Analyzer {
 				"ldlp/internal/telemetry.Counter.Inc",
 				"ldlp/internal/telemetry.Counter.Add",
 			},
-			// The closed list of declared cold steps reachable from the hot
-			// closure. Each carries //ldlp:coldpath at its declaration; the
-			// transitive walk stops there instead of reporting the
-			// allocations inside. Adding an entry is a perf decision —
-			// it concedes the hot path can take that step.
-			ColdPaths: []string{
-				// Table growth: amortized O(1) over insertions, runs once
-				// per doubling.
-				"ldlp/internal/flowtable.Table.grow",
-				// Passive open: SYN handling allocates the PCB; the
-				// steady-state segment path never reaches it.
-				"ldlp/internal/netstack.rxPath.tcpPassiveOpen",
-				// Reassembly: fragmented datagrams are the exception in a
-				// small-message protocol, and the buffers allocate by
-				// design (O(log k) per k-fragment datagram).
-				"ldlp/internal/netstack.transportShard.reassemble",
-				// ICMP delivery: reply buffers. Outside the small-message
-				// contract that BenchmarkHotPathInject* measures.
-				"ldlp/internal/netstack.rxPath.icmpInput",
-			},
-			// The engine invokes layer handlers through function values
-			// cached at Use() time, so Stack.process's true callees are
-			// invisible to the resolver. Declare the hot-tagged rx handlers
-			// as its edges: the transitive proof then covers
-			// worker -> Inject -> ... -> process -> handler -> ... without
-			// a dynamic-dispatch analysis.
+			ColdPaths: coldPaths,
 			DeclaredEdges: map[string][]string{
-				"ldlp/internal/core.Stack.process": {
-					"ldlp/internal/netstack.rxPath.deviceInput",
-					"ldlp/internal/netstack.rxPath.etherInput",
-					"ldlp/internal/netstack.rxPath.ipInput",
-					"ldlp/internal/netstack.rxPath.tcpInput",
-					"ldlp/internal/netstack.rxPath.udpInput",
-					"ldlp/internal/netstack.rxPath.sockInput",
-				},
+				"ldlp/internal/core.Stack.process": hotHandlers,
 			},
 		}),
 		NewQuiescence(QuiescenceConfig{
@@ -148,19 +157,10 @@ func DefaultAnalyzers() []*Analyzer {
 				"ldlp/internal/core.ShardedStack.worker",
 				"ldlp/internal/core.ShardedStack.merger",
 			},
-			// Reachability must overapproximate, so unlike hotpathalloc's
-			// declared edges this list names EVERY registered handler —
-			// including the cold UDP/ICMP ones — plus the merger's sink.
+			// Every registered handler, the cold ICMP one included, plus
+			// the merger's sink.
 			DeclaredEdges: map[string][]string{
-				"ldlp/internal/core.Stack.process": {
-					"ldlp/internal/netstack.rxPath.deviceInput",
-					"ldlp/internal/netstack.rxPath.etherInput",
-					"ldlp/internal/netstack.rxPath.ipInput",
-					"ldlp/internal/netstack.rxPath.tcpInput",
-					"ldlp/internal/netstack.rxPath.udpInput",
-					"ldlp/internal/netstack.rxPath.icmpInput",
-					"ldlp/internal/netstack.rxPath.sockInput",
-				},
+				"ldlp/internal/core.Stack.process": rxHandlers,
 				"ldlp/internal/core.ShardedStack.merger": {
 					"ldlp/internal/netstack.Host.putPacket",
 				},
@@ -193,7 +193,6 @@ func DefaultAnalyzers() []*Analyzer {
 				{Path: "ldlp/internal/netstack.UDPSock.mu", Rank: 14},
 				{Path: "ldlp/internal/netstack.TCPListener.mu", Rank: 16},
 				{Path: "ldlp/internal/netstack.Host.icmpMu", Rank: 18},
-				{Path: "ldlp/internal/netstack.expvarMu", Rank: 20},
 				{Path: "ldlp/internal/mbuf.PoolShard.mu", Rank: 30},
 			},
 			Sinks: []string{

@@ -129,7 +129,7 @@ func TestFreeQueueFlushSpillDoesNotAllocate(t *testing.T) {
 }
 
 // TestShardedPoolBeatsGlobalMutexAt4Workers is the regression guard for
-// the BENCH_2.json scaling anomaly: the sharded pool's per-op atomic
+// the PR 2 scaling anomaly: the sharded pool's per-op atomic
 // counter updates made it slower than the old global-mutex allocator at
 // workers=4. With accounting folded into the freelist critical section
 // the sharded pool must win (or at worst tie within noise) — it does the

@@ -582,6 +582,21 @@ func (m *Mbuf) CopyOut(off int, dst []byte) int {
 	return copied
 }
 
+// FlipBit flips one bit of the chain's packet data, walking to the mbuf
+// that holds it. bit must be below PktLen()*8; a bit beyond the chain
+// flips nothing. This is link corruption's whole effect on a buffer (a
+// single flip is always caught by the Internet checksum downstream).
+func (m *Mbuf) FlipBit(bit int) {
+	off := bit / 8
+	for cur := m; cur != nil; cur = cur.next {
+		if off < cur.length {
+			cur.buf[cur.off+off] ^= 1 << (bit % 8)
+			return
+		}
+		off -= cur.length
+	}
+}
+
 // Contiguous returns the chain's full contents as one slice, copying only
 // if the chain has more than one mbuf.
 func (m *Mbuf) Contiguous() []byte {

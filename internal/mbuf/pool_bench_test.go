@@ -90,7 +90,7 @@ const benchBatch = 8
 // stays flat. Both allocators now count inside their lock's critical
 // section, so per op each pays exactly one lock/unlock pair — the sharded
 // pool's earlier per-op atomic counters made it trail the global mutex
-// here (the BENCH_2.json regression); TestShardedPoolBeatsGlobalMutexAt4Workers
+// here (the PR 2 scaling regression); TestShardedPoolBeatsGlobalMutexAt4Workers
 // guards against that coming back.
 func BenchmarkPoolAllocFree(b *testing.B) {
 	for _, workers := range []int{1, 4} {
@@ -134,11 +134,4 @@ func BenchmarkPoolAllocFree(b *testing.B) {
 			}
 		})
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -31,18 +31,8 @@ func PoolStats() mbuf.Stats {
 	return mbuf.PoolStats()
 }
 
-// expvarHosts maps a legacy alias name to the current *Host behind it,
-// so tests (and long-lived servers that rebuild their Net) can
-// re-publish a name: the expvar registry only ever holds one Func per
-// name, and that Func reads the live host from here. Canonical
-// per-instance names ("netstack.<name>.<id>") never collide and are
-// published directly.
-var (
-	expvarMu    sync.Mutex
-	expvarHosts = map[string]*Host{}
-	expvarIDs   = map[int]bool{}
-	expvarPool  sync.Once
-)
+// expvarPool publishes the shared mbuf pool once per process.
+var expvarPool sync.Once
 
 // expvars builds the host's published variable map: queue depths, frame
 // and drop counters, engine stats, and the telemetry histogram
@@ -69,17 +59,12 @@ func (h *Host) expvars() map[string]any {
 }
 
 // PublishExpvars registers this host's counters with the expvar
-// registry and — once per process — the shared mbuf pool as
-// "netstack.mbufpool".
-//
-// Two names are published per host. The canonical
-// "netstack.<name>.<id>" is unique per host instance (the id comes
-// from the process-wide host sequence), so two same-named hosts —
-// e.g. a test building a fresh Net while the old one's vars are still
-// registered — can never silently read each other's counters. The
-// legacy "netstack.<name>" alias is kept for dashboards keyed by host
-// name alone; re-publishing rebinds the alias to the newest host
-// rather than panicking, so pumped-and-discarded Nets keep working.
+// registry as "netstack.<name>.<id>" and — once per process — the shared
+// mbuf pool as "netstack.mbufpool". The id comes from the process-wide
+// host sequence, so the name is unique per host instance: two same-named
+// hosts — e.g. a test building a fresh Net while the old one's vars are
+// still registered — each get an entry that reads their own counters.
+// Publishing a host again is a no-op.
 func (h *Host) PublishExpvars() {
 	expvarPool.Do(func() {
 		expvar.Publish("netstack.mbufpool", expvar.Func(func() any {
@@ -91,28 +76,9 @@ func (h *Host) PublishExpvars() {
 			}
 		}))
 	})
-
-	canonical := "netstack." + h.name + "." + strconv.Itoa(h.id)
-	alias := "netstack." + h.name
-	expvarMu.Lock()
-	_, aliased := expvarHosts[alias]
-	expvarHosts[alias] = h
-	canonicalDone := expvarIDs[h.id]
-	expvarIDs[h.id] = true
-	expvarMu.Unlock()
-
-	if !canonicalDone {
-		expvar.Publish(canonical, expvar.Func(func() any {
+	h.expvarOnce.Do(func() {
+		expvar.Publish("netstack."+h.name+"."+strconv.Itoa(h.id), expvar.Func(func() any {
 			return h.expvars()
 		}))
-	}
-	if aliased {
-		return
-	}
-	expvar.Publish(alias, expvar.Func(func() any {
-		expvarMu.Lock()
-		cur := expvarHosts[alias]
-		expvarMu.Unlock()
-		return cur.expvars()
-	}))
+	})
 }

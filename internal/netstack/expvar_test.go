@@ -40,15 +40,16 @@ func TestExpvarPublishAndRebind(t *testing.T) {
 		QueueDepths []int `json:"queueDepths"`
 		FramesOut   int64 `json:"framesOut"`
 	}
-	v := expvar.Get("netstack.a")
+	name := fmt.Sprintf("netstack.a.%d", a.id)
+	v := expvar.Get(name)
 	if v == nil {
-		t.Fatal("netstack.a not published")
+		t.Fatalf("%s not published", name)
 	}
 	if err := json.Unmarshal([]byte(v.String()), &hostVars); err != nil {
-		t.Fatalf("netstack.a not JSON: %v", err)
+		t.Fatalf("%s not JSON: %v", name, err)
 	}
 	if hostVars.FramesOut != 1 || len(hostVars.QueueDepths) != 1 {
-		t.Errorf("netstack.a = %+v, want framesOut 1 and one queue", hostVars)
+		t.Errorf("%s = %+v, want framesOut 1 and one queue", name, hostVars)
 	}
 
 	var poolVars struct {
@@ -66,24 +67,25 @@ func TestExpvarPublishAndRebind(t *testing.T) {
 		t.Errorf("pool vars = %+v, want traffic seen and nothing in use", poolVars)
 	}
 
-	// A second net reusing the name must rebind, not panic, and the
-	// published Func must read the new host.
-	n2, a2, _ := twoHosts(t, core.LDLP)
+	// A second net reusing the host name must publish, not panic, and
+	// its entry must read the new host.
+	_, a2, _ := twoHosts(t, core.LDLP)
 	a2.PublishExpvars()
-	_ = n2
-	if err := json.Unmarshal([]byte(expvar.Get("netstack.a").String()), &hostVars); err != nil {
+	if err := json.Unmarshal([]byte(expvar.Get(fmt.Sprintf("netstack.a.%d", a2.id)).String()), &hostVars); err != nil {
 		t.Fatal(err)
 	}
 	if hostVars.FramesOut != 0 {
-		t.Errorf("rebound netstack.a framesOut = %d, want the fresh host's 0", hostVars.FramesOut)
+		t.Errorf("second host named a: framesOut = %d, want the fresh host's 0", hostVars.FramesOut)
+	}
+	if expvar.Get("netstack.a") != nil {
+		t.Error("bare netstack.a is published: it can only ever show one of the hosts named a")
 	}
 	checkNoLeaks(t)
 }
 
 // TestExpvarNoDoublePublishCrosstalk is the regression test for the
 // double-publish hazard: when two same-named hosts are alive at once,
-// the legacy alias can only show one of them — but each host's
-// canonical "netstack.<name>.<id>" entry must keep reading its own
+// each host's "netstack.<name>.<id>" entry must keep reading its own
 // counters, not the other host's.
 func TestExpvarNoDoublePublishCrosstalk(t *testing.T) {
 	n1, a1, _ := twoHosts(t, core.LDLP)
@@ -121,11 +123,7 @@ func TestExpvarNoDoublePublishCrosstalk(t *testing.T) {
 	if got := c2["framesOut"].(float64); got != 0 {
 		t.Errorf("canonical a2 framesOut = %v, want 0 (crosstalk from a1?)", got)
 	}
-	// The alias tracks the latest publisher (a2).
-	if got := read("netstack.a")["id"].(float64); int(got) != a2.id {
-		t.Errorf("alias netstack.a id = %v, want latest publisher %d", got, a2.id)
-	}
-	// Re-publishing an already-canonical host is a no-op, not a panic.
+	// Re-publishing an already-published host is a no-op, not a panic.
 	a1.PublishExpvars()
 
 	// Telemetry histogram summaries ride along: a1 flushed one

@@ -37,26 +37,71 @@ func buildBareAck(bpcb *tcpPCB, src, dst layers.IPAddr) []byte {
 	return buf
 }
 
-// BenchmarkHotPathInject measures the full steady-state receive path —
-// frame to mbuf chain, device/ether/ip decode, TCP header prediction,
-// chain free, wrapper recycle — and must report 0 allocs/op: the pooled
-// mbuf shards and Packet recycling leave nothing for the collector on
-// the hot path.
-func BenchmarkHotPathInject(b *testing.B) {
+// newAckRig is the steady-state TCP receive fixture: a connection from
+// a established on b (built with opts), and the wire bytes of a bare ACK
+// that b's fast path accepts any number of times.
+func newAckRig(tb testing.TB, opts Options) (*Net, *Host, []byte) {
 	mbuf.ResetPool()
 	n := NewNet()
-	ha := n.AddHost("a", ipA, DefaultOptions(core.Conventional))
-	hb := n.AddHost("b", ipB, DefaultOptions(core.Conventional))
+	ha := n.AddHost("a", ipA, DefaultOptions(opts.Discipline))
+	hb := n.AddHost("b", ipB, opts)
 	if _, err := hb.ListenTCP(80); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := ha.DialTCP(ipB, 80)
 	n.RunUntilIdle()
 	if !s.Established() {
-		b.Fatal("handshake did not complete")
+		tb.Fatal("handshake did not complete")
 	}
 	bpcb := hb.findPCB(fourTuple{raddr: ipA, rport: s.pcb.tuple.lport, lport: 80})
-	ack := buildBareAck(bpcb, ipA, ipB)
+	return n, hb, buildBareAck(bpcb, ipA, ipB)
+}
+
+// The steady-state TCP receive path — frame to mbuf chain, decode,
+// header prediction, chain free, wrapper recycle — allocates nothing,
+// under either discipline and on the sharded engine. This is the gate;
+// the benchmarks below measure the same cycle's time.
+func TestTCPReceivePathAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"conventional", DefaultOptions(core.Conventional)},
+		{"ldlp", DefaultOptions(core.LDLP)},
+		{"rxshards=2", ShardedOptions(2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, hb, ack := newAckRig(t, tc.opts)
+			defer n.Close()
+			cycle := func() {
+				hb.deliver(mbuf.FromBytes(ack))
+				hb.process()
+			}
+			for i := 0; i < 64; i++ { // warm pools, engine queues
+				cycle()
+			}
+			before := hb.Counters.TCPFastPath
+			const runs = 200
+			if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+				t.Errorf("%v allocations per inject → process, want 0", allocs)
+			}
+			// AllocsPerRun makes one warm-up call of its own.
+			if got := hb.Counters.TCPFastPath - before; got != runs+1 {
+				t.Errorf("fast path took %d of %d segments", got, runs+1)
+			}
+			checkNoLeaks(t)
+		})
+	}
+}
+
+// BenchmarkHotPathInject measures the full steady-state receive path —
+// frame to mbuf chain, device/ether/ip decode, TCP header prediction,
+// chain free, wrapper recycle. The pooled mbuf shards and Packet
+// recycling leave nothing for the collector on this path
+// (TestTCPReceivePathAllocFree holds it to 0 allocations).
+func BenchmarkHotPathInject(b *testing.B) {
+	n, hb, ack := newAckRig(b, DefaultOptions(core.Conventional))
+	defer n.Close()
 
 	// Warm the pools (mbuf freelist, Packet sync.Pool) before measuring.
 	for i := 0; i < 64; i++ {
@@ -89,20 +134,8 @@ func BenchmarkHotPathInject(b *testing.B) {
 func BenchmarkHotPathInjectTelemetryOff(b *testing.B) {
 	prev := telemetry.Enable(false)
 	defer telemetry.Enable(prev)
-	mbuf.ResetPool()
-	n := NewNet()
-	ha := n.AddHost("a", ipA, DefaultOptions(core.Conventional))
-	hb := n.AddHost("b", ipB, DefaultOptions(core.Conventional))
-	if _, err := hb.ListenTCP(80); err != nil {
-		b.Fatal(err)
-	}
-	s := ha.DialTCP(ipB, 80)
-	n.RunUntilIdle()
-	if !s.Established() {
-		b.Fatal("handshake did not complete")
-	}
-	bpcb := hb.findPCB(fourTuple{raddr: ipA, rport: s.pcb.tuple.lport, lport: 80})
-	ack := buildBareAck(bpcb, ipA, ipB)
+	n, hb, ack := newAckRig(b, DefaultOptions(core.Conventional))
+	defer n.Close()
 
 	for i := 0; i < 64; i++ {
 		hb.deliver(mbuf.FromBytes(ack))
@@ -123,20 +156,8 @@ func BenchmarkHotPathInjectTelemetryOff(b *testing.B) {
 // BenchmarkHotPathInjectLDLP is the same cycle under the LDLP schedule:
 // deliver enqueues at the device layer and process() runs the batch.
 func BenchmarkHotPathInjectLDLP(b *testing.B) {
-	mbuf.ResetPool()
-	n := NewNet()
-	ha := n.AddHost("a", ipA, DefaultOptions(core.LDLP))
-	hb := n.AddHost("b", ipB, DefaultOptions(core.LDLP))
-	if _, err := hb.ListenTCP(80); err != nil {
-		b.Fatal(err)
-	}
-	s := ha.DialTCP(ipB, 80)
-	n.RunUntilIdle()
-	if !s.Established() {
-		b.Fatal("handshake did not complete")
-	}
-	bpcb := hb.findPCB(fourTuple{raddr: ipA, rport: s.pcb.tuple.lport, lport: 80})
-	ack := buildBareAck(bpcb, ipA, ipB)
+	n, hb, ack := newAckRig(b, DefaultOptions(core.LDLP))
+	defer n.Close()
 
 	for i := 0; i < 64; i++ {
 		hb.deliver(mbuf.FromBytes(ack))

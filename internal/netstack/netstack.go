@@ -251,7 +251,7 @@ func (n *Net) Impair(dst layers.IPAddr, cfg faults.Config, seed int64) *faults.I
 		return nil
 	}
 	if seed == 0 {
-		seed = int64(dst[0])<<24 | int64(dst[1])<<16 | int64(dst[2])<<8 | int64(dst[3]) | 1
+		seed = addrSeed(dst) | 1
 	}
 	if n.impair == nil {
 		n.impair = make(map[layers.IPAddr]*faults.Injector)
@@ -261,14 +261,19 @@ func (n *Net) Impair(dst layers.IPAddr, cfg faults.Config, seed int64) *faults.I
 	return inj
 }
 
+// addrSeed is an address's contribution to its link's default seed: the
+// four bytes, big-endian.
+func addrSeed(ip layers.IPAddr) int64 {
+	return int64(ip[0])<<24 | int64(ip[1])<<16 | int64(ip[2])<<8 | int64(ip[3])
+}
+
 // ImpairAll installs cfg on the ingress link of every host currently
 // attached, each with a distinct seed derived from base, and returns
 // the injectors by address.
 func (n *Net) ImpairAll(cfg faults.Config, base int64) map[layers.IPAddr]*faults.Injector {
 	out := make(map[layers.IPAddr]*faults.Injector)
 	for ip := range n.byIP {
-		hostBits := int64(ip[0])<<24 | int64(ip[1])<<16 | int64(ip[2])<<8 | int64(ip[3])
-		if inj := n.Impair(ip, cfg, base*1_000_003+hostBits); inj != nil {
+		if inj := n.Impair(ip, cfg, base*1_000_003+addrSeed(ip)); inj != nil {
 			out[ip] = inj
 		}
 	}
@@ -426,12 +431,14 @@ func (n *Net) RunUntilIdle() int {
 	}
 }
 
-// impairFrame applies one fault verdict to a frame bound for dst.
-// Returns true when the frame should be delivered immediately; false
-// when it was dropped, parked for delay, or pushed back for reorder
-// (the frame's chain has been freed or re-owned accordingly).
+// impairFrame runs a frame bound for dst through the link's injector,
+// which decides and does everything that happens to buffers; what is
+// left here is this wire's timing. Returns true when the frame should
+// be delivered immediately; false when it was dropped, parked for
+// delay, or pushed back for reorder (the frame's chain has been freed
+// or re-owned accordingly).
 func (n *Net) impairFrame(inj *faults.Injector, f frame, dst *Host) bool {
-	act := inj.Frame(n.now, f.m.PktLen()*8)
+	act, dup := inj.Apply(n.now, f.m, dst.txPool.FromBytes)
 	var verdict telemetry.VerdictBits
 	if act.Drop {
 		verdict |= telemetry.VerdictDrop
@@ -452,20 +459,14 @@ func (n *Net) impairFrame(inj *faults.Injector, f frame, dst *Host) bool {
 		dst.telPump.Event(telemetry.EvFaultVerdict, 0, int64(verdict))
 	}
 	if act.Drop {
-		f.m.FreeChain()
 		return false
 	}
 	f.impaired = true
-	if act.Duplicate {
-		// The copy is pristine (taken before any corruption) and marked
-		// impaired so it gets no second verdict. It queues behind the
-		// frames already on the wire, like a duplicate born of a real
+	if dup != nil {
+		// Marked impaired so it gets no second verdict. It queues behind
+		// the frames already on the wire, like a duplicate born of a real
 		// retransmitting link.
-		dup := frame{dst: f.dst, m: dst.txPool.FromBytes(f.m.Contiguous()), impaired: true}
-		n.wire = append(n.wire, dup)
-	}
-	if act.CorruptBit >= 0 {
-		flipBit(f.m, act.CorruptBit)
+		n.wire = append(n.wire, frame{dst: f.dst, m: dup, impaired: true})
 	}
 	if act.Delay > 0 {
 		// Park until a Tick advances the clock past due. Explicitly
@@ -483,19 +484,6 @@ func (n *Net) impairFrame(inj *faults.Injector, f frame, dst *Host) bool {
 		return false
 	}
 	return true
-}
-
-// flipBit flips one bit of the chain's packet data, walking to the mbuf
-// holding it (bit is already reduced modulo the packet's bit length).
-func flipBit(m *mbuf.Mbuf, bit int) {
-	off := bit / 8
-	for cur := m; cur != nil; cur = cur.Next() {
-		if off < cur.Len() {
-			cur.Bytes()[off] ^= 1 << (bit % 8)
-			return
-		}
-		off -= cur.Len()
-	}
 }
 
 // releaseHeld moves delay-parked frames whose due time has passed back
@@ -612,6 +600,9 @@ type Host struct {
 	tel     *telemetry.Domain
 	telPump *telemetry.Tracer
 	txBatch *telemetry.Hist
+
+	// expvarOnce publishes the host to the expvar registry at most once.
+	expvarOnce sync.Once
 }
 
 // transportShard owns the transport state of every flow whose 4-tuple
@@ -833,10 +824,10 @@ func newHost(n *Net, name string, ip layers.IPAddr, opts Options) *Host {
 	if h.policy == nil {
 		h.policy = dispatch.Static{}
 	}
-	poolBase := int(hostSeq.Add(int64(maxInt(1, opts.RxShards) + 1)))
+	poolBase := int(hostSeq.Add(int64(max(1, opts.RxShards) + 1)))
 	h.id = poolBase
 	h.txPool = mbuf.DefaultShard(poolBase)
-	h.tshards = make([]*transportShard, maxInt(1, opts.RxShards))
+	h.tshards = make([]*transportShard, max(1, opts.RxShards))
 	// One contiguous padded array: each shard's tally owns a full cache
 	// line, and the slots are adjacent so the pump's stats sweep streams
 	// through them.
@@ -928,13 +919,6 @@ func (h *Host) getPacket() *Packet {
 func (h *Host) putPacket(p *Packet) {
 	*p = Packet{}
 	h.pktPool.Put(p)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // nextIPID allocates an outbound datagram ID. Atomic: shard workers and
@@ -1396,11 +1380,4 @@ func (h *Host) tick() {
 	h.tcpTick()
 	h.fragTick()
 	h.dispatchTick()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"ldlp/internal/core"
@@ -18,9 +19,9 @@ import (
 // client host could never exceed 64k ephemeral ports), SYN-ACKs leave
 // for nonexistent MACs and are freed by the pump, and the completing
 // ACKs are built by reading each embryonic PCB's ISS the way the other
-// hotpath benchmarks read PCB state. Under -short the flood stops at
-// 10k flows so `make bench` exercises all of this machinery on every
-// push; `make bench-scale` runs the full million.
+// hotpath benchmarks read PCB state. TestAcceptScaleSteadyStateAllocFree
+// floods to 10k flows on every `go test`, so all of this machinery runs
+// on every push; the benchmark (10k under -short) runs the full million.
 
 const (
 	scaleFlowsFull  = 1_000_000
@@ -69,7 +70,7 @@ func buildRawSegment(src layers.IPAddr, sport uint16, dst layers.IPAddr, dport u
 
 // setupScale floods the listener to `flows` established connections
 // and pre-builds the steady-state access pattern.
-func setupScale(b *testing.B, flows int) *scaleState {
+func setupScale(b testing.TB, flows int) *scaleState {
 	if scaleCache != nil && scaleCache.flows == flows {
 		return scaleCache
 	}
@@ -171,14 +172,59 @@ func cacheTallies(h *Host) (hits, misses int64) {
 	return
 }
 
+// The flow table's half of the zero-allocation gate: with 10k
+// established flows behind one listener, a steady-state segment — flow
+// cache miss, open-addressed table probe and all — takes the fast path
+// without allocating.
+func TestAcceptScaleSteadyStateAllocFree(t *testing.T) {
+	sc := setupScale(t, scaleFlowsShort)
+	hb := sc.hb
+	lap := func() {
+		for _, frame := range sc.pattern {
+			hb.deliver(mbuf.FromBytes(frame))
+		}
+	}
+	lap() // warm the delivery path
+	before := hb.Counters.TCPFastPath
+	// One run is a whole lap of the access pattern, not one segment:
+	// AllocsPerRun reports a whole number per run, so a step only some
+	// segments take (a flow-cache miss into the table) would round to 0.
+	const laps = 3
+	if allocs := testing.AllocsPerRun(laps, lap); allocs != 0 && !raceBuild() {
+		t.Errorf("%v allocations per %d steady-state segments at %d flows, want 0", allocs, len(sc.pattern), sc.flows)
+	}
+	// AllocsPerRun makes one warm-up call of its own.
+	if got, want := hb.Counters.TCPFastPath-before, int64((laps+1)*len(sc.pattern)); got != want {
+		t.Errorf("fast path took %d of %d segments", got, want)
+	}
+	checkNoLeaks(t)
+}
+
+// raceBuild reports whether this binary was built with -race. Under the
+// race detector sync.Pool sheds a quarter of what it is handed, at
+// random, so the Packet and mbuf overflow pools allocate afresh and a
+// whole-lap allocation count reads in the thousands with no defect
+// present; the gate is the plain build's.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
 // BenchmarkAcceptScale measures the steady-state small-message receive
 // path with a SYN-flood-established connection population (1M flows;
 // 10k under -short): every delivered segment must take the TCP fast
 // path at 0 allocs/op — the flow table's no-per-lookup-allocation
-// promise at scale — and the reported flowcache-hit-rate and
-// p99-probe-depth land in BENCH_2.json so a scale regression (probe
-// chains growing, cache going cold) fails review like an alloc
-// regression does.
+// promise at scale — and reports flowcache-hit-rate and
+// p99-probe-depth, failing outright when probe chains grow past the
+// displacement bound.
 func BenchmarkAcceptScale(b *testing.B) {
 	flows := scaleFlowsFull
 	if testing.Short() {

@@ -68,9 +68,9 @@ func TestFigureDispatchSkew(t *testing.T) {
 	}
 }
 
-// BenchmarkDispatchSkewed feeds the bench pipeline: one full modeled run
-// per policy, with the balance and tail-latency numbers attached as
-// custom metrics so BENCH_2.json records the static-vs-load-aware gap.
+// BenchmarkDispatchSkewed is one full modeled run per policy, with the
+// balance and tail-latency numbers attached as custom metrics: the
+// static-vs-load-aware gap.
 func BenchmarkDispatchSkewed(b *testing.B) {
 	cases := []struct {
 		name string

@@ -114,7 +114,7 @@ func (t *Table) Plot(opts PlotOptions) string {
 	}
 	fmt.Fprintf(&b, "%s %s\n", strings.Repeat(" ", 9), strings.Repeat("-", w+2))
 	fmt.Fprintf(&b, "%s  %-10.4g%s%10.4g  (%s)\n",
-		strings.Repeat(" ", 9), minX, strings.Repeat(" ", maxInt(0, w-20)), maxX, t.XLabel)
+		strings.Repeat(" ", 9), minX, strings.Repeat(" ", max(0, w-20)), maxX, t.XLabel)
 	var legend []string
 	for si, name := range t.Series {
 		legend = append(legend, fmt.Sprintf("%c=%s", seriesGlyphs[si%len(seriesGlyphs)], name))
@@ -131,11 +131,4 @@ func (t *Table) Plot(opts PlotOptions) string {
 	}
 	b.WriteString("\n")
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
