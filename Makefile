@@ -33,6 +33,7 @@ test-short:
 # (sharded engine, sharded netstack) are written to be meaningful here.
 test-race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'Sharded|Drain' ./internal/core
 
 # Chaos soak: the full impairment-preset x discipline x shard matrix
 # under the race detector, plus the standalone driver across both
@@ -95,7 +96,6 @@ bench-full:
 report:
 	$(GO) run ./cmd/ldlpreport -out results $(if $(PAPER),-paper)
 	$(GO) run ./cmd/tcpwset -all > results/tcpwset.txt
-	$(GO) run ./cmd/cksumbench > results/cksumbench.txt
 	$(GO) run ./cmd/sigbench > results/sigbench.txt
 
 examples:

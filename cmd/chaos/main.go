@@ -260,7 +260,6 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 	if h := n.HeldFrames(); h != 0 {
 		fail("%d frames still held by delay impairment", h)
 	}
-	hosts := map[layers.IPAddr]*netstack.Host{ipA: a, ipB: b}
 	// The per-injector loop below is the frame ledger. It is vacuous —
 	// and used to pass silently — when an impaired preset registered no
 	// injectors or an injector saw zero frames; both now fail the run.
@@ -271,7 +270,11 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 		fail("scenario moved no frames (client out=%d, server in=%d); ledger and delivery checks are vacuous",
 			a.Counters.FramesOut, b.Counters.FramesIn)
 	}
-	for ip, inj := range injs {
+	for _, h := range []*netstack.Host{a, b} { // host order, not map order: same seed, same output
+		ip, inj := h.IP(), injs[h.IP()]
+		if inj == nil {
+			continue
+		}
 		s := inj.Stats()
 		if s.Frames == 0 {
 			fail("%v: injector saw zero frames; its ledger check is vacuous", ip)
@@ -279,7 +282,7 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 		if s.Dropped != s.LossDrops+s.BurstDrops+s.PartitionDrops {
 			fail("%v: drop attribution broken: %+v", ip, s)
 		}
-		if in := hosts[ip].Counters.FramesIn; in != s.Frames-s.Dropped+s.Duplicated {
+		if in := h.Counters.FramesIn; in != s.Frames-s.Dropped+s.Duplicated {
 			fail("%v: FramesIn=%d, want %d-%d+%d", ip, in, s.Frames, s.Dropped, s.Duplicated)
 		}
 		if verbose {

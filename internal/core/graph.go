@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -149,25 +150,30 @@ func BuildStack[M any](opts Options, spec string, handlers map[string]Handler[M]
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, name := range g.Order {
-		if handlers[name] == nil {
-			return nil, nil, fmt.Errorf("core: no handler for layer %q", name)
-		}
+	s := NewStack[M](opts)
+	byName, err := populate(s, g, handlers)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	if len(handlers) != len(g.Order) {
 		for name := range handlers {
-			found := false
-			for _, n := range g.Order {
-				if n == name {
-					found = true
-				}
-			}
-			if !found {
+			if !slices.Contains(g.Order, name) {
 				return nil, nil, fmt.Errorf("core: handler for unknown layer %q", name)
 			}
 		}
 	}
-	s := NewStack[M](opts)
+	return s, byName, nil
+}
+
+// populate is the build step BuildStack and BuildShardedStack share:
+// check every layer of g has a handler (before touching s), add the
+// layers bottom-up in g.Order, link every edge; returns them by name.
+func populate[M any](s *Stack[M], g *GraphSpec, handlers map[string]Handler[M]) (map[string]*Layer[M], error) {
+	for _, name := range g.Order {
+		if handlers[name] == nil {
+			return nil, fmt.Errorf("no handler for layer %q", name)
+		}
+	}
 	byName := make(map[string]*Layer[M], len(g.Order))
 	for _, name := range g.Order {
 		byName[name] = s.AddLayer(name, handlers[name])
@@ -175,5 +181,5 @@ func BuildStack[M any](opts Options, spec string, handlers map[string]Handler[M]
 	for _, e := range g.Edges {
 		s.Link(byName[e[0]], byName[e[1]])
 	}
-	return s, byName, nil
+	return byName, nil
 }

@@ -10,17 +10,16 @@
 //
 // ShardedStack implements that: N single-threaded Stacks, one per worker
 // goroutine, fed through per-shard bounded input queues by a caller-
-// supplied flow hash, with deliveries merged through one bounded output
-// queue so the caller's Sink runs serialized, exactly as with a plain
-// Stack. Engine Stats are aggregated atomically from per-shard deltas.
+// supplied flow hash. Each worker hands a round's deliveries to the
+// caller's Sink itself, in one pass under one mutex, so the Sink runs
+// serialized exactly as with a plain Stack; engine Stats are summed
+// from per-shard counters when read.
 package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ldlp/internal/telemetry"
 )
@@ -31,15 +30,15 @@ import (
 const defaultShardQueue = 4096
 
 // ShardedStack partitions messages across Shards independent Stacks by a
-// flow hash, runs each under its own worker goroutine, and merges
-// deliveries through a bounded output queue.
+// flow hash and runs each under its own worker goroutine — N workers
+// and nothing else.
 //
 // Concurrency contract:
 //
 //   - Inject is safe from any number of goroutines.
-//   - The Sink runs on a single merger goroutine; it is never called
-//     concurrently with itself. SetSink must be called before the first
-//     Inject.
+//   - The Sink runs on the delivering shard's worker, one call at a
+//     time; it is never called concurrently with itself. SetSink must
+//     be called before the first Inject.
 //   - Messages of the same flow (equal hash) are processed by one shard
 //     in injection order and delivered in that order; ordering across
 //     flows is unspecified.
@@ -48,42 +47,38 @@ const defaultShardQueue = 4096
 //   - Close shuts the workers down (processing anything still queued);
 //     Inject after Close panics.
 type ShardedStack[M any] struct {
-	opts  Options
 	hash  func(M) uint64
 	route func(key uint64, shards int) int
 
 	shards []*shard[M]
-	out    chan M
 	sink   Sink[M]
+	// sinkMu serializes the Sink across workers: taken once per round,
+	// around the pass that hands the round's deliveries over.
+	sinkMu sync.Mutex
 
-	// pending counts messages accepted by Inject whose processing has
-	// not yet completed; outPending counts deliveries handed to the
-	// output queue but not yet through the Sink. Drain waits for both to
-	// reach zero.
-	pending    atomic.Int64
-	outPending atomic.Int64
-	dropped    atomic.Int64
-
-	// Aggregated engine counters, updated atomically by workers after
-	// each processing round (per-shard deltas).
-	queueOps     atomic.Int64
-	processed    atomic.Int64
-	delivered    atomic.Int64
-	rounds       atomic.Int64
-	largestBatch atomic.Int64
+	// pending counts messages accepted by Inject whose deliveries have
+	// not yet left the Sink. Whoever takes it to zero broadcasts idle
+	// (see settle); Drain parks there.
+	pending atomic.Int64
+	dropped atomic.Int64
+	idleMu  sync.Mutex
+	idle    sync.Cond
 
 	workerWG sync.WaitGroup
-	mergerWG sync.WaitGroup
 	closed   sync.Once
 }
 
-// shard is one worker's private engine: a single-threaded Stack plus the
-// bounded input queue feeding it.
+// shard is one worker's private engine: a single-threaded Stack, the
+// bounded input queue feeding it, and what the worker publishes.
 type shard[M any] struct {
 	stack *Stack[M]
 	in    chan M
-	// prev is the last published Stats snapshot (worker-local).
-	prev Stats
+	// done is the current round's deliveries (worker-local), handed to
+	// the Sink after Run and cleared for reuse — one round bounds it.
+	done []M
+	// The stack's counters as of the last finished round: stored by the
+	// worker alone, summed by Stats when read.
+	queueOps, processed, delivered, rounds, largestBatch atomic.Int64
 }
 
 // NewShardedStack creates a sharded stack with opts.Shards workers (0 or
@@ -105,38 +100,27 @@ func NewShardedStack[M any](opts Options, hash func(M) uint64, build func(shard 
 	if build == nil {
 		panic("core: NewShardedStack requires a shard builder")
 	}
-	n := opts.Shards
-	if n <= 0 {
-		n = 1
-	}
+	n := max(opts.Shards, 1)
 	perShard := defaultShardQueue
 	if opts.MaxQueued > 0 {
 		perShard = (opts.MaxQueued + n - 1) / n
 	}
-	outBound := perShard
 	s := &ShardedStack[M]{
-		opts:   opts,
 		hash:   hash,
 		shards: make([]*shard[M], n),
-		out:    make(chan M, outBound),
 	}
+	s.idle.L = &s.idleMu
 	inner := opts
 	inner.Shards = 0
 	inner.MaxQueued = 0 // intake is bounded by the shard input queues
 	for i := 0; i < n; i++ {
-		st := NewStack[M](inner)
-		build(i, st)
-		st.SetSink(func(m M) {
-			s.outPending.Add(1)
-			s.out <- m
-		})
-		sh := &shard[M]{stack: st, in: make(chan M, perShard)}
+		sh := &shard[M]{stack: NewStack[M](inner), in: make(chan M, perShard)}
+		build(i, sh.stack)
+		sh.stack.SetSink(func(m M) { sh.done = append(sh.done, m) })
 		s.shards[i] = sh
 		s.workerWG.Add(1)
 		go s.worker(sh)
 	}
-	s.mergerWG.Add(1)
-	go s.merger()
 	return s
 }
 
@@ -144,8 +128,8 @@ func NewShardedStack[M any](opts Options, hash func(M) uint64, build func(shard 
 func (s *ShardedStack[M]) NumShards() int { return len(s.shards) }
 
 // SetSink installs the receiver for messages leaving any shard's stack
-// top. It runs on the merger goroutine, never concurrently with itself.
-// Must be called before the first Inject.
+// top. It runs on the delivering shard's worker, never concurrently
+// with itself. Must be called before the first Inject.
 func (s *ShardedStack[M]) SetSink(fn Sink[M]) { s.sink = fn }
 
 // SetRoute installs a key-to-shard routing function, replacing the
@@ -187,15 +171,27 @@ func (s *ShardedStack[M]) Inject(m M) error {
 	case sh.in <- m:
 		return nil
 	default:
-		s.pending.Add(-1)
 		s.dropped.Add(1)
+		s.settle(1)
 		return ErrStackFull
+	}
+}
+
+// settle retires n messages from pending and, at zero, wakes every
+// parked Drain. It is the only decrement: a refused Inject's roll-back
+// can be the one that reaches zero, just as a worker's end of round can.
+func (s *ShardedStack[M]) settle(n int) {
+	if s.pending.Add(int64(-n)) == 0 {
+		s.idleMu.Lock()
+		s.idle.Broadcast()
+		s.idleMu.Unlock()
 	}
 }
 
 // worker is a shard's processing loop: take one message, opportunistically
 // drain whatever else has arrived (the paper's adaptive batching rule at
-// the intake), run the shard's schedule to completion, publish stats.
+// the intake), run the shard's schedule to completion, flush, publish —
+// and only then settle, so Drain covers the Sink and the stats.
 func (s *ShardedStack[M]) worker(sh *shard[M]) {
 	defer s.workerWG.Done()
 	for m := range sh.in {
@@ -215,8 +211,9 @@ func (s *ShardedStack[M]) worker(sh *shard[M]) {
 			}
 		}
 		sh.stack.Run()
-		s.publish(sh)
-		s.pending.Add(int64(-batch))
+		s.flush(sh)
+		sh.publish()
+		s.settle(batch)
 	}
 }
 
@@ -232,58 +229,65 @@ func (s *ShardedStack[M]) injectLocal(sh *shard[M], m M) {
 	}
 }
 
-// publish adds the shard's Stats delta since the last publish to the
-// atomic aggregates.
-func (s *ShardedStack[M]) publish(sh *shard[M]) {
-	cur := sh.stack.Stats()
-	s.queueOps.Add(cur.QueueOps - sh.prev.QueueOps)
-	s.processed.Add(cur.Processed - sh.prev.Processed)
-	s.delivered.Add(cur.Delivered - sh.prev.Delivered)
-	s.rounds.Add(cur.Rounds - sh.prev.Rounds)
-	if lb := int64(cur.LargestBatch); lb > s.largestBatch.Load() {
-		for {
-			old := s.largestBatch.Load()
-			if lb <= old || s.largestBatch.CompareAndSwap(old, lb) {
-				break
-			}
-		}
-	}
-	sh.prev = cur
-}
-
-// merger serializes deliveries from all shards into the caller's Sink.
-func (s *ShardedStack[M]) merger() {
-	defer s.mergerWG.Done()
-	for m := range s.out {
-		if s.sink != nil {
+// flush hands the round's deliveries to the caller's Sink in one pass
+// under one lock — the batching rule applied to our own hand-off — in
+// the order the shard's stack delivered them.
+func (s *ShardedStack[M]) flush(sh *shard[M]) {
+	if s.sink != nil && len(sh.done) > 0 {
+		s.sinkMu.Lock()
+		for _, m := range sh.done {
 			s.sink(m)
 		}
-		s.outPending.Add(-1)
+		s.sinkMu.Unlock()
 	}
+	clear(sh.done) // release for GC
+	sh.done = sh.done[:0]
 }
 
-// Stats returns the aggregated engine counters. Exact once Drain has
-// returned; a point-in-time snapshot while workers are busy.
-func (s *ShardedStack[M]) Stats() Stats {
+// publish stores the shard's engine counters where readers may load them.
+func (sh *shard[M]) publish() {
+	st := sh.stack.Stats()
+	sh.queueOps.Store(st.QueueOps)
+	sh.processed.Store(st.Processed)
+	sh.delivered.Store(st.Delivered)
+	sh.rounds.Store(st.Rounds)
+	sh.largestBatch.Store(int64(st.LargestBatch))
+}
+
+// stats loads the counters publish stored.
+func (sh *shard[M]) stats() Stats {
 	return Stats{
-		QueueOps:     s.queueOps.Load(),
-		Processed:    s.processed.Load(),
-		Delivered:    s.delivered.Load(),
-		Dropped:      s.dropped.Load(),
-		Rounds:       s.rounds.Load(),
-		LargestBatch: int(s.largestBatch.Load()),
+		QueueOps:     sh.queueOps.Load(),
+		Processed:    sh.processed.Load(),
+		Delivered:    sh.delivered.Load(),
+		Rounds:       sh.rounds.Load(),
+		LargestBatch: int(sh.largestBatch.Load()),
 	}
 }
 
-// ShardStats returns one shard's engine counters. Only meaningful when
-// the stack is quiescent (after Drain or Close).
-func (s *ShardedStack[M]) ShardStats(i int) Stats { return s.shards[i].stack.Stats() }
+// Stats returns the engine counters summed across shards (LargestBatch
+// is the maximum). Exact once Drain has returned; a point-in-time
+// snapshot while workers are busy.
+func (s *ShardedStack[M]) Stats() Stats {
+	total := Stats{Dropped: s.dropped.Load()}
+	for _, sh := range s.shards {
+		st := sh.stats()
+		total.QueueOps += st.QueueOps
+		total.Processed += st.Processed
+		total.Delivered += st.Delivered
+		total.Rounds += st.Rounds
+		total.LargestBatch = max(total.LargestBatch, st.LargestBatch)
+	}
+	return total
+}
+
+// ShardStats returns one shard's engine counters as of its last finished
+// round. Exact once Drain or Close has returned.
+func (s *ShardedStack[M]) ShardStats(i int) Stats { return s.shards[i].stats() }
 
 // Pending reports messages accepted but not yet fully processed (queued,
 // in flight inside a shard, or awaiting the Sink).
-func (s *ShardedStack[M]) Pending() int {
-	return int(s.pending.Load() + s.outPending.Load())
-}
+func (s *ShardedStack[M]) Pending() int { return int(s.pending.Load()) }
 
 // QueueDepths reports each shard's current input-queue depth (messages
 // accepted by Inject that its worker has not yet taken). A point-in-time
@@ -298,31 +302,27 @@ func (s *ShardedStack[M]) QueueDepths() []int {
 
 // Drain blocks until every message accepted so far has been processed
 // and all resulting deliveries have passed through the Sink. It is the
-// sharded analogue of Run: Inject a burst, then Drain.
+// sharded analogue of Run: Inject a burst, then Drain. One atomic load
+// when idle; otherwise it parks until settle broadcasts.
 func (s *ShardedStack[M]) Drain() {
-	for spin := 0; ; spin++ {
-		if s.pending.Load() == 0 && s.outPending.Load() == 0 {
-			return
-		}
-		if spin < 128 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
+	if s.pending.Load() == 0 {
+		return
 	}
+	s.idleMu.Lock()
+	for s.pending.Load() != 0 {
+		s.idle.Wait()
+	}
+	s.idleMu.Unlock()
 }
 
-// Close processes everything still queued, stops the workers and the
-// merger, and waits for them to exit. Idempotent. Inject after Close
-// panics.
+// Close processes everything still queued, stops the workers, and waits
+// for them to exit. Idempotent. Inject after Close panics.
 func (s *ShardedStack[M]) Close() {
 	s.closed.Do(func() {
 		for _, sh := range s.shards {
 			close(sh.in)
 		}
 		s.workerWG.Wait()
-		close(s.out)
-		s.mergerWG.Wait()
 	})
 }
 
@@ -353,28 +353,14 @@ func BuildShardedStack[M any](opts Options, spec string, hash func(M) uint64, ha
 	if err != nil {
 		return nil, nil, err
 	}
-	n := opts.Shards
-	if n <= 0 {
-		n = 1
-	}
-	byShard := make([]map[string]*Layer[M], n)
+	byShard := make([]map[string]*Layer[M], max(opts.Shards, 1))
 	var buildErr error
 	s := NewShardedStack(opts, hash, func(i int, st *Stack[M]) {
-		hs := handlers(i)
-		for _, name := range g.Order {
-			if hs[name] == nil {
-				buildErr = fmt.Errorf("core: shard %d: no handler for layer %q", i, name)
-				// Install a placeholder so the stack stays structurally
-				// valid; the constructor's error return discards it.
-				hs[name] = func(M, Emit[M]) {}
-			}
-		}
-		byName := make(map[string]*Layer[M], len(g.Order))
-		for _, name := range g.Order {
-			byName[name] = st.AddLayer(name, hs[name])
-		}
-		for _, e := range g.Edges {
-			st.Link(byName[e[0]], byName[e[1]])
+		// A shard whose handlers are incomplete keeps an empty stack; the
+		// error return below closes it before anything is injected.
+		byName, err := populate(st, g, handlers(i))
+		if err != nil {
+			buildErr = fmt.Errorf("core: shard %d: %w", i, err)
 		}
 		byShard[i] = byName
 	})

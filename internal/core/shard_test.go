@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // shardMsg is the unit used by the sharded-engine tests: flow selects the
@@ -180,7 +182,7 @@ func TestShardedCloseProcessesQueuedInput(t *testing.T) {
 }
 
 // TestShardedConcurrentInjectStress is the race-detector workout: many
-// goroutines inject disjoint flows while the merger drains, with Stats
+// goroutines inject disjoint flows while the workers deliver, with Stats
 // and Pending polled concurrently. Run with `make test-race`.
 func TestShardedConcurrentInjectStress(t *testing.T) {
 	const (
@@ -247,6 +249,189 @@ func TestShardedConcurrentInjectStress(t *testing.T) {
 	}
 	if d := s.Stats().Delivered; d != accepted.Load() {
 		t.Errorf("Stats.Delivered = %d, accepted = %d", d, accepted.Load())
+	}
+}
+
+// TestShardedSinkNeverRunsConcurrently states the Sink contract directly
+// instead of leaving it to the race detector: with every shard's worker
+// delivering, the Sink must never observe another call in flight.
+func TestShardedSinkNeverRunsConcurrently(t *testing.T) {
+	const injectors, perInj = 8, 2000
+	s := NewShardedStack(Options{Discipline: LDLP, Shards: 4, BatchLimit: 14},
+		shardHash, buildShardChain(2))
+	defer s.Close()
+	var inFlight, overlaps, calls atomic.Int64
+	s.SetSink(func(shardMsg) {
+		if inFlight.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		runtime.Gosched() // widen the window another worker would need
+		calls.Add(1)
+		inFlight.Add(-1)
+	})
+	var wg sync.WaitGroup
+	var accepted atomic.Int64
+	for g := 0; g < injectors; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perInj; i++ {
+				if s.Inject(shardMsg{flow: g*4 + i%4, seq: i}) == nil {
+					accepted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.Drain()
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("Sink entered concurrently %d times", n)
+	}
+	if calls.Load() != accepted.Load() {
+		t.Errorf("Sink calls %d != accepted %d", calls.Load(), accepted.Load())
+	}
+}
+
+// TestShardedGoroutineAccounting: a sharded stack is its workers and
+// nothing else — Shards goroutines appear, and Close returns them all.
+func TestShardedGoroutineAccounting(t *testing.T) {
+	const shards = 3
+	base := runtime.NumGoroutine()
+	s := NewShardedStack(Options{Discipline: LDLP, Shards: shards}, shardHash, buildShardChain(2))
+	if got := runtime.NumGoroutine() - base; got != shards {
+		t.Errorf("NewShardedStack started %d goroutines, want %d", got, shards)
+	}
+	s.Inject(shardMsg{flow: 1})
+	s.Drain()
+	s.Close()
+	// Close waits for the workers' deferred Done, which runs a moment
+	// before each goroutine is gone from the count.
+	for try := 0; runtime.NumGoroutine() != base; try++ {
+		if try == 1000 {
+			t.Fatalf("%d goroutines after Close, want the baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// drainWithin fails the test if s.Drain does not return within d.
+func drainWithin(t *testing.T, s *ShardedStack[shardMsg], d time.Duration) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { s.Drain(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("Drain still parked after %v (pending %d)", d, s.Pending())
+	}
+}
+
+// TestShardedDrainWakeUpStress races drop-tail injectors — a one-slot
+// queue, so most Injects are refused and roll pending back — against
+// concurrent Drain callers. Whichever goroutine takes pending to zero
+// must wake every sleeper: no Drain may be left parked.
+func TestShardedDrainWakeUpStress(t *testing.T) {
+	rounds := 2000
+	if testing.Short() {
+		rounds = 200
+	}
+	s := NewShardedStack(Options{Discipline: LDLP, Shards: 2, MaxQueued: 1},
+		shardHash, buildShardChain(1))
+	defer s.Close()
+	s.SetSink(func(shardMsg) {})
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 8; i++ {
+					s.Inject(shardMsg{flow: g, seq: i})
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				s.Drain()
+			}()
+		}
+		finished := make(chan struct{})
+		go func() { wg.Wait(); close(finished) }()
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: a Drain caller was never woken (pending %d)", r, s.Pending())
+		}
+	}
+	drainWithin(t, s, 10*time.Second)
+	if st := s.Stats(); st.Dropped == 0 || st.Delivered == 0 {
+		t.Errorf("stress exercised only one path: %+v", st)
+	}
+}
+
+// TestShardedDrainWokenByRefusedInject pins the rule the stress test can
+// only sample: when a refused Inject's roll-back is the decrement that
+// takes pending to zero, it must wake a parked Drain. The worker is held
+// inside a handler so the interleaving is exact.
+func TestShardedDrainWokenByRefusedInject(t *testing.T) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	s := NewShardedStack(Options{Discipline: LDLP, Shards: 1, MaxQueued: 1}, shardHash,
+		func(_ int, st *Stack[shardMsg]) {
+			st.AddLayer("hold", func(m shardMsg, emit Emit[shardMsg]) {
+				if m.seq == 0 {
+					close(entered)
+					<-gate
+				}
+				emit(nil, m)
+			})
+		})
+	defer s.Close()
+	s.Inject(shardMsg{seq: 0})
+	<-entered // the worker holds message 0; the queue is empty again
+	if err := s.Inject(shardMsg{seq: 1}); err != nil {
+		t.Fatalf("second Inject: %v", err) // fills the one-slot queue
+	}
+	parked := make(chan struct{})
+	go func() { s.Drain(); close(parked) }()
+	time.Sleep(10 * time.Millisecond) // let Drain park on pending == 2
+	// Retire both messages silently, as a worker's non-final decrement
+	// does, so the next refused Inject is the one that reaches zero.
+	s.pending.Add(-2)
+	if err := s.Inject(shardMsg{seq: 2}); err != ErrStackFull {
+		t.Fatalf("third Inject = %v, want ErrStackFull", err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Error("Drain not woken when a refused Inject took pending to zero")
+	}
+	s.pending.Add(2) // give the two real messages their counts back
+	close(gate)
+	drainWithin(t, s, 5*time.Second)
+}
+
+// TestShardedStatsIsSumOfShardStats: counters live per shard and are
+// summed when read, so after Drain the aggregate is exactly the shards'
+// sum (LargestBatch their maximum).
+func TestShardedStatsIsSumOfShardStats(t *testing.T) {
+	s := NewShardedStack(Options{Discipline: LDLP, Shards: 4, BatchLimit: 3},
+		shardHash, buildShardChain(3))
+	defer s.Close()
+	for i := 0; i < 500; i++ {
+		s.Inject(shardMsg{flow: i % 7, seq: i / 7})
+	}
+	s.Drain()
+	var sum Stats
+	for i := 0; i < s.NumShards(); i++ {
+		st := s.ShardStats(i)
+		sum.QueueOps += st.QueueOps
+		sum.Processed += st.Processed
+		sum.Delivered += st.Delivered
+		sum.Rounds += st.Rounds
+		sum.LargestBatch = max(sum.LargestBatch, st.LargestBatch)
+	}
+	sum.Dropped = s.Stats().Dropped
+	if got := s.Stats(); got != sum || got.Delivered == 0 {
+		t.Errorf("Stats() = %+v, sum of ShardStats = %+v", got, sum)
 	}
 }
 

@@ -97,6 +97,30 @@ func (p *Pass) ReportChain(pos token.Pos, chain []string, format string, args ..
 	})
 }
 
+// reportUndeclared is the stale-config guard every configured name list
+// shares: a qualified function name that belongs to the package under
+// analysis but is declared nowhere in it is a finding on the package
+// clause. Without it a rename or deletion silently empties a root set,
+// an edge or a sink list, and the proof built on that list goes vacuous.
+// what says which list named the function.
+func (p *Pass) reportUndeclared(what string, names ...string) {
+	for _, name := range names {
+		if qnamePkg(name) == p.PkgPath && p.Prog.Funcs[name] == nil {
+			p.Reportf(p.Files[0].Name.Pos(),
+				"%s %s is required by the lint config but no longer declared (regression guard)", what, name)
+		}
+	}
+}
+
+// reportUndeclaredEdges applies reportUndeclared to both ends of every
+// DeclaredEdges entry.
+func (p *Pass) reportUndeclaredEdges(edges map[string][]string) {
+	for caller, callees := range edges {
+		p.reportUndeclared("declared-edge caller", caller)
+		p.reportUndeclared("declared-edge callee", callees...)
+	}
+}
+
 // IsTestFile reports whether the file holding pos is a _test.go file.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")

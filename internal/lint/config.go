@@ -150,18 +150,17 @@ func DefaultAnalyzers() []*Analyzer {
 			},
 		}),
 		NewQuiescence(QuiescenceConfig{
-			// The two goroutine bodies that run while packets are in
-			// flight: each shard's worker loop and the merger that fans
-			// results back in.
+			// The one goroutine body that runs while packets are in
+			// flight: each shard's worker loop, which also hands its
+			// round's deliveries to the Sink.
 			Roots: []string{
 				"ldlp/internal/core.ShardedStack.worker",
-				"ldlp/internal/core.ShardedStack.merger",
 			},
 			// Every registered handler, the cold ICMP one included, plus
-			// the merger's sink.
+			// the Sink the worker's flush calls.
 			DeclaredEdges: map[string][]string{
 				"ldlp/internal/core.Stack.process": rxHandlers,
-				"ldlp/internal/core.ShardedStack.merger": {
+				"ldlp/internal/core.ShardedStack.flush": {
 					"ldlp/internal/netstack.Host.putPacket",
 				},
 			},
@@ -189,11 +188,16 @@ func DefaultAnalyzers() []*Analyzer {
 			// remains are the narrow fan-in locks (UDP socket queue, TCP
 			// listener backlog, ICMP reply list), each held only for an
 			// append/pop — never across an emit, a send, or another lock.
+			// The engine's Sink mutex ranks below them all: the Sink runs
+			// under it, so anything the Sink locks is acquired inside it.
+			// Its idle mutex is a leaf, held only to park or wake Drain.
 			Classes: []LockClass{
+				{Path: "ldlp/internal/core.ShardedStack.sinkMu", Rank: 10},
 				{Path: "ldlp/internal/netstack.UDPSock.mu", Rank: 14},
 				{Path: "ldlp/internal/netstack.TCPListener.mu", Rank: 16},
 				{Path: "ldlp/internal/netstack.Host.icmpMu", Rank: 18},
 				{Path: "ldlp/internal/mbuf.PoolShard.mu", Rank: 30},
+				{Path: "ldlp/internal/core.ShardedStack.idleMu", Rank: 40},
 			},
 			Sinks: []string{
 				"ldlp/internal/core.ShardedStack.Drain",

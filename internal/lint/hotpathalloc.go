@@ -58,7 +58,6 @@ func NewHotPathAlloc(cfg HotPathAllocConfig) *Analyzer {
 			declared = pass.Prog.expandDeclared(cfg.DeclaredEdges)
 			declaredFor = pass.Prog
 		}
-		foundReq := map[string]bool{}
 		foundCold := map[string]bool{}
 		declaredAny := false
 		for _, f := range pass.Files {
@@ -70,11 +69,8 @@ func NewHotPathAlloc(cfg HotPathAllocConfig) *Analyzer {
 				declaredAny = true
 				qname := FuncQName(pass.PkgPath, fd)
 				tagged := HasDirective(fd.Doc, "//ldlp:hotpath")
-				if pat := matchedPattern(qname, cfg.Required); pat != "" {
-					foundReq[pat] = true
-					if !tagged {
-						pass.Reportf(fd.Name.Pos(), "%s is on the benchmarked hot path and must carry //ldlp:hotpath", qname)
-					}
+				if !tagged && MatchQName(qname, cfg.Required) {
+					pass.Reportf(fd.Name.Pos(), "%s is on the benchmarked hot path and must carry //ldlp:hotpath", qname)
 				}
 				if HasDirective(fd.Doc, "//ldlp:coldpath") {
 					if pat := matchedPattern(qname, cfg.ColdPaths); pat != "" {
@@ -90,13 +86,9 @@ func NewHotPathAlloc(cfg HotPathAllocConfig) *Analyzer {
 				}
 			}
 		}
+		pass.reportUndeclared("hot-path function", cfg.Required...)
+		pass.reportUndeclaredEdges(cfg.DeclaredEdges)
 		if declaredAny {
-			for _, req := range cfg.Required {
-				if !foundReq[req] && qnamePkg(req) == pass.PkgPath {
-					pass.Reportf(pass.Files[0].Name.Pos(),
-						"hot-path function %s is required by the lint config but no longer declared (regression guard)", req)
-				}
-			}
 			for _, cold := range cfg.ColdPaths {
 				if !foundCold[cold] && qnamePkg(cold) == pass.PkgPath {
 					pass.Reportf(pass.Files[0].Name.Pos(),

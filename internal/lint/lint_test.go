@@ -93,16 +93,18 @@ func TestHotPathAlloc(t *testing.T) {
 		Required:  []string{"hotpathalloc.mustStayTagged", "hotpathalloc.ghostFunction"},
 		ColdPaths: []string{"hotpathalloc.declaredCold", "hotpathalloc.ghostCold"},
 		DeclaredEdges: map[string][]string{
-			"hotpathalloc.engine": {"hotpathalloc.handlerAlloc"},
+			"hotpathalloc.engine":      {"hotpathalloc.handlerAlloc"},
+			"hotpathalloc.ghostEngine": {"hotpathalloc.handlerAlloc"},
 		},
 	})})
 }
 
 func TestQuiescence(t *testing.T) {
 	runFixture(t, "quiescence", []*Analyzer{NewQuiescence(QuiescenceConfig{
-		Roots: []string{"quiescence.worker"},
+		Roots: []string{"quiescence.worker", "quiescence.ghostWorker"},
 		DeclaredEdges: map[string][]string{
-			"quiescence.engine": {"quiescence.handler"},
+			"quiescence.engine":      {"quiescence.handler", "quiescence.ghostHandler"},
+			"quiescence.ghostEngine": {"quiescence.handler"},
 		},
 		Required: []string{"quiescence.tickRequired", "quiescence.ghostTick"},
 	})})
@@ -164,7 +166,7 @@ func TestLockOrder(t *testing.T) {
 			{Path: "lockorder.globalMu", Rank: 20},
 			{Path: "lockorder.pool.mu", Rank: 30},
 		},
-		Sinks:     []string{"lockorder.drain"},
+		Sinks:     []string{"lockorder.drain", "lockorder.ghostDrain"},
 		EmitTypes: []string{"lockorder.emitFn"},
 	})})
 }

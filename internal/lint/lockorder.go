@@ -55,6 +55,7 @@ func NewLockOrder(cfg LockOrderConfig) *Analyzer {
 		rank[c.Path] = c.Rank
 	}
 	a.Run = func(pass *Pass) error {
+		pass.reportUndeclared("blocking sink", cfg.Sinks...)
 		lo := &lockOrder{pass: pass, cfg: cfg, rank: rank}
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {

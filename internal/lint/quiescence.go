@@ -7,13 +7,12 @@ import (
 // QuiescenceConfig parameterizes the quiescence analyzer.
 type QuiescenceConfig struct {
 	// Roots are qualified-name patterns of the rx-worker entry points
-	// (the shard worker loop and the merger goroutine). Everything they
-	// can reach statically runs, potentially, while packets are in
-	// flight.
+	// (the shard worker loop). Everything they can reach statically
+	// runs, potentially, while packets are in flight.
 	Roots []string
 	// DeclaredEdges adds caller -> callee edges for the calls the graph
-	// cannot resolve: the engine invokes layer handlers and the merge
-	// sink through function values wired once at setup, so the worker's
+	// cannot resolve: the engine invokes layer handlers and the caller's
+	// Sink through function values wired once at setup, so the worker's
 	// true closure includes every registered handler. Reachability must
 	// overapproximate — list them all.
 	DeclaredEdges map[string][]string
@@ -55,22 +54,16 @@ func NewQuiescence(cfg QuiescenceConfig) *Analyzer {
 			reached = pass.Prog.reachFrom(roots, declared)
 			reachedFor = pass.Prog
 		}
-		found := map[string]bool{}
-		declaredAny := false
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {
 					continue
 				}
-				declaredAny = true
 				qname := FuncQName(pass.PkgPath, fd)
 				tagged := HasDirective(fd.Doc, "//ldlp:quiescent")
-				if pat := matchedPattern(qname, cfg.Required); pat != "" {
-					found[pat] = true
-					if !tagged {
-						pass.Reportf(fd.Name.Pos(), "%s runs only at pump quiescence and must carry //ldlp:quiescent", qname)
-					}
+				if !tagged && MatchQName(qname, cfg.Required) {
+					pass.Reportf(fd.Name.Pos(), "%s runs only at pump quiescence and must carry //ldlp:quiescent", qname)
 				}
 				if !tagged {
 					continue
@@ -83,14 +76,9 @@ func NewQuiescence(cfg QuiescenceConfig) *Analyzer {
 				}
 			}
 		}
-		if declaredAny {
-			for _, req := range cfg.Required {
-				if !found[req] && qnamePkg(req) == pass.PkgPath {
-					pass.Reportf(pass.Files[0].Name.Pos(),
-						"quiescent function %s is required by the lint config but no longer declared (regression guard)", req)
-				}
-			}
-		}
+		pass.reportUndeclared("quiescent function", cfg.Required...)
+		pass.reportUndeclared("rx-worker root", cfg.Roots...)
+		pass.reportUndeclaredEdges(cfg.DeclaredEdges)
 		return nil
 	}
 	return a

@@ -1,10 +1,11 @@
 // Fixture for the hotpathalloc analyzer. The test configures
 // Required = ["hotpathalloc.mustStayTagged", "hotpathalloc.ghostFunction"],
 // ColdPaths = ["hotpathalloc.declaredCold", "hotpathalloc.ghostCold"], and
-// DeclaredEdges = {"hotpathalloc.engine": ["hotpathalloc.handlerAlloc"]};
-// ghostFunction and ghostCold are deliberately absent, so both
-// regression guards fire on the package clause below.
-package hotpathalloc // want `ghostFunction is required by the lint config but no longer declared` `coldpath hotpathalloc.ghostCold is declared in the lint config but no function carries`
+// DeclaredEdges = {"hotpathalloc.engine": ["hotpathalloc.handlerAlloc"],
+// "hotpathalloc.ghostEngine": ["hotpathalloc.handlerAlloc"]};
+// ghostFunction, ghostCold and ghostEngine are deliberately absent, so
+// the regression guards fire on the package clause below.
+package hotpathalloc // want `ghostFunction is required by the lint config but no longer declared` `coldpath hotpathalloc.ghostCold is declared in the lint config but no function carries` `declared-edge caller hotpathalloc.ghostEngine is required by the lint config but no longer declared`
 
 import "fmt"
 

@@ -1,7 +1,7 @@
 // Fixture for the lockorder analyzer. The test declares
-// host.mu=10 < globalMu=20 < pool.mu=30, drain as a sink, and emitFn as
-// an Emit type.
-package lockorder
+// host.mu=10 < globalMu=20 < pool.mu=30, drain and the deliberately
+// absent ghostDrain as sinks, and emitFn as an Emit type.
+package lockorder // want `blocking sink lockorder.ghostDrain is required by the lint config but no longer declared`
 
 import "sync"
 

@@ -1,10 +1,12 @@
 // Fixture for the quiescence analyzer. The test configures
-// Roots = ["quiescence.worker"],
-// DeclaredEdges = {"quiescence.engine": ["quiescence.handler"]}, and
+// Roots = ["quiescence.worker", "quiescence.ghostWorker"],
+// DeclaredEdges = {"quiescence.engine": ["quiescence.handler",
+// "quiescence.ghostHandler"], "quiescence.ghostEngine":
+// ["quiescence.handler"]}, and
 // Required = ["quiescence.tickRequired", "quiescence.ghostTick"];
-// ghostTick is deliberately absent, so the regression guard fires on
-// the package clause below.
-package quiescence // want `quiescent function quiescence.ghostTick is required by the lint config but no longer declared`
+// the ghost* names are deliberately absent, so the stale-name guard
+// fires once per kind on the package clause below.
+package quiescence // want `quiescent function quiescence.ghostTick is required by the lint config but no longer declared` `rx-worker root quiescence.ghostWorker is required by the lint config but no longer declared` `declared-edge caller quiescence.ghostEngine is required by the lint config but no longer declared` `declared-edge callee quiescence.ghostHandler is required by the lint config but no longer declared`
 
 var shared int
 

@@ -898,3 +898,39 @@ func TestChaosListenerTeardownAcrossShards(t *testing.T) {
 	}
 	checkNoLeaks(t)
 }
+
+// TestNetReplayIsHostOrderIndependent: a run is a function of its
+// configuration and seed alone. Under LDLP the order in which hosts
+// flush their transmit queues is the order of frames on the shared
+// wire, which decides which frame draws which verdict from the
+// destination's injector — so the Net must walk its hosts in attachment
+// order, never in map order.
+func TestNetReplayIsHostOrderIndependent(t *testing.T) {
+	const peers, rounds, runs = 4, 20, 25
+	for _, disc := range []core.Discipline{core.Conventional, core.LDLP} {
+		outcomes := map[string]int{}
+		for r := 0; r < runs; r++ {
+			n := NewNet()
+			h0 := n.AddHost("h0", layers.IPAddr{10, 0, 0, 1}, DefaultOptions(disc))
+			for p := 0; p < peers; p++ {
+				n.AddHost(fmt.Sprint("peer", p), layers.IPAddr{10, 0, 0, byte(2 + p)}, DefaultOptions(disc))
+			}
+			n.Impair(h0.IP(), faults.Config{Loss: 0.3}, 42)
+			var seq []string
+			for round := 0; round < rounds; round++ {
+				for p := 0; p < peers; p++ {
+					h0.Ping(layers.IPAddr{10, 0, 0, byte(2 + p)}, 1, uint16(round), nil)
+				}
+				n.RunUntilIdle()
+				for _, rep := range h0.PingReplies() {
+					seq = append(seq, fmt.Sprint(rep.From[3], ":", rep.Seq))
+				}
+			}
+			n.Close()
+			outcomes[fmt.Sprint(seq)]++
+		}
+		if len(outcomes) != 1 {
+			t.Errorf("%v: %d same-seed runs produced %d distinct delivery sequences", disc, runs, len(outcomes))
+		}
+	}
+}

@@ -210,7 +210,11 @@ type heldFrame struct {
 // Net is a broadcast segment connecting hosts, with an explicit clock.
 type Net struct {
 	hosts map[layers.MACAddr]*Host
-	byIP  map[layers.IPAddr]*Host
+	// order lists the hosts as attached. Every walk over all hosts uses
+	// it, never the map: the order hosts flush in is the order of frames
+	// on the wire, which decides each frame's fault verdict, so ranging
+	// over the map made same-seed runs differ.
+	order []*Host
 	// wire[wireHead:] is the frames in flight, oldest first. The pump
 	// pops by advancing wireHead and resets both when the wire drains
 	// (which every pump ends with), so the backing array is reused
@@ -236,7 +240,7 @@ type Net struct {
 
 // NewNet creates an empty network segment.
 func NewNet() *Net {
-	return &Net{hosts: make(map[layers.MACAddr]*Host), byIP: make(map[layers.IPAddr]*Host)}
+	return &Net{hosts: make(map[layers.MACAddr]*Host)}
 }
 
 // Impair installs a seeded fault injector on the link toward dst: every
@@ -272,9 +276,9 @@ func addrSeed(ip layers.IPAddr) int64 {
 // the injectors by address.
 func (n *Net) ImpairAll(cfg faults.Config, base int64) map[layers.IPAddr]*faults.Injector {
 	out := make(map[layers.IPAddr]*faults.Injector)
-	for ip := range n.byIP {
-		if inj := n.Impair(ip, cfg, base*1_000_003+addrSeed(ip)); inj != nil {
-			out[ip] = inj
+	for _, h := range n.order {
+		if inj := n.Impair(h.ip, cfg, base*1_000_003+addrSeed(h.ip)); inj != nil {
+			out[h.ip] = inj
 		}
 	}
 	return out
@@ -299,12 +303,12 @@ func MACFor(ip layers.IPAddr) layers.MACAddr {
 
 // AddHost creates a host attached to this network.
 func (n *Net) AddHost(name string, ip layers.IPAddr, opts Options) *Host {
-	if _, dup := n.byIP[ip]; dup {
+	if _, dup := n.hosts[MACFor(ip)]; dup {
 		panic(fmt.Sprintf("netstack: duplicate IP %v", ip))
 	}
 	h := newHost(n, name, ip, opts)
 	n.hosts[h.mac] = h
-	n.byIP[ip] = h
+	n.order = append(n.order, h)
 	if opts.Faults != nil {
 		n.Impair(ip, *opts.Faults, opts.FaultSeed)
 	}
@@ -326,7 +330,7 @@ func (n *Net) Close() {
 		hf.f.m.FreeChain()
 	}
 	n.held = nil
-	for _, h := range n.hosts {
+	for _, h := range n.order {
 		// LDLP batches outbound frames in the per-shard txqs until the
 		// next pump; frames queued by a Send with no pump afterwards must
 		// be freed here or they read as leaked mbufs.
@@ -396,7 +400,7 @@ func (n *Net) RunUntilIdle() int {
 			// Let every host drain its LDLP queues; processing can emit
 			// more frames.
 			progress := false
-			for _, h := range n.hosts {
+			for _, h := range n.order {
 				if h.process() > 0 {
 					progress = true
 				}
@@ -507,7 +511,7 @@ func (n *Net) releaseHeld() {
 func (n *Net) Tick(dt float64) {
 	n.now += dt
 	n.releaseHeld()
-	for _, h := range n.hosts {
+	for _, h := range n.order {
 		h.tick()
 	}
 	n.RunUntilIdle()
@@ -913,7 +917,9 @@ func (h *Host) getPacket() *Packet {
 
 // putPacket recycles a Packet whose mbuf chain has already been freed or
 // handed off. It doubles as the stack sink: a packet reaching the top of
-// the receive path is done. Safe from the merger goroutine (sync.Pool).
+// the receive path is done. On a sharded host the engine calls it from
+// whichever shard worker is delivering, one call at a time; sync.Pool is
+// safe from any of them.
 //
 //ldlp:hotpath
 func (h *Host) putPacket(p *Packet) {
