@@ -48,12 +48,13 @@ chaos-smoke:
 	$(GO) test -race -short -count=1 -run 'TestChaos' ./internal/netstack ./internal/sscop
 	$(GO) run ./cmd/chaos -mix all -shards 4
 
-# Fleet smoke: the event-driven simulator's test suite, then a 64-node
-# threshold-gossip run over lossy links with invariant checking and a
-# byte-identical replay comparison (exits non-zero on any violation).
+# Fleet smoke: the event-driven simulator's test suite (which holds the
+# byte-identical replay checks, TestReplayByteIdentical and
+# TestFleetEventLogReplays), then a 64-node threshold-gossip run over
+# lossy links with invariant checking (exits non-zero on any violation).
 fleet-smoke:
 	$(GO) test -short -count=1 ./internal/fleet/...
-	$(GO) run ./cmd/ldlpsim -fleet -fleet-nodes 64 -fleet-steps 3 -fleet-check
+	$(GO) run ./cmd/ldlpsim -fleet-nodes 64 -fleet-steps 3
 
 # Short fuzzing pass over every FuzzXxx target (graph parser, DNS codec,
 # mbuf chain ops, flow table + eviction cache differential).
@@ -83,20 +84,20 @@ bench-smoke:
 trace-smoke:
 	$(GO) run ./cmd/ldlptrace -out trace.json -load both -duration 0.02 -check
 
-# Every Benchmark* function, the million-flow accept-path scale run
-# included (slow; numbers, not smoke). The zero-allocation gates these
-# paths carry are tests — Test{TCP,UDP}ReceivePathAllocFree and
+# Every per-package Benchmark* function (component micro-benchmarks; no
+# paper artifact is a benchmark — those are ldlpreport's registry), the
+# million-flow accept-path scale run included (slow; numbers, not
+# smoke). The zero-allocation gates these paths carry are tests —
+# Test{TCP,UDP}ReceivePathAllocFree and
 # TestAcceptScaleSteadyStateAllocFree in internal/netstack — and run
 # under plain `go test`.
 bench-full:
 	$(GO) test -bench=. -benchmem -timeout=30m ./...
 
 # Regenerate every table/figure/ablation into results/ (add PAPER=1 for
-# the full 100-seed methodology).
+# the full 100-seed methodology). CI reruns it and fails on any diff.
 report:
 	$(GO) run ./cmd/ldlpreport -out results $(if $(PAPER),-paper)
-	$(GO) run ./cmd/tcpwset -all > results/tcpwset.txt
-	$(GO) run ./cmd/sigbench > results/sigbench.txt
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -8,10 +8,10 @@
 // Usage:
 //
 //	chaos [-mix all|bernoulli|bursty|...|every] [-discipline ldlp|conventional]
-//	      [-shards N] [-seed N] [-rounds N] [-sweep] [-v]
+//	      [-shards N] [-seed N] [-rounds N] [-v]
 //
-// -mix every (the default) runs each preset in sequence. -sweep also
-// reruns the Figure-6-style latency comparison under swept link loss.
+// -mix every (the default) runs each preset in sequence. (The latency
+// comparison under swept link loss is ldlpreport's figure_loss.)
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 	"ldlp/internal/layers"
 	"ldlp/internal/mbuf"
 	"ldlp/internal/netstack"
-	"ldlp/internal/sim"
 )
 
 var (
@@ -41,7 +40,6 @@ func main() {
 		shards  = flag.Int("shards", 1, "receive shards on the server host (LDLP only)")
 		seed    = flag.Int64("seed", 0xC0FFEE, "impairment seed (runs replay exactly per seed)")
 		rounds  = flag.Int("rounds", 40, "traffic rounds per scenario")
-		sweep   = flag.Bool("sweep", false, "also rerun the latency figure under swept link loss")
 		verbose = flag.Bool("v", false, "print per-impairment and per-host counters")
 	)
 	flag.Parse()
@@ -80,11 +78,6 @@ func main() {
 		}
 	}
 
-	if *sweep {
-		opts := sim.QuickSweep()
-		fmt.Println()
-		fmt.Println(sim.FigureLoss(opts, 3000, nil))
-	}
 	if failed {
 		os.Exit(1)
 	}

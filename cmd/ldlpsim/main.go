@@ -1,211 +1,41 @@
-// Command ldlpsim regenerates the paper's §4 evaluation figures on the
-// synthetic five-layer stack: Figure 5 (cache misses per message vs
-// arrival rate), Figure 6 (latency vs arrival rate) and Figure 7 (latency
-// vs CPU clock under self-similar Ethernet traffic), plus the ablation
-// sweeps DESIGN.md calls out.
+// Command ldlpsim runs the fleet-scale threshold-gossip figure
+// (gossip.FigureFleetGossip) at a chosen size: the TLC workload on the
+// event-driven fleet simulator, LDLP vs conventional, clean vs
+// fault-preset links. ldlpreport's fleet_gossip artifact is this run at
+// its defaults; every paper figure lives there too.
 //
 // Usage:
 //
-//	ldlpsim [-figure5] [-figure6] [-figure7] [-ablations] [-all]
-//	        [-runs 100] [-duration 1] [-paper]
-//	ldlpsim -fleet [-fleet-nodes 1000] [-fleet-steps 5] [-fleet-seed 1]
-//	        [-fleet-preset bernoulli] [-fleet-check]
+//	ldlpsim [-fleet-nodes 1000] [-fleet-steps 5] [-fleet-seed 1]
+//	        [-fleet-preset bernoulli]
 //
-// -paper selects the full published methodology (100 seeds × 1 s per
-// point — minutes of CPU); the default is a quick 5×0.3 s sweep.
-//
-// -fleet runs FigureFleetGossip instead: the TLC threshold-gossip
-// workload on the event-driven fleet simulator, LDLP vs conventional,
-// clean vs fault-preset links. -fleet-check additionally replays the
-// run and exits non-zero if any invariant breaks or the replay is not
-// byte-identical — the smoke-test mode `make fleet-smoke` wires into CI.
+// Every run verifies the fleet's conservation and scheduler ledgers and
+// exits non-zero on a violation or an incomplete cell; the byte-identical
+// replay check is TestReplayByteIdentical in internal/fleet/gossip.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"ldlp/internal/core"
-	"ldlp/internal/fleet"
 	"ldlp/internal/fleet/gossip"
-	"ldlp/internal/sim"
-	"ldlp/internal/stats"
-	"ldlp/internal/traffic"
 )
 
 func main() {
 	var (
-		f5        = flag.Bool("figure5", false, "cache misses per message vs arrival rate")
-		f6        = flag.Bool("figure6", false, "latency vs arrival rate")
-		f7        = flag.Bool("figure7", false, "latency vs CPU clock (self-similar traffic)")
-		ablations = flag.Bool("ablations", false, "batch cap / queue cost / cache size / discipline sweeps")
-		disp      = flag.Bool("dispatch", false, "static vs load-aware dispatch under Zipf flow skew")
-		all       = flag.Bool("all", false, "everything")
-		paper     = flag.Bool("paper", false, "full published methodology (100 seeds x 1s)")
-		runs      = flag.Int("runs", 0, "override: seeds per point")
-		duration  = flag.Float64("duration", 0, "override: simulated seconds per run")
-		plot      = flag.Bool("plot", false, "render ASCII plots alongside the tables")
-
-		fleetMode   = flag.Bool("fleet", false, "fleet-scale threshold gossip (FigureFleetGossip)")
-		fleetNodes  = flag.Int("fleet-nodes", 1000, "fleet size")
-		fleetSteps  = flag.Uint("fleet-steps", 5, "logical-clock target step")
-		fleetSeed   = flag.Int64("fleet-seed", 1, "fleet seed (topology, jitter, faults)")
-		fleetPreset = flag.String("fleet-preset", "bernoulli", "faults preset for the impaired link row")
-		fleetCheck  = flag.Bool("fleet-check", false, "verify invariants + byte-identical replay; exit non-zero on violation")
+		nodes  = flag.Int("fleet-nodes", 1000, "fleet size")
+		steps  = flag.Uint("fleet-steps", 5, "logical-clock target step")
+		seed   = flag.Int64("fleet-seed", 1, "fleet seed (topology, jitter, faults)")
+		preset = flag.String("fleet-preset", "bernoulli", "faults preset for the impaired link row")
 	)
 	flag.Parse()
-	if *fleetMode {
-		if err := runFleet(*fleetNodes, uint32(*fleetSteps), *fleetSeed, *fleetPreset, *fleetCheck); err != nil {
-			fmt.Fprintln(os.Stderr, "ldlpsim -fleet:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if !(*f5 || *f6 || *f7 || *ablations || *disp || *all) {
-		*all = true
-	}
-
-	opts := sim.QuickSweep()
-	if *paper {
-		opts = sim.PaperSweep()
-	}
-	if *runs > 0 {
-		opts.Runs = *runs
-	}
-	if *duration > 0 {
-		opts.Duration = *duration
-	}
-	fmt.Printf("# sweep: %d runs x %.2fs per point, %d-byte messages\n\n",
-		opts.Runs, opts.Duration, opts.MessageSize)
-
-	show := func(tab *stats.Table, logY bool, ylabel string) {
-		fmt.Println(tab)
-		if *plot {
-			fmt.Println(tab.Plot(stats.PlotOptions{LogY: logY, YLabel: ylabel}))
-		}
-	}
-	timed := func(name string, fn func()) {
-		start := time.Now()
-		fn()
-		fmt.Printf("# %s took %v\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	if *all || *f5 {
-		timed("figure 5", func() { show(sim.Figure5(opts), false, "misses/msg") })
-	}
-	if *all || *f6 {
-		timed("figure 6", func() { show(sim.Figure6(opts), true, "seconds") })
-	}
-	if *all || *f7 {
-		f7opts := opts
-		if !*paper && *duration == 0 {
-			f7opts.Duration = 2 // bursts need a longer window
-		}
-		timed("figure 7", func() {
-			// Validate the trace model first: the variance-time Hurst
-			// estimate should look like the Bellcore data (H ≈ 0.7-0.9).
-			arr := traffic.Take(traffic.NewSelfSimilar(traffic.DefaultSelfSimilar(sim.Figure7Rate, 1)), 120, 0)
-			if h, err := traffic.EstimateHurst(arr, 120, 0.1); err == nil {
-				fmt.Printf("# self-similar source: Hurst ≈ %.2f (Poisson would be 0.5; Bellcore measures 0.7-0.9)\n", h)
-			}
-			show(sim.Figure7(f7opts), true, "seconds")
-		})
-	}
-	if *all || *disp {
-		timed("dispatch skew", func() {
-			show(sim.FigureDispatchSkew(sim.DefaultDispatchSkew()), false, "imbalance")
-		})
-	}
-	if *all || *ablations {
-		timed("ablations", func() {
-			fmt.Println(sim.BatchCapAblation(opts, 8000, []int{1, 2, 4, 8, 14, 32}))
-			fmt.Println(sim.QueueCostAblation(opts, 6000, []float64{0, 20, 40, 100, 200}))
-			fmt.Println(sim.CacheSizeAblation(opts, 3000, []int{8192, 16384, 32768, 65536}))
-			fmt.Println(sim.DisciplineAblation(opts, 4000))
-			fmt.Println(sim.PrefetchAblation(opts, 3000))
-			fmt.Println(sim.ValueAddedAblation(opts, 2500, 12288))
-			fmt.Println(sim.UnifiedCacheAblation(opts, 5000))
-		})
-	}
-}
-
-// runFleet drives the fleet-scale gossip figure and, with check set,
-// the invariant + replay verification first.
-func runFleet(nodes int, target uint32, seed int64, preset string, check bool) error {
-	start := time.Now()
-	if check {
-		if err := fleetCheck(nodes, target, seed, preset); err != nil {
-			return err
-		}
-		fmt.Printf("# fleet-check: invariants and byte-identical replay OK (%d nodes, %d steps, %s links)\n",
-			nodes, target, preset)
-	}
 	tab, err := gossip.FigureFleetGossip(gossip.FigureConfig{
-		Nodes: nodes, TargetStep: target, Seed: seed, FaultPreset: preset,
+		Nodes: *nodes, TargetStep: uint32(*steps), Seed: *seed, FaultPreset: *preset,
 	})
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, "ldlpsim:", err)
+		os.Exit(1)
 	}
-	fmt.Println(tab)
-	fmt.Printf("# fleet gossip took %v\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// fleetCheck runs one seeded gossip fleet twice over impaired links and
-// demands invariant-clean runs (gossip.Run verifies conservation and
-// scheduler ledgers) with byte-identical event logs, step histories and
-// merged telemetry.
-func fleetCheck(nodes int, target uint32, seed int64, preset string) error {
-	type artifacts struct {
-		events, history []byte
-		res             gossip.Result
-	}
-	run := func() (artifacts, error) {
-		var log bytes.Buffer
-		res, err := gossip.Run(gossip.Config{
-			Fleet: fleet.Config{
-				Topology:   fleet.SmallWorld(nodes, 4, 0.1, seed),
-				Discipline: core.LDLP,
-				Link:       fleet.FaultyLink(fleet.LANLink(), preset),
-				Seed:       seed,
-				EventLog:   &log,
-			},
-			TargetStep: target,
-		})
-		if err != nil {
-			return artifacts{}, err
-		}
-		if !res.Completed {
-			return artifacts{}, fmt.Errorf("gossip did not reach step %d within the horizon (%d/%d nodes)",
-				target, res.Nodes, nodes)
-		}
-		return artifacts{events: log.Bytes(), history: res.History, res: res}, nil
-	}
-	a, err := run()
-	if err != nil {
-		return err
-	}
-	b, err := run()
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(a.events, b.events) {
-		return fmt.Errorf("replay diverged: event logs differ (%d vs %d bytes)", len(a.events), len(b.events))
-	}
-	if !bytes.Equal(a.history, b.history) {
-		return fmt.Errorf("replay diverged: gossip step histories differ")
-	}
-	if len(a.res.Telemetry) != len(b.res.Telemetry) {
-		return fmt.Errorf("replay diverged: telemetry entry counts differ (%d vs %d)",
-			len(a.res.Telemetry), len(b.res.Telemetry))
-	}
-	for i := range a.res.Telemetry {
-		if a.res.Telemetry[i].Name != b.res.Telemetry[i].Name || a.res.Telemetry[i].Hist != b.res.Telemetry[i].Hist {
-			return fmt.Errorf("replay diverged: merged histogram %q differs", a.res.Telemetry[i].Name)
-		}
-	}
-	return nil
+	fmt.Print(tab)
 }

@@ -38,43 +38,6 @@ import (
 	"ldlp/internal/telemetry"
 )
 
-// CostModel is the per-event CPU charge, in seconds. See
-// sim.Config.AnalyticCosts for the derivation from the paper's machine.
-type CostModel struct {
-	// PerMessage is the conventional call-through cost per message:
-	// every layer's code misses, every message.
-	PerMessage float64
-	// PerMessageBatched is the warm per-message cost inside an LDLP
-	// batch (issue + queue handling, code resident).
-	PerMessageBatched float64
-	// PerBatch is the cold cost the first message of each LDLP batch
-	// pays to repopulate the layer caches.
-	PerBatch float64
-	// PerByte is the data-loop cost, charged on every payload byte
-	// under both disciplines.
-	PerByte float64
-}
-
-// CostFromSim derives the analytic model from a cache-level sim config.
-func CostFromSim(c sim.Config) CostModel {
-	m, mb, b, by := c.AnalyticCosts()
-	return CostModel{PerMessage: m, PerMessageBatched: mb, PerBatch: b, PerByte: by}
-}
-
-// DefaultCost is the paper's §4 machine (100 MHz, 8 KB caches, 5
-// layers).
-func DefaultCost() CostModel { return CostFromSim(sim.DefaultConfig(core.LDLP)) }
-
-// service returns the CPU time for one batch of n frames totalling
-// bytes payload bytes.
-func (c CostModel) service(d core.Discipline, n, bytes int) float64 {
-	data := float64(bytes) * c.PerByte
-	if d == core.LDLP {
-		return c.PerBatch + float64(n)*c.PerMessageBatched + data
-	}
-	return float64(n)*c.PerMessage + data
-}
-
 // Config parameterizes a fleet.
 type Config struct {
 	// Topology is the peer graph (required).
@@ -88,8 +51,6 @@ type Config struct {
 	// it per directed (src, dst) pair.
 	Link    LinkConfig
 	LinkFor func(src, dst int) LinkConfig
-	// Cost is the service-time model; zero value means DefaultCost().
-	Cost CostModel
 	// Seed drives every random stream (link jitter, fault injectors).
 	Seed int64
 	// InboxLimit bounds frames queued awaiting a node's CPU
@@ -115,9 +76,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.BatchLimit == 0 {
 		c.BatchLimit = 14
-	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCost()
 	}
 	if c.InboxLimit == 0 {
 		c.InboxLimit = 512
@@ -248,6 +206,9 @@ type Fleet struct {
 	cfg   Config
 	app   App
 	nodes []*Node
+	// cost is the service-time model every process event charges: the
+	// paper's §4 machine (100 MHz, 8 KB caches, 5 layers).
+	cost sim.Costs
 
 	heap eventHeap
 	seq  uint64
@@ -272,7 +233,8 @@ func New(cfg Config, app App) (*Fleet, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, app: app, links: make(map[uint64]*linkState)}
+	f := &Fleet{cfg: cfg, app: app, links: make(map[uint64]*linkState),
+		cost: sim.DefaultConfig(core.LDLP).AnalyticCosts()}
 	f.tel = telemetry.NewDomain("fleet", func() int64 { return int64(f.now * 1e9) })
 	f.delivery = f.tel.Hist("fleet-delivery-ns")
 	f.batchLen = f.tel.Hist("fleet-batch")
@@ -484,7 +446,7 @@ func (f *Fleet) onProcess(e event) {
 	for _, p := range batch {
 		bytes += p.bytes
 	}
-	done := f.now + f.cfg.Cost.service(f.cfg.Discipline, k, bytes)
+	done := f.now + f.cost.Service(f.cfg.Discipline, k, bytes)
 	nd.busyUntil = done
 	// Advance the node clock to batch completion before injecting:
 	// socket reads, telemetry stamps and any transmissions triggered by

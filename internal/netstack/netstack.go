@@ -284,9 +284,6 @@ func (n *Net) ImpairAll(cfg faults.Config, base int64) map[layers.IPAddr]*faults
 	return out
 }
 
-// InjectorFor returns the injector impairing dst's ingress, or nil.
-func (n *Net) InjectorFor(dst layers.IPAddr) *faults.Injector { return n.impair[dst] }
-
 // HeldFrames reports frames parked by delay impairment, awaiting a
 // Tick past their due time.
 func (n *Net) HeldFrames() int { return len(n.held) }
@@ -1044,14 +1041,6 @@ func (h *Host) InjectFrame(m *mbuf.Mbuf) { h.deliver(m) }
 //
 //ldlp:quiescent
 func (h *Host) Pump() int { return h.process() }
-
-// Tick fires this host's protocol timers (TCP retransmit/delayed-ACK,
-// reassembly expiry, dispatch rebalance) against the Net clock. The
-// built-in wire calls it from Net.Tick; carrier-backed schedulers call
-// it directly for hosts whose timers they want to model.
-//
-//ldlp:quiescent
-func (h *Host) TimerTick() { h.tick() }
 
 // FrameFromBytes copies data into a fresh chain from the host's
 // pump-side transmit pool. External topologies use it to materialize

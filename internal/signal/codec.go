@@ -8,8 +8,9 @@
 // The paper's stated goal is "10000 pairs of setup/teardown requests per
 // second with processing latency of 100 microseconds for setup requests,
 // using just a commodity workstation processor". SimConfig exposes a
-// machine-model configuration of this stack so cmd/sigbench can evaluate
-// that goal under the conventional and LDLP disciplines.
+// machine-model configuration of this stack so ldlpreport's signalling
+// artifact can evaluate that goal under the conventional and LDLP
+// disciplines.
 package signal
 
 import (

@@ -149,6 +149,12 @@ func TestConservationNoLoss(t *testing.T) {
 			t.Errorf("%v: offered %d != processed %d + dropped %d",
 				d, res.Offered, res.Processed, res.Dropped)
 		}
+		// The sweeps merge these across seeds; a run that carried none
+		// would merge silently into empty distributions.
+		if res.BatchHist.Count == 0 || int(res.LatencyHist.Count) != res.Processed {
+			t.Errorf("%v: sim result carries no telemetry histograms (batch %d, latency %d of %d)",
+				d, res.BatchHist.Count, res.LatencyHist.Count, res.Processed)
+		}
 	}
 }
 
