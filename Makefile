@@ -57,13 +57,16 @@ fleet-smoke:
 	$(GO) run ./cmd/ldlpsim -fleet-nodes 64 -fleet-steps 3
 
 # Short fuzzing pass over every FuzzXxx target (graph parser, DNS codec,
-# mbuf chain ops, flow table + eviction cache differential).
+# mbuf chain ops, flow table + eviction cache differential, httpd's
+# request stream through real TCP and its response parser).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseGraph -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/dns
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeName -fuzztime=10s ./internal/dns
 	$(GO) test -run=^$$ -fuzz=FuzzChainOps -fuzztime=10s ./internal/mbuf
 	$(GO) test -run=^$$ -fuzz=FuzzFlowTable -fuzztime=10s ./internal/flowtable
+	$(GO) test -run=^$$ -fuzz=FuzzHTTPStream -fuzztime=10s ./internal/httpd
+	$(GO) test -run=^$$ -fuzz=FuzzParseResponse -fuzztime=10s ./internal/httpd
 
 # Repository-benchmark smoke: all five BENCHMARK.json workloads at
 # -quick size (about a second once built). Every correctness check of

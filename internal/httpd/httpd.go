@@ -12,9 +12,9 @@
 package httpd
 
 import (
-	"fmt"
+	"bytes"
+	"slices"
 	"strconv"
-	"strings"
 
 	"ldlp/internal/netstack"
 )
@@ -22,11 +22,20 @@ import (
 // Handler produces a response body for a path; ok=false yields a 404.
 type Handler func(path string) (body string, ok bool)
 
+// The status lines a Server sends; a Client that receives one hands
+// back the constant, so Response.Status costs no allocation.
+const (
+	statusOK         = "200 OK"
+	statusNotFound   = "404 Not Found"
+	statusBadRequest = "400 Bad Request"
+)
+
 // Server serves requests on an accepting listener.
 type Server struct {
 	listener *netstack.TCPListener
 	handler  Handler
 	conns    []*serverConn
+	wire     []byte // the response being built; Send copies it out
 
 	// Requests/Responses/NotFound/BadRequests count traffic.
 	Requests, Responses, NotFound, BadRequests int64
@@ -34,7 +43,7 @@ type Server struct {
 
 type serverConn struct {
 	sock *netstack.TCPSock
-	buf  []byte
+	buf  []byte // received bytes not yet parsed; storage kept across Polls
 }
 
 // NewServer starts listening on the host's port with the given handler.
@@ -56,68 +65,97 @@ func (s *Server) Poll() {
 		}
 		s.conns = append(s.conns, &serverConn{sock: sock})
 	}
-	tmp := make([]byte, 4096)
 	for _, c := range s.conns {
+		c.buf = fill(c.buf, c.sock)
+		done := 0
 		for {
-			n := c.sock.Recv(tmp)
-			if n == 0 {
-				break
-			}
-			c.buf = append(c.buf, tmp[:n]...)
-		}
-		for {
-			line, rest, ok := takeLine(c.buf)
+			line, n, ok := takeLine(c.buf[done:])
 			if !ok {
 				break
 			}
-			c.buf = rest
+			done += n
 			s.serve(c, line)
 		}
+		c.buf = c.buf[:copy(c.buf, c.buf[done:])] // slide the unparsed tail down
 	}
 }
 
-// takeLine splits one CRLF (or bare LF) terminated line off buf.
-func takeLine(buf []byte) (line string, rest []byte, ok bool) {
-	for i, b := range buf {
-		if b == '\n' {
-			end := i
-			if end > 0 && buf[end-1] == '\r' {
-				end--
-			}
-			return string(buf[:end]), buf[i+1:], true
-		}
-	}
-	return "", buf, false
+// fill moves everything the socket has buffered onto the end of buf,
+// read straight into buf's spare capacity.
+func fill(buf []byte, sock *netstack.TCPSock) []byte {
+	buf = slices.Grow(buf, sock.Buffered())
+	return buf[:len(buf)+sock.Recv(buf[len(buf):cap(buf)])]
 }
 
-func (s *Server) serve(c *serverConn, line string) {
+// takeLine finds one CRLF (or bare LF) terminated line at the front of
+// buf: the line, a view into buf without its terminator, and the n bytes
+// it occupies terminator included.
+func takeLine(buf []byte) (line []byte, n int, ok bool) {
+	i := bytes.IndexByte(buf, '\n')
+	if i < 0 {
+		return nil, 0, false
+	}
+	end := i
+	if end > 0 && buf[end-1] == '\r' {
+		end--
+	}
+	return buf[:end], i + 1, true
+}
+
+// field splits the first blank-separated field off b. Fields split on
+// the ASCII blanks (space, \t, \n, \v, \f, \r), as strings.Fields
+// splits ASCII input; unlike strings.Fields, U+0085, U+00A0 and the
+// other non-ASCII spaces are field bytes, not separators.
+func field(b []byte) (f, rest []byte) {
+	blank := func(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
+	i := 0
+	for i < len(b) && blank(b[i]) {
+		i++
+	}
+	j := i
+	for j < len(b) && !blank(b[j]) {
+		j++
+	}
+	return b[i:j], b[j:]
+}
+
+// serve answers one request line, parsed where it lies in the
+// connection's buffer; the path handed to the handler is the one copy.
+func (s *Server) serve(c *serverConn, line []byte) {
 	s.Requests++
-	fields := strings.Fields(line)
-	if len(fields) < 2 || fields[0] != "GET" {
+	method, rest := field(line)
+	path, _ := field(rest)
+	status, body := statusOK, ""
+	if len(path) == 0 || string(method) != "GET" {
 		s.BadRequests++
-		c.sock.Send([]byte("400 Bad Request\r\nLength: 0\r\n"))
-		return
-	}
-	body, ok := s.handler(fields[1])
-	if !ok {
+		status = statusBadRequest
+	} else if b, ok := s.handler(string(path)); ok {
+		s.Responses++
+		body = b
+	} else {
 		s.NotFound++
-		c.sock.Send([]byte("404 Not Found\r\nLength: 0\r\n"))
-		return
+		status = statusNotFound
 	}
-	s.Responses++
-	c.sock.Send([]byte(fmt.Sprintf("200 OK\r\nLength: %d\r\n%s", len(body), body)))
+	s.wire = append(append(s.wire[:0], status...), "\r\nLength: "...)
+	s.wire = append(strconv.AppendInt(s.wire, int64(len(body)), 10), "\r\n"...)
+	s.wire = append(s.wire, body...)
+	c.sock.Send(s.wire)
 }
 
 // Client issues sequential GETs over one connection.
 type Client struct {
 	sock *netstack.TCPSock
-	buf  []byte
+	buf  []byte // received bytes not yet parsed; storage kept across Polls
+	wire []byte // the request being built; Send copies it out
 
-	// Done responses are queued here in request order.
+	// Done responses are queued here in request order; those before
+	// next have been popped.
 	responses []Response
+	next      int
 }
 
-// Response is one parsed response.
+// Response is one parsed response. Its strings are the caller's: they
+// do not alias the connection's buffer.
 type Response struct {
 	Status string
 	Body   string
@@ -133,52 +171,61 @@ func (c *Client) Connected() bool { return c.sock.Established() }
 
 // Get sends one request (responses arrive as the network is pumped).
 func (c *Client) Get(path string) {
-	c.sock.Send([]byte("GET " + path + "\r\n"))
+	c.wire = append(append(append(c.wire[:0], "GET "...), path...), "\r\n"...)
+	c.sock.Send(c.wire)
 }
 
 // Poll consumes arrived bytes and parses complete responses.
 func (c *Client) Poll() {
-	tmp := make([]byte, 4096)
+	c.buf = fill(c.buf, c.sock)
+	done := 0
 	for {
-		n := c.sock.Recv(tmp)
-		if n == 0 {
-			break
-		}
-		c.buf = append(c.buf, tmp[:n]...)
-	}
-	for {
-		resp, rest, ok := parseResponse(c.buf)
+		resp, n, ok := parseResponse(c.buf[done:])
 		if !ok {
 			break
 		}
-		c.buf = rest
+		done += n
 		c.responses = append(c.responses, resp)
 	}
+	c.buf = c.buf[:copy(c.buf, c.buf[done:])] // slide the unparsed tail down
 }
 
 // Next pops the next complete response.
 func (c *Client) Next() (Response, bool) {
-	if len(c.responses) == 0 {
+	if c.next == len(c.responses) {
 		return Response{}, false
 	}
-	r := c.responses[0]
-	c.responses = c.responses[1:]
+	r := c.responses[c.next]
+	c.responses[c.next] = Response{} // the queue must not pin a popped body
+	if c.next++; c.next == len(c.responses) {
+		c.responses, c.next = c.responses[:0], 0
+	}
 	return r, true
 }
 
-// parseResponse parses "STATUS\r\nLength: N\r\n<N body bytes>".
-func parseResponse(buf []byte) (Response, []byte, bool) {
-	status, rest, ok := takeLine(buf)
+// parseResponse parses "STATUS\r\nLength: N\r\n<N body bytes>" at the
+// front of buf and reports the bytes it occupies; ok is false, and
+// nothing is consumed, until the whole response has arrived.
+func parseResponse(buf []byte) (r Response, n int, ok bool) {
+	status, n, ok := takeLine(buf)
 	if !ok {
-		return Response{}, buf, false
+		return Response{}, 0, false
 	}
-	lenLine, rest2, ok := takeLine(rest)
-	if !ok || !strings.HasPrefix(lenLine, "Length: ") {
-		return Response{}, buf, false
+	lenLine, m, ok := takeLine(buf[n:])
+	size, found := bytes.CutPrefix(lenLine, []byte("Length: "))
+	if !ok || !found {
+		return Response{}, 0, false
 	}
-	n, err := strconv.Atoi(strings.TrimPrefix(lenLine, "Length: "))
-	if err != nil || n < 0 || len(rest2) < n {
-		return Response{}, buf, false
+	n += m
+	bodyLen, err := strconv.Atoi(string(size))
+	if err != nil || bodyLen < 0 || len(buf)-n < bodyLen {
+		return Response{}, 0, false
 	}
-	return Response{Status: status, Body: string(rest2[:n])}, rest2[n:], true
+	body := string(buf[n : n+bodyLen])
+	for _, known := range [...]string{statusOK, statusNotFound, statusBadRequest} {
+		if string(status) == known {
+			return Response{known, body}, n + bodyLen, true
+		}
+	}
+	return Response{string(status), body}, n + bodyLen, true
 }

@@ -1,6 +1,7 @@
 package httpd
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -25,13 +26,17 @@ func site(path string) (string, bool) {
 	return body, ok
 }
 
-func deploy(t *testing.T, d core.Discipline) (*netstack.Net, *Server, *Client) {
+func deploy(t testing.TB, d core.Discipline) (*netstack.Net, *Server, *Client) {
+	return deployHandler(t, d, site)
+}
+
+func deployHandler(t testing.TB, d core.Discipline, h Handler) (*netstack.Net, *Server, *Client) {
 	t.Helper()
 	mbuf.ResetPool()
 	n := netstack.NewNet()
 	hs := n.AddHost("www", ipSrv, netstack.DefaultOptions(d))
 	hc := n.AddHost("browser", ipCli, netstack.DefaultOptions(d))
-	srv, err := NewServer(hs, 80, site)
+	srv, err := NewServer(hs, 80, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +191,9 @@ func TestTakeLine(t *testing.T) {
 		{"abc", "", "abc", false},
 		{"\r\nx", "", "x", true},
 	} {
-		line, rest, ok := takeLine([]byte(tc.in))
-		if ok != tc.ok || line != tc.line || string(rest) != tc.rest {
-			t.Errorf("takeLine(%q) = %q/%q/%v", tc.in, line, rest, ok)
+		line, n, ok := takeLine([]byte(tc.in))
+		if ok != tc.ok || string(line) != tc.line || tc.in[n:] != tc.rest {
+			t.Errorf("takeLine(%q) = %q/%q/%v", tc.in, line, tc.in[n:], ok)
 		}
 	}
 }
@@ -197,14 +202,180 @@ func TestParseResponseIncomplete(t *testing.T) {
 	// Partial responses must not be consumed.
 	full := "200 OK\r\nLength: 5\r\nhello"
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, ok := parseResponse([]byte(full[:cut])); ok {
-			t.Errorf("parse succeeded on %d-byte prefix", cut)
+		if _, n, ok := parseResponse([]byte(full[:cut])); ok || n != 0 {
+			t.Errorf("parse of %d-byte prefix: ok=%v, consumed %d", cut, ok, n)
 		}
 	}
-	r, rest, ok := parseResponse([]byte(full + "tail"))
-	if !ok || r.Body != "hello" || string(rest) != "tail" {
-		t.Errorf("full parse: %+v %q %v", r, rest, ok)
+	r, n, ok := parseResponse([]byte(full + "tail"))
+	if !ok || r.Status != "200 OK" || r.Body != "hello" || (full + "tail")[n:] != "tail" {
+		t.Errorf("full parse: %+v consumed %d %v", r, n, ok)
 	}
+}
+
+// The request line is split where it lies, on ASCII blanks. Every row
+// is also what strings.Fields — the splitter this replaced — answers,
+// except the last: a no-break space is now part of a field, not a
+// separator.
+func TestRequestLineSplit(t *testing.T) {
+	for _, tc := range []struct {
+		wire   string // one terminated line
+		status string
+		path   string // what the handler was asked for, "" if never called
+	}{
+		{"GET /x\r\n", "404 Not Found", "/x"},
+		{"  \t GET /x \t \r\n", "404 Not Found", "/x"},
+		{"GET\t/x\n", "404 Not Found", "/x"},
+		{"GET\v\f/x\r\r\n", "404 Not Found", "/x"},
+		{"GET  /x  junk\r\n", "404 Not Found", "/x"},
+		{"GET /\r\n", "200 OK", "/"},
+		{"GET\r\n", "400 Bad Request", ""},
+		{"GET   \r\n", "400 Bad Request", ""},
+		{"get /x\r\n", "400 Bad Request", ""},
+		{"GETS /x\r\n", "400 Bad Request", ""},
+		{" \r\n", "400 Bad Request", ""},
+		{"\n", "400 Bad Request", ""},
+		{"\r\n", "400 Bad Request", ""},
+		{"GET\u00a0/x\r\n", "400 Bad Request", ""},
+	} {
+		asked := ""
+		n, srv, cli := deployHandler(t, core.Conventional, func(path string) (string, bool) {
+			asked = path
+			return site(path)
+		})
+		cli.sock.Send([]byte(tc.wire))
+		pump(n, srv, cli)
+		r, ok := cli.Next()
+		if !ok || r.Status != tc.status || asked != tc.path || srv.Requests != 1 {
+			t.Errorf("%q: status %q (ok=%v), handler asked %q, %d requests; want %q, %q, 1",
+				tc.wire, r.Status, ok, asked, srv.Requests, tc.status, tc.path)
+		}
+		if f := strings.Fields(strings.TrimRight(tc.wire, "\r\n")); !strings.Contains(tc.wire, "\u00a0") {
+			was := ""
+			if len(f) >= 2 && f[0] == "GET" {
+				was = f[1]
+			}
+			if was != tc.path {
+				t.Errorf("%q: strings.Fields asked the handler for %q, the table says %q", tc.wire, was, tc.path)
+			}
+		}
+	}
+}
+
+// One GET and its response cost two allocations, both fixed by the
+// exported API: the path string handed to the Handler and the
+// Response.Body handed to the caller.
+func TestHTTPGetAllocBudget(t *testing.T) {
+	for _, d := range []core.Discipline{core.Conventional, core.LDLP} {
+		n, srv, cli := deploy(t, d)
+		bad := ""
+		cycle := func() {
+			cli.Get("/paper")
+			n.RunUntilIdle()
+			srv.Poll()
+			n.RunUntilIdle()
+			cli.Poll()
+			if r, ok := cli.Next(); !ok || r.Status != "200 OK" || !strings.Contains(r.Body, "Small Messages") {
+				bad = fmt.Sprintf("ok=%v %+v", ok, r)
+			}
+		}
+		for i := 0; i < 64; i++ { // warm pools, queues, both ends' buffers
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(200, cycle); allocs > 2 {
+			t.Errorf("[%v] %v allocations per request + response, want at most 2", d, allocs)
+		}
+		if bad != "" {
+			t.Errorf("[%v] wrong response: %s", d, bad)
+		}
+	}
+}
+
+// Arbitrary bytes, cut at arbitrary points, through real TCP into a
+// Server: every LF-terminated line is one request and gets exactly one
+// response the client's parser accepts, and nothing else comes back.
+func FuzzHTTPStream(f *testing.F) {
+	f.Add([]byte("GET /\r\n"), []byte{3})
+	f.Add([]byte("GET /paper\r\nGET /nope\nBREW\n\n\r\nGET /pa"), []byte{1, 7, 2})
+	f.Add([]byte("GET \xc2\xa0/ \r\n\r\r\n \t\n"), []byte{0})
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		if len(stream) > 4096 {
+			t.Skip("4 KB of requests already answers with more than a window of responses")
+		}
+		lines := int64(bytes.Count(stream, []byte("\n")))
+		n, srv, cli := deploy(t, core.LDLP)
+		for i := 0; len(stream) > 0; i++ {
+			k := len(stream)
+			if len(cuts) > 0 {
+				k = min(k, 1+int(cuts[i%len(cuts)]))
+			}
+			cli.sock.Send(stream[:k])
+			stream = stream[k:]
+			n.RunUntilIdle()
+			srv.Poll()
+			n.RunUntilIdle()
+			cli.Poll()
+		}
+		pump(n, srv, cli)
+		pump(n, srv, cli)
+		if srv.Requests != lines || srv.Responses+srv.NotFound+srv.BadRequests != lines {
+			t.Fatalf("%d lines fed: %d requests, %d + %d + %d answers", lines, srv.Requests, srv.Responses, srv.NotFound, srv.BadRequests)
+		}
+		var ok, notFound, bad int64
+		for {
+			r, more := cli.Next()
+			if !more {
+				break
+			}
+			switch r.Status {
+			case "200 OK":
+				ok++
+			case "404 Not Found":
+				notFound++
+			case "400 Bad Request":
+				bad++
+			default:
+				t.Fatalf("response with status %q", r.Status)
+			}
+		}
+		if ok != srv.Responses || notFound != srv.NotFound || bad != srv.BadRequests {
+			t.Fatalf("client parsed %d/%d/%d responses, server sent %d/%d/%d", ok, notFound, bad, srv.Responses, srv.NotFound, srv.BadRequests)
+		}
+		if len(cli.buf) != 0 {
+			t.Fatalf("%d bytes from the server that are not a response: %q", len(cli.buf), cli.buf)
+		}
+	})
+}
+
+// parseResponse on arbitrary bytes: it consumes nothing unless a whole
+// response is there, never more than it was given, and never a
+// response whose last byte had not arrived.
+func FuzzParseResponse(f *testing.F) {
+	f.Add([]byte("200 OK\r\nLength: 5\r\nhellotail"))
+	f.Add([]byte("404 Not Found\nLength: 0\n"))
+	f.Add([]byte("x\r\nLength: -1\r\n"))
+	f.Add([]byte("x\r\nLength: 99999999999999999999\r\n"))
+	f.Add([]byte("\nLength: +2\nab"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, n, ok := parseResponse(in)
+		if !ok {
+			if n != 0 {
+				t.Fatalf("consumed %d bytes of an incomplete response", n)
+			}
+			return
+		}
+		if n <= 0 || n > len(in) {
+			t.Fatalf("consumed %d of %d bytes", n, len(in))
+		}
+		if !bytes.HasPrefix(in, []byte(r.Status)) || !bytes.HasSuffix(in[:n], []byte(r.Body)) {
+			t.Fatalf("%+v is not what %q holds", r, in[:n])
+		}
+		if _, m, short := parseResponse(in[:n-1]); short {
+			t.Fatalf("the response less its last byte parsed too (%d bytes)", m)
+		}
+		if r2, n2, ok2 := parseResponse(in[:n]); !ok2 || n2 != n || r2 != r {
+			t.Fatalf("the consumed bytes alone parse as %+v (%d, %v), not %+v", r2, n2, ok2, r)
+		}
+	})
 }
 
 func BenchmarkRequestResponse(b *testing.B) {

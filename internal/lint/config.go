@@ -90,6 +90,12 @@ func DefaultAnalyzers() []*Analyzer {
 				// open-addressed table must stay allocation-free per lookup
 				// (growth allocates, but only in the untagged cold grow()).
 				"ldlp/internal/netstack.transportShard.lookupPCB",
+				// The application side of the TCP data path, which
+				// TestTCPDataPathAllocFree drives: Send into the send queue
+				// (which is the retransmission queue) and out as segments,
+				// Recv out of the receive queue.
+				"ldlp/internal/netstack.TCPSock.Send",
+				"ldlp/internal/netstack.TCPSock.Recv",
 				// The dispatch policies' per-frame surface: every frame pays
 				// Key + Shard before it reaches a shard queue, so all three
 				// policies must key and route without allocating (rebalancing

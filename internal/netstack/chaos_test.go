@@ -304,6 +304,10 @@ func TestChaosPartitionTimesOutTCP(t *testing.T) {
 	if err := cli.Send([]byte("more")); err != ErrTimeout {
 		t.Errorf("Send after timeout = %v, want ErrTimeout", err)
 	}
+	if pcb := cli.pcb; pcb.snd.len() != 0 || cap(pcb.snd.buf) != 0 || pcb.sndSent != 0 || pcb.unacked != nil {
+		t.Errorf("timed-out connection keeps its send queue: %d bytes in a %d-byte array, %d sent, %d segments",
+			pcb.snd.len(), cap(pcb.snd.buf), pcb.sndSent, len(pcb.unacked))
+	}
 	if got := a.numPCBs(); got != 0 {
 		t.Errorf("timed-out connection still pins %d PCBs", got)
 	}

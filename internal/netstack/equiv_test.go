@@ -216,8 +216,8 @@ func runEquivWorkload(t *testing.T, script *equivScript, shards int, cfg *faults
 
 	// Identify each accepted socket by a one-byte id the client sends
 	// first: dial order is the only stable connection key across runs
-	// (ephemeral ports and ISS come from process-global counters, so
-	// their values differ run to run).
+	// (ISS comes from a process-global counter, so its values differ
+	// run to run).
 	for c, cli := range clis {
 		if err := cli.Send([]byte{byte(c)}); err != nil {
 			t.Fatal(err)

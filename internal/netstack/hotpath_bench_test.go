@@ -1,8 +1,10 @@
 package netstack
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"ldlp/internal/core"
 	"ldlp/internal/dispatch"
@@ -17,11 +19,17 @@ import (
 // header-prediction fast path, advances nothing, and is dropped — the
 // steady-state receive-path cycle the paper's §2 trace measures.
 func buildBareAck(bpcb *tcpPCB, src, dst layers.IPAddr) []byte {
+	return buildAck(bpcb, src, dst, bpcb.sndUna)
+}
+
+// buildAck is buildBareAck acknowledging up to ack instead: the peer's
+// side of a conversation the test scripts segment by segment.
+func buildAck(bpcb *tcpPCB, src, dst layers.IPAddr, ack uint32) []byte {
 	th := layers.TCP{
 		SrcPort: bpcb.tuple.rport,
 		DstPort: bpcb.tuple.lport,
 		Seq:     bpcb.rcvNxt,
-		Ack:     bpcb.sndUna,
+		Ack:     ack,
 		Flags:   layers.TCPAck,
 		Window:  tcpWindow,
 	}
@@ -91,6 +99,63 @@ func TestTCPReceivePathAllocFree(t *testing.T) {
 			}
 			checkNoLeaks(t)
 		})
+	}
+}
+
+// The TCP data path end to end — Send into the send queue and out as a
+// segment, the peer's receive path and receive queue, Recv into the
+// caller's buffer, the ACKs that come back and what they retire —
+// allocates nothing once the two queues have grown to the traffic, under
+// either discipline and on the sharded engine.
+func TestTCPDataPathAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"conventional", DefaultOptions(core.Conventional)},
+		{"ldlp", DefaultOptions(core.LDLP)},
+		{"rxshards=2", ShardedOptions(2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, _, cli, srv := established(t, tc.opts)
+			defer n.Close()
+			msg := bytes.Repeat([]byte("small message "), 37)[:512]
+			buf := make([]byte, 1024)
+			var bad string
+			cycle := func() {
+				cli.Send(msg)
+				srv.Send(msg)
+				n.RunUntilIdle()
+				for _, s := range []*TCPSock{cli, srv} {
+					if got := buf[:s.Recv(buf)]; !bytes.Equal(got, msg) {
+						bad = fmt.Sprintf("received %d bytes %q", len(got), got)
+					}
+				}
+			}
+			for i := 0; i < 64; i++ { // warm pools, engine queues, both byte queues
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 && !raceBuild() {
+				t.Errorf("%v allocations per Send ⇄ Send → pump → Recv, want 0", allocs)
+			}
+			if bad != "" {
+				t.Fatalf("wrong data: %s", bad)
+			}
+			n.Tick(0.01) // the last message's delayed ACK
+			if q := &cli.pcb.snd; q.len() != 0 || cli.pcb.sndSent != 0 || len(cli.pcb.unacked) != 0 {
+				t.Errorf("send queue holds %d bytes (%d sent, %d segments) after every byte was acknowledged", q.len(), cli.pcb.sndSent, len(cli.pcb.unacked))
+			}
+			checkNoLeaks(t)
+		})
+	}
+}
+
+// tcpPCB fills exactly the 192-byte allocator size class — three cache
+// lines. One more word puts it in the 208-byte class, and every PCB of
+// a 16k-connection host (the tcp_rx_k14 workload's live heap) pays it.
+func TestTCPPCBSize(t *testing.T) {
+	if got := unsafe.Sizeof(tcpPCB{}); got > 192 {
+		t.Errorf("tcpPCB is %d bytes, want at most 192", got)
 	}
 }
 

@@ -572,6 +572,10 @@ type Host struct {
 	// (ListenTCP / Listener.Close are pump-side calls); each listener's
 	// backlog has its own lock for the cross-shard accept hand-off.
 	listeners map[uint16]*TCPListener
+	// ephemeral is the local port DialTCP last handed out; the next one
+	// follows it round 32768–65535. Per host, so a host's ports do not
+	// depend on what else the process has dialled. Pump-side only.
+	ephemeral uint16
 
 	// UDP sockets (udp.go). The map itself changes only at quiescence;
 	// each socket's queue has its own lock (flows from different remotes

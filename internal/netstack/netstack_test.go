@@ -127,6 +127,70 @@ func TestPortInUse(t *testing.T) {
 	}
 }
 
+// Ephemeral ports belong to the host: what one host is handed does not
+// depend on another's dials, the counter stays inside 32768–65535 however
+// long the host lives, and it steps over a port still in use toward the
+// same remote.
+func TestEphemeralPortsArePerHostAndWrapInRange(t *testing.T) {
+	n, a, b := twoHosts(t, core.Conventional)
+	if _, err := b.ListenTCP(80); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.ListenTCP(80); err != nil {
+		t.Fatal(err)
+	}
+	keep := a.DialTCP(ipB, 80) // stays open throughout
+	other := b.DialTCP(ipA, 80)
+	if pa, pb := keep.pcb.tuple.lport, other.pcb.tuple.lport; pa != pb || pa < 32768 {
+		t.Fatalf("first ports %d and %d, want the same port from 32768 up on both hosts", pa, pb)
+	}
+	n.RunUntilIdle()
+	seen := 0
+	for i := 0; i < 40000; i++ {
+		s := a.DialTCP(ipB, 80)
+		port := s.pcb.tuple.lport
+		if port < 32768 {
+			t.Fatalf("dial %d got port %d, below the ephemeral range", i, port)
+		}
+		if port == keep.pcb.tuple.lport {
+			t.Fatalf("dial %d was handed port %d, which a live connection holds", i, port)
+		}
+		if port == keep.pcb.tuple.lport+1 {
+			seen++
+		}
+		s.Close() // SYN-SENT: torn down at once, the port is free again
+		n.RunUntilIdle()
+	}
+	if seen != 2 {
+		t.Errorf("the port after the live one came up %d times in 40 000 dials, want 2 (one wrap)", seen)
+	}
+	if !keep.Established() || a.findPCB(keep.pcb.tuple) != keep.pcb {
+		t.Error("the live connection was disturbed")
+	}
+}
+
+// With a connection on every ephemeral port toward one remote, the next
+// dial fails cleanly instead of searching forever or reusing a tuple.
+func TestDialTCPWithEveryPortTaken(t *testing.T) {
+	n, a, _ := twoHosts(t, core.Conventional)
+	defer n.Close() // 32 769 SYNs are still queued for transmission
+	for i := 0; i < 1<<15; i++ {
+		if s := a.DialTCP(ipB, 80); s.Err() != nil {
+			t.Fatalf("dial %d: %v", i, s.Err())
+		}
+	}
+	s := a.DialTCP(ipB, 80)
+	if s.Err() != ErrPortInUse || s.State() != "closed" || s.Send([]byte("x")) != ErrPortInUse {
+		t.Errorf("dial with no port left: err %v, state %s", s.Err(), s.State())
+	}
+	if got := a.numPCBs(); got != 1<<15 {
+		t.Errorf("%d PCBs, want the %d live ones", got, 1<<15)
+	}
+	if s2 := a.DialTCP(ipB, 81); s2.Err() != nil {
+		t.Errorf("dial to another port of the same remote: %v", s2.Err())
+	}
+}
+
 func TestTCPHandshakeAndData(t *testing.T) {
 	for _, d := range []core.Discipline{core.Conventional, core.LDLP} {
 		n, a, b := twoHosts(t, d)
@@ -279,17 +343,17 @@ func TestRetransmissionOnLoss(t *testing.T) {
 	if srv == nil {
 		t.Fatal("server pcb missing")
 	}
-	if len(srv.rcvBuf) != 0 {
+	if srv.rcv.len() != 0 {
 		t.Fatal("data arrived despite loss")
 	}
 	// Fire the retransmit timer.
-	for i := 0; i < 5 && len(srv.rcvBuf) == 0; i++ {
+	for i := 0; i < 5 && srv.rcv.len() == 0; i++ {
 		n.Tick(0.25)
 	}
 	if a.Counters.Retransmits == 0 {
 		t.Error("no retransmission recorded")
 	}
-	nrec := copy(buf, srv.rcvBuf)
+	nrec := copy(buf, srv.rcv.bytes())
 	if string(buf[:nrec]) != "must arrive eventually" {
 		t.Errorf("after retransmit got %q", buf[:nrec])
 	}

@@ -40,7 +40,7 @@ const (
 	tcpBacklog = 16
 )
 
-type tcpState int
+type tcpState uint8
 
 const (
 	stClosed tcpState = iota
@@ -84,9 +84,11 @@ func pcbHasher(seed uint64) func(fourTuple) uint64 {
 	return func(t fourTuple) uint64 { return flowtable.Mix64(t.pack() ^ seed) }
 }
 
+// unackedSeg is one tracked segment. Its n payload bytes stay in the
+// send queue, which starts at the oldest tracked segment's first byte.
 type unackedSeg struct {
 	seq     uint32
-	data    []byte
+	n       uint32
 	syn     bool
 	fin     bool
 	sentAt  float64
@@ -101,7 +103,11 @@ type tcpPCB struct {
 	// PCB happens on the owner's worker, or on the pump at quiescence.
 	owner *transportShard
 	tuple fourTuple
-	state tcpState
+	// Small fields are as narrow as their ranges allow: the PCB fills
+	// the 192-byte allocator size class exactly (TestTCPPCBSize).
+	state         tcpState
+	delAckPending uint8
+	finQueued     bool
 	// estab mirrors "state reached ESTABLISHED" with atomic semantics:
 	// the one PCB field the cross-shard accept hand-off reads while the
 	// owning worker may be writing state. Set once, never cleared.
@@ -110,15 +116,18 @@ type tcpPCB struct {
 	iss, irs       uint32
 	sndUna, sndNxt uint32
 	rcvNxt         uint32
-	sndWnd         int
+	sndWnd         int32 // the peer's 16-bit advertised window
 
-	sndBuf  []byte
-	rcvBuf  []byte
-	unacked []unackedSeg
+	// snd is the send queue, 4.4BSD so_snd style, and so also the
+	// retransmission queue: every byte written that the peer has not
+	// acknowledged as part of a whole segment. Its first sndSent bytes
+	// have been transmitted and are described, in order, by unacked; the
+	// rest wait for window. rcv is the receive buffer Recv drains.
+	snd, rcv byteQueue
+	sndSent  uint32
+	unacked  []unackedSeg
 
-	delAckPending int
-	finQueued     bool
-	sock          *TCPSock
+	sock *TCPSock
 	// err records why the connection died (ErrTimeout after
 	// retransmission gives up); surfaced through TCPSock.Err and Send.
 	err error
@@ -128,6 +137,35 @@ type tcpPCB struct {
 	// timeWaitAt, when nonzero, is when TIME-WAIT expires and the PCB is
 	// reaped.
 	timeWaitAt float64
+}
+
+// byteQueue is a FIFO of bytes that keeps its storage: consuming
+// advances a head index, a drained queue resets onto its own array, and
+// a write that would grow the array first slides the live bytes down —
+// so a reader (or an acknowledging peer) that never quite drains it
+// cannot make it creep.
+type byteQueue struct {
+	buf  []byte
+	head int
+}
+
+func (q *byteQueue) len() int { return len(q.buf) - q.head }
+
+// bytes is the queued data, oldest first; valid until the next write.
+func (q *byteQueue) bytes() []byte { return q.buf[q.head:] }
+
+func (q *byteQueue) write(p []byte) {
+	if q.head > 0 && len(q.buf)+len(p) > cap(q.buf) {
+		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+	}
+	//lint:ignore hotpathalloc grows only to the deepest backlog held: the 64 KB window on the receive side, what the application has written and the peer not yet acknowledged on the send side
+	q.buf = append(q.buf, p...)
+}
+
+func (q *byteQueue) consume(n int) {
+	if q.head += n; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
 }
 
 // TCPSock is a stream socket handle.
@@ -203,8 +241,6 @@ func (l *TCPListener) Accept() *TCPSock {
 // Close stops listening (existing connections are unaffected).
 func (l *TCPListener) Close() { delete(l.host.listeners, l.port) }
 
-var ephemeral uint16 = 32768
-
 // DialTCP initiates a connection; the handshake completes as the network
 // is pumped (check Established or poll Accept on the peer). Pump-side
 // hand-off point: the new PCB is planted directly on the shard the
@@ -212,21 +248,33 @@ var ephemeral uint16 = 32768
 // onward only that shard's worker touches it. Pump-side: call between
 // pumps, never concurrently with them.
 //
+// The local port comes from a per-host counter cycling through
+// 32768–65535, passing over a port whose tuple is still in the PCB
+// table. With all of them taken the socket comes back closed, Err
+// reporting ErrPortInUse.
+//
 //ldlp:quiescent
 func (h *Host) DialTCP(dst layers.IPAddr, port uint16) *TCPSock {
-	ephemeral++
 	pcb := &tcpPCB{
 		host:  h,
-		tuple: fourTuple{raddr: dst, rport: port, lport: ephemeral},
-		state: stSynSent,
+		tuple: fourTuple{raddr: dst, rport: port},
 		iss:   nextISS(),
 	}
 	pcb.sndUna, pcb.sndNxt = pcb.iss, pcb.iss
 	pcb.sndWnd = tcpWindow
 	pcb.sock = &TCPSock{pcb: pcb}
-	pcb.owner = h.tupleShard(pcb.tuple)
-	pcb.owner.pcbs.Insert(pcb.tuple, pcb)
-	pcb.sendSegment(layers.TCPSyn, nil, true)
+	for tries := 0; tries < 1<<15; tries++ {
+		h.ephemeral = 1<<15 | (h.ephemeral + 1)
+		pcb.tuple.lport = h.ephemeral
+		pcb.owner = h.tupleShard(pcb.tuple)
+		if _, taken := pcb.owner.pcbs.Lookup(pcb.tuple); !taken {
+			pcb.state = stSynSent
+			pcb.owner.pcbs.Insert(pcb.tuple, pcb)
+			pcb.sendSegment(layers.TCPSyn, nil, true)
+			return pcb.sock
+		}
+	}
+	pcb.err = ErrPortInUse
 	return pcb.sock
 }
 
@@ -251,6 +299,7 @@ func (s *TCPSock) Err() error { return s.pcb.err }
 // the peer half-closed, our direction is still open.
 //
 //ldlp:quiescent
+//ldlp:hotpath
 func (s *TCPSock) Send(data []byte) error {
 	switch s.pcb.state {
 	case stEstablished, stSynSent, stSynRcvd, stCloseWait:
@@ -260,7 +309,7 @@ func (s *TCPSock) Send(data []byte) error {
 		}
 		return ErrClosed
 	}
-	s.pcb.sndBuf = append(s.pcb.sndBuf, data...)
+	s.pcb.snd.write(data)
 	s.pcb.trySend()
 	return nil
 }
@@ -270,11 +319,12 @@ func (s *TCPSock) Send(data []byte) error {
 // window update so a stalled peer resumes (the sb-drop wakeup path).
 //
 //ldlp:quiescent
+//ldlp:hotpath
 func (s *TCPSock) Recv(buf []byte) int {
 	pcb := s.pcb
-	before := len(pcb.rcvBuf)
-	n := copy(buf, pcb.rcvBuf)
-	pcb.rcvBuf = pcb.rcvBuf[n:]
+	before := pcb.rcv.len()
+	n := copy(buf, pcb.rcv.bytes())
+	pcb.rcv.consume(n)
 	if n > 0 && before >= tcpWindow/2 && pcb.state == stEstablished {
 		pcb.sendAck() // window update
 	}
@@ -284,7 +334,7 @@ func (s *TCPSock) Recv(buf []byte) int {
 // Buffered reports bytes waiting in the receive buffer.
 //
 //ldlp:quiescent
-func (s *TCPSock) Buffered() int { return len(s.pcb.rcvBuf) }
+func (s *TCPSock) Buffered() int { return s.pcb.rcv.len() }
 
 // Close sends FIN after queued data drains.
 //
@@ -307,13 +357,13 @@ func (s *TCPSock) Close() {
 }
 
 // timeout kills a connection whose retransmissions went unanswered:
-// mark the socket failed, release the send-side queues (nothing will
-// ever ack them) and tear the PCB down so it stops consuming timer
-// cycles and map space.
+// mark the socket failed, release the send queue and its segment
+// records (nothing will ever ack them) and tear the PCB down so it
+// stops consuming timer cycles and map space.
 func (pcb *tcpPCB) timeout() {
 	pcb.err = ErrTimeout
 	pcb.unacked = nil
-	pcb.sndBuf = nil
+	pcb.snd, pcb.sndSent = byteQueue{}, 0
 	pcb.finQueued = false
 	inc(&pcb.host.Counters.TimeoutDrops)
 	pcb.teardown()
@@ -426,7 +476,7 @@ func (rx *rxPath) tcpPassiveOpen(tuple fourTuple, th *layers.TCP) {
 	pcb := &tcpPCB{
 		host: h, owner: rx.ts, tuple: tuple, state: stSynRcvd,
 		iss: nextISS(), irs: th.Seq,
-		rcvNxt: th.Seq + 1, sndWnd: int(th.Window),
+		rcvNxt: th.Seq + 1, sndWnd: int32(th.Window),
 	}
 	pcb.sndUna, pcb.sndNxt = pcb.iss, pcb.iss
 	pcb.sock = &TCPSock{pcb: pcb}
@@ -461,7 +511,7 @@ func (rx *rxPath) tcpSlowPath(pcb *tcpPCB, th *layers.TCP, payload []byte, p *Pa
 			pcb.rcvNxt = th.Seq + 1
 			pcb.sndUna = th.Ack
 			pcb.sndNxt = th.Ack
-			pcb.sndWnd = int(th.Window)
+			pcb.sndWnd = int32(th.Window)
 			pcb.state = stEstablished
 			pcb.estab.Store(true)
 			pcb.dropAcked(th.Ack)
@@ -474,7 +524,7 @@ func (rx *rxPath) tcpSlowPath(pcb *tcpPCB, th *layers.TCP, payload []byte, p *Pa
 		if th.Flags&layers.TCPAck != 0 && th.Ack == pcb.iss+1 {
 			pcb.sndUna = th.Ack
 			pcb.sndNxt = th.Ack
-			pcb.sndWnd = int(th.Window)
+			pcb.sndWnd = int32(th.Window)
 			pcb.state = stEstablished
 			pcb.estab.Store(true)
 			pcb.dropAcked(th.Ack)
@@ -546,8 +596,7 @@ func (rx *rxPath) tcpSlowPath(pcb *tcpPCB, th *layers.TCP, payload []byte, p *Pa
 // ACK for every second data segment.
 func (pcb *tcpPCB) acceptData(payload []byte) {
 	pcb.rcvNxt += uint32(len(payload))
-	//lint:ignore hotpathalloc rcvBuf is bounded by the receive window, so growth is bounded and amortized
-	pcb.rcvBuf = append(pcb.rcvBuf, payload...)
+	pcb.rcv.write(payload)
 	pcb.delAckPending++
 	if pcb.delAckPending >= 2 {
 		pcb.sendAck()
@@ -561,19 +610,24 @@ func (pcb *tcpPCB) processAck(th *layers.TCP) {
 		pcb.sndUna = th.Ack
 		pcb.dropAcked(th.Ack)
 	}
-	pcb.sndWnd = int(th.Window)
+	pcb.sndWnd = int32(th.Window)
 	pcb.trySend()
 }
 
+// dropAcked retires every tracked segment ack covers whole, consuming
+// its bytes from the send queue; one acknowledged only in part stays.
 func (pcb *tcpPCB) dropAcked(ack uint32) {
 	keep := pcb.unacked[:0]
 	for _, u := range pcb.unacked {
-		end := u.seq + uint32(len(u.data))
+		end := u.seq + u.n
 		if u.syn || u.fin {
 			end++
 		}
 		if seqAfter(end, ack) {
 			keep = append(keep, u)
+		} else if u.n > 0 {
+			pcb.snd.consume(int(u.n))
+			pcb.sndSent -= u.n
 		}
 	}
 	pcb.unacked = keep
@@ -592,18 +646,16 @@ func (pcb *tcpPCB) trySend() {
 		pcb.state != stCloseWait {
 		return
 	}
-	for len(pcb.sndBuf) > 0 {
-		room := pcb.sndWnd - pcb.inFlight()
+	for unsent := pcb.snd.bytes()[pcb.sndSent:]; len(unsent) > 0; {
+		room := int(pcb.sndWnd) - pcb.inFlight()
 		if room <= 0 {
 			return
 		}
-		n := min(min(tcpMSS, len(pcb.sndBuf)), room)
-		//lint:ignore hotpathalloc per-data-segment payload copy for transmission; the rx small-message steady state sends no data
-		chunk := append([]byte(nil), pcb.sndBuf[:n]...)
-		pcb.sndBuf = pcb.sndBuf[n:]
-		pcb.sendSegment(layers.TCPAck|layers.TCPPsh, chunk, true)
+		n := min(tcpMSS, len(unsent), room)
+		pcb.sendSegment(layers.TCPAck|layers.TCPPsh, unsent[:n], true)
+		unsent = unsent[n:]
 	}
-	if pcb.finQueued && len(pcb.sndBuf) == 0 {
+	if pcb.finQueued {
 		pcb.finQueued = false
 		pcb.sendSegment(layers.TCPFin|layers.TCPAck, nil, true)
 	}
@@ -617,15 +669,17 @@ func (pcb *tcpPCB) sendAck() {
 }
 
 // sendSegment builds and transmits one segment; track=true records it for
-// retransmission (SYN/FIN/data). Output goes through the owning shard's
-// pool and transmit queue, so segment emission never crosses shards.
+// retransmission (SYN/FIN/data), and a tracked payload must be the send
+// queue's next unsent bytes: the record keeps only their length. Output
+// goes through the owning shard's pool and transmit queue, so segment
+// emission never crosses shards.
 func (pcb *tcpPCB) sendSegment(flags byte, payload []byte, track bool) {
 	h := pcb.host
 	th := layers.TCP{
 		SrcPort: pcb.tuple.lport,
 		DstPort: pcb.tuple.rport,
 		Seq:     pcb.sndNxt,
-		Window:  uint16(tcpWindow - min(len(pcb.rcvBuf), tcpWindow)),
+		Window:  uint16(tcpWindow - min(pcb.rcv.len(), tcpWindow)),
 	}
 	if pcb.state != stSynSent { // no ACK field before the handshake
 		th.Ack = pcb.rcvNxt
@@ -641,14 +695,13 @@ func (pcb *tcpPCB) sendSegment(flags byte, payload []byte, track bool) {
 		consumed++
 	}
 	if track && consumed > 0 {
-		//lint:ignore hotpathalloc retransmission-queue copy, made only when sending data segments
-		h2 := append([]byte(nil), payload...)
 		//lint:ignore hotpathalloc retransmission queue is bounded by the send window
 		pcb.unacked = append(pcb.unacked, unackedSeg{
-			seq: pcb.sndNxt, data: h2,
+			seq: pcb.sndNxt, n: uint32(len(payload)),
 			syn: flags&layers.TCPSyn != 0, fin: flags&layers.TCPFin != 0,
 			sentAt: h.net.now, backoff: tcpRTO,
 		})
+		pcb.sndSent += uint32(len(payload))
 		pcb.sndNxt += consumed
 	}
 	pcb.owner.ipOutput(mm, layers.ProtoTCP, pcb.tuple.raddr)
@@ -681,15 +734,13 @@ func (ts *transportShard) tcpTickShard() {
 			pcb.sendAck()
 		}
 		// Zero-window persist: data queued, nothing in flight, no window.
-		if len(pcb.sndBuf) > 0 && pcb.inFlight() == 0 &&
+		if unsent := pcb.snd.bytes()[pcb.sndSent:]; len(unsent) > 0 && pcb.inFlight() == 0 &&
 			pcb.sndWnd <= 0 && pcb.state == stEstablished &&
 			h.net.now-pcb.lastProbe >= tcpPersist {
 			pcb.lastProbe = h.net.now
 			inc(&h.Counters.WindowProbes)
 			// Probe with one byte of real data, tracked like any send.
-			chunk := pcb.sndBuf[:1:1]
-			pcb.sndBuf = pcb.sndBuf[1:]
-			pcb.sendSegment(layers.TCPAck|layers.TCPPsh, chunk, true)
+			pcb.sendSegment(layers.TCPAck|layers.TCPPsh, unsent[:1], true)
 		}
 		if len(pcb.unacked) == 0 {
 			return true
@@ -721,7 +772,7 @@ func (ts *transportShard) tcpTickShard() {
 			if u.fin {
 				flags |= layers.TCPFin
 			}
-			if len(u.data) > 0 {
+			if u.n > 0 {
 				flags |= layers.TCPPsh
 			}
 			pcb.retransmit(u, flags)
@@ -730,21 +781,22 @@ func (ts *transportShard) tcpTickShard() {
 	})
 }
 
-// retransmit re-emits one tracked segment without re-tracking it.
+// retransmit re-emits the oldest tracked segment without re-tracking it.
 func (pcb *tcpPCB) retransmit(u *unackedSeg, flags byte) {
 	h := pcb.host
 	th := layers.TCP{
 		SrcPort: pcb.tuple.lport,
 		DstPort: pcb.tuple.rport,
 		Seq:     u.seq,
-		Window:  uint16(tcpWindow - min(len(pcb.rcvBuf), tcpWindow)),
+		Window:  uint16(tcpWindow - min(pcb.rcv.len(), tcpWindow)),
 		Flags:   flags,
 	}
 	if pcb.state != stSynSent {
 		th.Ack = pcb.rcvNxt
 	}
-	m := pcb.owner.pool.FromBytes(u.data)
+	data := pcb.snd.bytes()[:u.n] // the oldest segment's bytes lead the queue
+	m := pcb.owner.pool.FromBytes(data)
 	mm, hdr := m.Prepend(layers.TCPMinLen)
-	th.Encode(hdr, u.data, h.ip, pcb.tuple.raddr)
+	th.Encode(hdr, data, h.ip, pcb.tuple.raddr)
 	pcb.owner.ipOutput(mm, layers.ProtoTCP, pcb.tuple.raddr)
 }
