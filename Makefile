@@ -56,11 +56,13 @@ fleet-smoke:
 	$(GO) test -short -count=1 ./internal/fleet/...
 	$(GO) run ./cmd/ldlpsim -fleet-nodes 64 -fleet-steps 3
 
-# Short fuzzing pass over every FuzzXxx target (graph parser, DNS codec,
-# mbuf chain ops, flow table + eviction cache differential, httpd's
-# request stream through real TCP and its response parser).
+# Short fuzzing pass over every FuzzXxx target (graph parser, the
+# engine's layer groups against the ungrouped schedule, DNS codec, mbuf
+# chain ops, flow table + eviction cache differential, httpd's request
+# stream through real TCP and its response parser).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseGraph -fuzztime=10s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzStackGroups -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/dns
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeName -fuzztime=10s ./internal/dns
 	$(GO) test -run=^$$ -fuzz=FuzzChainOps -fuzztime=10s ./internal/mbuf

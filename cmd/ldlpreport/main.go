@@ -297,6 +297,7 @@ func renderAblations(opts sim.SweepOptions) string {
 		sim.PrefetchAblation(opts, 3000),
 		sim.ValueAddedAblation(opts, 2500, 12288),
 		sim.UnifiedCacheAblation(opts, 5000),
+		sim.LayerGroupAblation(opts, 3000, []int{1, 2, 3, 5}),
 	} {
 		s += t.String() + "\n"
 	}

@@ -2,9 +2,10 @@
 // netstack and emits the server's telemetry flight recorder as a Chrome
 // trace_event file, viewable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing. The per-shard tracks show one complete span per LDLP
-// layer pass and the batch-size counter; run both loads to see the
+// pass — named for the group of layers it ran, device+ether+ip or
+// udp+socket — and the batch-size counter; run both loads to see the
 // paper's effect — a lightly loaded receiver batches ~1 message per
-// layer pass, a heavily loaded one amortizes each layer over
+// pass, a heavily loaded one amortizes each group's code over
 // BatchLimit-sized batches.
 //
 // Usage:

@@ -21,6 +21,13 @@
 //     conventional stack; under heavy load batches form and instruction
 //     locality improves. That load-adaptivity is the whole trick.
 //
+// The group rule: the layer is the unit of scheduling only because the
+// paper's were each 6 KB of code against an 8 KB cache — §3 sizes the
+// block to the cache. Layers far smaller than it are merged into a group
+// (Stack.Group, at build time): an emit inside a group is a direct call,
+// and only one that crosses a group boundary enqueues. By default every
+// layer is its own group, which is the four rules above.
+//
 // A layer may feed more than one upper layer ("there can be more than
 // one"), so the topology is a DAG, not only a chain.
 package core
@@ -39,7 +46,8 @@ type Discipline int
 const (
 	// Conventional processes each message through every layer in turn by
 	// direct call-through — the ALF-style structure with poor code
-	// locality for small messages.
+	// locality for small messages. To the engine it is every layer in
+	// one group, run from Inject.
 	Conventional Discipline = iota
 	// ILP is integrated layer processing: the same outer control flow as
 	// Conventional (each message traverses all layers before the next),
@@ -104,16 +112,16 @@ func (q *fifo[M]) len() int { return len(q.buf) - q.head }
 type Layer[M any] struct {
 	name    string
 	index   int // position in Stack.layers; higher = higher priority
+	group   int // emits to a layer of the same group are direct calls
 	handler Handler[M]
 	queue   fifo[M]
 	uppers  bitset // indices of the layers Link lets this one emit to
 
-	// emitQueued and emitCall are this layer's Emit callbacks, built once
-	// at AddLayer. Constructing them per handler invocation (a closure
-	// capturing the layer) would heap-allocate on every message — the
-	// kind of per-message overhead the paper's whole argument is against.
-	emitQueued Emit[M]
-	emitCall   Emit[M]
+	// emit is this layer's Emit callback, built once at AddLayer.
+	// Constructing it per handler invocation (a closure capturing the
+	// layer) would heap-allocate on every message — the kind of
+	// per-message overhead the paper's whole argument is against.
+	emit Emit[M]
 
 	// Processed counts handler invocations at this layer.
 	Processed int64
@@ -189,7 +197,7 @@ type Stack[M any] struct {
 	onProcess func(l *Layer[M], m M)
 
 	// tracer, if set, flight-records the LDLP schedule: one record per
-	// layer pass. batchHist, if set, observes the size of every
+	// group pass. batchHist, if set, observes the size of every
 	// bottom-layer batch. Both are nil-safe / gate-checked inside
 	// telemetry, so the unwired stack pays nothing.
 	tracer    *telemetry.Tracer
@@ -211,21 +219,20 @@ func (s *Stack[M]) AddLayer(name string, h Handler[M]) *Layer[M] {
 		panic("core: nil handler for layer " + name)
 	}
 	l := &Layer[M]{name: name, handler: h, index: len(s.layers)}
-	l.emitQueued = func(to *Layer[M], next M) {
-		if to == nil {
-			s.deliver(next)
-			return
-		}
-		s.checkLinked(l, to)
-		s.enqueue(to, next)
+	if s.opts.Discipline == LDLP {
+		l.group = l.index // its own group until Group says otherwise
 	}
-	l.emitCall = func(to *Layer[M], next M) {
+	l.emit = func(to *Layer[M], next M) {
 		if to == nil {
 			s.deliver(next)
 			return
 		}
 		s.checkLinked(l, to)
-		s.callThrough(to, next)
+		if to.group == l.group {
+			s.process(to, next)
+		} else {
+			s.enqueue(to, next)
+		}
 	}
 	s.layers = append(s.layers, l)
 	s.pending = s.pending.grown(len(s.layers))
@@ -247,19 +254,70 @@ func (s *Stack[M]) Link(lower, upper *Layer[M]) {
 	lower.uppers.set(upper.index)
 }
 
+// Group merges layers into one scheduling group: an emit between two of
+// them is a direct call, so a message pays one queue op and one pass
+// record where it enters the group, not at each layer. Link still decides
+// who may emit to whom. Boundaries are fixed at build time: Group panics
+// once a message has been queued or if a layer is already in a declared
+// group. A no-op under the call-through disciplines, one group already.
+func (s *Stack[M]) Group(layers ...*Layer[M]) {
+	if s.opts.Discipline != LDLP {
+		return
+	}
+	if s.stats.QueueOps > 0 {
+		panic("core: Group after a message was queued")
+	}
+	for _, l := range layers {
+		if l.group < 0 {
+			panic("core: layer " + l.name + " is already in a group")
+		}
+		l.group = -1 - layers[0].index // declared ids are negative, default ones not
+	}
+}
+
 // OnProcess installs a per-handler-invocation hook (cost accounting).
 func (s *Stack[M]) OnProcess(fn func(l *Layer[M], m M)) { s.onProcess = fn }
 
 // SetTelemetry attaches a flight-recorder tracer and a batch-size
-// histogram to the stack. Layer names already added are registered with
-// the tracer (by layer index) so exported traces resolve them. Either
-// argument may be nil. Setup path, not for concurrent use with Run.
+// histogram to the stack. Layers already added (and grouped) are
+// registered with the tracer by index so exported traces resolve them: a
+// layer that is queued to under the name of everything its pass runs
+// ("tcp+socket"), any other, which records only drops, under its own.
+// Either argument may be nil. Setup path, not for concurrent use with Run.
 func (s *Stack[M]) SetTelemetry(tr *telemetry.Tracer, batch *telemetry.Hist) {
 	s.tracer = tr
 	s.batchHist = batch
 	for _, l := range s.layers {
-		tr.RegisterLayer(l.index, l.name)
+		name := l.name
+		if s.queuedTo(l) {
+			name = s.passName(l, bitset(nil).grown(len(s.layers)))
+		}
+		tr.RegisterLayer(l.index, name)
 	}
+}
+
+// queuedTo reports whether anything enqueues to l: Inject, or an emit
+// from another group.
+func (s *Stack[M]) queuedTo(l *Layer[M]) bool {
+	for _, lo := range s.layers[:l.index] {
+		if lo.group != l.group && lo.uppers.has(l.index) {
+			return true
+		}
+	}
+	return l == s.bottom && s.opts.Discipline == LDLP
+}
+
+// passName joins l's name with those of the layers of its group that its
+// emits reach by direct call, each once.
+func (s *Stack[M]) passName(l *Layer[M], seen bitset) string {
+	name := l.name
+	seen.set(l.index)
+	for _, u := range s.layers[l.index+1:] {
+		if u.group == l.group && l.uppers.has(u.index) && !seen.has(u.index) {
+			name += "+" + s.passName(u, seen)
+		}
+	}
+	return name
 }
 
 // SetSink installs the receiver for messages leaving the stack top.
@@ -279,45 +337,37 @@ func (s *Stack[M]) Pending() int { return s.queued }
 
 // Inject presents one arriving message to the bottom layer.
 //
-// Under Conventional and ILP the message is processed through the whole
-// stack immediately (call-through). Under LDLP it is queued; call Run to
-// process. Inject returns ErrStackFull if the stack's buffer is full.
+// Under Conventional and ILP every layer is in one group, so nothing is
+// ever queued: the bottom handler runs here and each emit is a direct
+// call — the message has crossed the stack depth-first on return. Under
+// LDLP it is queued; call Run to process. Inject returns ErrStackFull if
+// the stack's buffer is full.
 //
 //ldlp:hotpath
 func (s *Stack[M]) Inject(m M) error {
 	if s.bottom == nil {
 		panic("core: Inject on a stack with no layers")
 	}
-	switch s.opts.Discipline {
-	case Conventional, ILP:
-		s.callThrough(s.bottom, m)
-		return nil
-	default:
-		if s.opts.MaxQueued > 0 && s.queued >= s.opts.MaxQueued {
-			s.stats.Dropped++
-			return ErrStackFull
-		}
-		s.enqueue(s.bottom, m)
+	if s.opts.Discipline != LDLP {
+		s.process(s.bottom, m)
 		return nil
 	}
-}
-
-// callThrough runs a message depth-first through the layers, the
-// conventional schedule.
-//
-//ldlp:hotpath
-func (s *Stack[M]) callThrough(l *Layer[M], m M) {
-	s.process(l, m, l.emitCall)
+	if s.opts.MaxQueued > 0 && s.queued >= s.opts.MaxQueued {
+		s.stats.Dropped++
+		return ErrStackFull
+	}
+	s.enqueue(s.bottom, m)
+	return nil
 }
 
 //ldlp:hotpath
-func (s *Stack[M]) process(l *Layer[M], m M, emit Emit[M]) {
+func (s *Stack[M]) process(l *Layer[M], m M) {
 	if s.onProcess != nil {
 		s.onProcess(l, m)
 	}
 	l.Processed++
 	s.stats.Processed++
-	l.handler(m, emit)
+	l.handler(m, l.emit)
 }
 
 //ldlp:hotpath
@@ -359,28 +409,17 @@ func (s *Stack[M]) Run() int64 {
 	}
 	startDelivered := s.stats.Delivered
 	now := s.tracer.Now()
-	for {
-		l := s.highestPending()
-		if l == nil {
-			break
-		}
+	for i := s.pending.highest(); i >= 0; i = s.pending.highest() {
 		s.stats.Rounds++
-		now = s.runLayer(l, now)
+		now = s.runLayer(s.layers[i], now)
 	}
 	return s.stats.Delivered - startDelivered
 }
 
-//ldlp:hotpath
-func (s *Stack[M]) highestPending() *Layer[M] {
-	if i := s.pending.highest(); i >= 0 {
-		return s.layers[i]
-	}
-	return nil
-}
-
 // runLayer processes the layer's queue to completion (bounded by
-// BatchLimit at the bottom layer), emitting upward into queues. start is
-// the tracer-clock time the previous pass ended; it returns its own end.
+// BatchLimit at the bottom layer), each message through the layer's group
+// by direct call and into a queue where it leaves it. start is the
+// tracer-clock time the previous pass ended; it returns its own end.
 //
 //ldlp:hotpath
 func (s *Stack[M]) runLayer(l *Layer[M], start int64) int64 {
@@ -402,7 +441,7 @@ func (s *Stack[M]) runLayer(l *Layer[M], start int64) int64 {
 			break
 		}
 		s.queued--
-		s.process(l, m, l.emitQueued)
+		s.process(l, m)
 	}
 	if l.queue.len() == 0 {
 		s.pending.clear(l.index)

@@ -28,7 +28,11 @@ type randomDAG struct {
 	uppers [][]int // uppers[i] = indices of layers linked above i
 }
 
-func genDAG(rng *rand.Rand) randomDAG {
+// intner is the one draw the generators make: *rand.Rand for the seeded
+// tests, the fuzzer's byte stream for FuzzStackGroups.
+type intner interface{ Intn(n int) int }
+
+func genDAG(rng intner) randomDAG {
 	n := 3 + rng.Intn(5) // 3..7 layers
 	d := randomDAG{layers: n, uppers: make([][]int, n)}
 	// Guarantee reachability: every layer above the bottom gets one edge
@@ -64,7 +68,7 @@ func contains(xs []int, v int) bool {
 // buildEquivStack wires the DAG into a stack: each layer forwards a
 // message to uppers[flow % len(uppers)], or out of the top when it has
 // no uppers. The route depends only on (layer, flow) — deterministic.
-func buildEquivStack(d randomDAG, s *Stack[equivMsg]) {
+func buildEquivStack(d randomDAG, s *Stack[equivMsg]) []*Layer[equivMsg] {
 	layers := make([]*Layer[equivMsg], d.layers)
 	for i := 0; i < d.layers; i++ {
 		i := i
@@ -82,6 +86,7 @@ func buildEquivStack(d randomDAG, s *Stack[equivMsg]) {
 			s.Link(layers[lo], layers[hi])
 		}
 	}
+	return layers
 }
 
 // delivery captures per-flow sequences for comparison.

@@ -124,12 +124,10 @@ func DefaultAnalyzers() []*Analyzer {
 				"ldlp/internal/mbuf.FreeQueue.FreeChain",
 				"ldlp/internal/mbuf.Mbuf.Prepend",
 				"ldlp/internal/core.Stack.Inject",
-				"ldlp/internal/core.Stack.callThrough",
 				"ldlp/internal/core.Stack.process",
 				"ldlp/internal/core.Stack.deliver",
 				"ldlp/internal/core.Stack.enqueue",
 				"ldlp/internal/core.Stack.runLayer",
-				"ldlp/internal/core.Stack.highestPending",
 				"ldlp/internal/core.fifo.push",
 				"ldlp/internal/core.fifo.pop",
 				"ldlp/internal/core.bitset.set",

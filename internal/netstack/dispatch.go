@@ -146,8 +146,8 @@ func (h *Host) applyMigration(mg dispatch.Migration) {
 		})
 		for i, k := range fkeys {
 			from.frags.Delete(k)
-			// The source's fragq entry goes stale; evictOldestFrag's
-			// pointer check skips it.
+			// The source's fragq entry goes stale; fragLive's pointer
+			// check sheds it.
 			to.adoptFrag(k, fsts[i])
 			h.fragsMigrated++
 		}

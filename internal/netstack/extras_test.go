@@ -267,3 +267,71 @@ func BenchmarkPingRoundTrip(b *testing.B) {
 		ha.PingReplies()
 	}
 }
+
+// TestFragQueueBoundedUnderChurn is the regression test for the
+// reassembly queue's leak: a host that always holds one partial datagram
+// never saw its fragment table empty at a timer tick, so the queue kept
+// one stale entry — and through it the reassembly buffers — for every
+// datagram it had ever completed. 20 000 two-fragment datagrams complete
+// while a never-completing one is refreshed before each expiry; the queue
+// must stay inside its fixed array and hold no shed entry's state.
+func TestFragQueueBoundedUnderChurn(t *testing.T) {
+	for _, disc := range []core.Discipline{core.Conventional, core.LDLP} {
+		n, _, b := twoHosts(t, disc)
+		sb, err := b.UDPSocket(5000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := bytes.Repeat([]byte{0xa5}, 40)
+		whole := make([]byte, layers.UDPLen)
+		uh := layers.UDP{SrcPort: 9, DstPort: 5000}
+		uh.Encode(whole, payload, ipA, ipB)
+		whole = append(whole, payload...)
+
+		const rounds, perRound = 200, 100
+		id := uint16(0)
+		for r := 0; r < rounds; r++ {
+			// The datagram that never completes: sent before the tick that
+			// expires its predecessor, so the table is never empty.
+			id++
+			b.deliver(chaosFrame(ipA, ipB, layers.ProtoUDP, id, 0x1, 0, whole[:24]))
+			for i := 0; i < perRound; i++ {
+				id++
+				b.deliver(chaosFrame(ipA, ipB, layers.ProtoUDP, id, 0x1, 0, whole[:24]))
+				b.deliver(chaosFrame(ipA, ipB, layers.ProtoUDP, id, 0, 24, whole[24:]))
+				b.process()
+				if d, ok := sb.Recv(); !ok || !bytes.Equal(d.Data, payload) {
+					t.Fatalf("%v: round %d datagram %d not delivered intact", disc, r, i)
+				}
+			}
+			n.Tick(0.6 * fragTimeout)
+			q := &b.tshards[0].fragq
+			if len(q.buf) > fragQueueCap || cap(q.buf) != fragQueueCap {
+				t.Fatalf("%v: round %d: frag queue holds %d entries in a %d-slot array, want both within %d",
+					disc, r, len(q.buf), cap(q.buf), fragQueueCap)
+			}
+			for i, e := range q.buf[:cap(q.buf)] {
+				if (i < q.head || i >= len(q.buf)) && e != (fragQEntry{}) {
+					t.Fatalf("%v: round %d: shed slot %d still pins a reassembly state", disc, r, i)
+				}
+			}
+		}
+		if got := b.numFrags(); got != 1 {
+			t.Errorf("%v: %d partial datagrams held, want the one outstanding", disc, got)
+		}
+		n.Tick(fragTimeout + 1)
+		if got := b.Counters.Reassembled; got != rounds*perRound {
+			t.Errorf("%v: Reassembled = %d, want %d", disc, got, rounds*perRound)
+		}
+		// One timeout per never-completing datagram, which is what the
+		// queue's parent implementation counts for this script too.
+		if got := b.Counters.ReassemblyTimeouts; got != rounds {
+			t.Errorf("%v: ReassemblyTimeouts = %d, want %d", disc, got, rounds)
+		}
+		if q := &b.tshards[0].fragq; b.numFrags() != 0 || len(q.buf) != 0 || q.head != 0 {
+			t.Errorf("%v: drained queue did not reset: %d states, %d entries, head %d", disc, b.numFrags(), len(q.buf), q.head)
+		}
+		sb.Close()
+		checkNoLeaks(t)
+	}
+}

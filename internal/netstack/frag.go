@@ -33,11 +33,28 @@ func fragHash(k fragKey) uint64 { return flowtable.Mix64(k.pack()) }
 // state pointer disambiguates key reuse: if the datagram completed (or
 // timed out) and a new reassembly later claimed the same key, the
 // stale queue entry must not evict the newcomer — the pointer
-// comparison in evictOldestFrag skips it.
+// comparison in fragLive skips it.
 type fragQEntry struct {
 	key fragKey
 	st  *fragState
 }
+
+// fragQueue is a shard's partial datagrams in deadline order, oldest at
+// head. Entries go stale in place when their datagram completes, expires,
+// is evicted or migrates away; the queue sheds them at its head as the
+// head advances and everywhere when its array fills, so it holds at most
+// fragQueueCap slots however long the host runs, and a shed slot is
+// zeroed so it does not pin the datagram's reassembly buffers.
+type fragQueue struct {
+	buf  []fragQEntry
+	head int
+}
+
+// fragQueueCap is the queue's fixed array: every live entry fits in
+// half of it (the table holds at most maxFragStates), so sliding a full
+// array down frees at least the other half and a push stays O(1)
+// amortized.
+const fragQueueCap = 2 * maxFragStates
 
 // fragState tracks received byte ranges of one datagram. data and have
 // grow geometrically (capacity doubling) and are reused across all
@@ -126,11 +143,7 @@ func (ts *transportShard) fragmentOutput(m *mbuf.Mbuf, proto byte, dst layers.IP
 //ldlp:coldpath
 func (ts *transportShard) reassemble(p *Packet) []byte {
 	h := ts.h
-	if ts.frags == nil {
-		// Lazily built, pre-sized for the cap: the table never needs to
-		// grow, so reassembly never migrates.
-		ts.frags = flowtable.New[fragKey, *fragState](maxFragStates, fragHash)
-	}
+	ts.initFrags()
 	key := fragKey{src: p.IP.Src, id: p.IP.ID, proto: p.IP.Protocol}
 	fragPayload := p.M.Contiguous()
 	off := p.IP.FragOff
@@ -152,7 +165,8 @@ func (ts *transportShard) reassemble(p *Packet) []byte {
 		// All partial datagrams share one timeout, so appending here
 		// keeps fragq in deadline order — the O(1) eviction depends on
 		// it.
-		ts.fragq = append(ts.fragq, fragQEntry{key: key, st: st})
+		ts.fragRoom()
+		ts.fragq.buf = append(ts.fragq.buf, fragQEntry{key: key, st: st})
 	}
 	if end > len(st.data) {
 		if end <= cap(st.data) {
@@ -212,20 +226,67 @@ func (ts *transportShard) reassemble(p *Packet) []byte {
 // sorted position rather than appended (migrated states are the one
 // source of out-of-order deadlines).
 func (ts *transportShard) adoptFrag(k fragKey, st *fragState) {
-	if ts.frags == nil {
-		ts.frags = flowtable.New[fragKey, *fragState](maxFragStates, fragHash)
-	}
+	ts.initFrags()
 	if ts.frags.Len() >= maxFragStates {
 		ts.evictOldestFrag()
 	}
 	ts.frags.Insert(k, st)
-	i := len(ts.fragq)
-	ts.fragq = append(ts.fragq, fragQEntry{})
-	for i > 0 && ts.fragq[i-1].st.deadline > st.deadline {
-		ts.fragq[i] = ts.fragq[i-1]
+	ts.fragRoom()
+	q := &ts.fragq
+	i := len(q.buf)
+	q.buf = append(q.buf, fragQEntry{})
+	for i > q.head && q.buf[i-1].st.deadline > st.deadline {
+		q.buf[i] = q.buf[i-1]
 		i--
 	}
-	ts.fragq[i] = fragQEntry{key: k, st: st}
+	q.buf[i] = fragQEntry{key: k, st: st}
+}
+
+// initFrags builds the shard's reassembly state on its first fragment,
+// pre-sized for the cap: the table never needs to grow, so reassembly
+// never migrates, and the queue never leaves its first array.
+func (ts *transportShard) initFrags() {
+	if ts.frags == nil {
+		ts.frags = flowtable.New[fragKey, *fragState](maxFragStates, fragHash)
+		ts.fragq.buf = make([]fragQEntry, 0, fragQueueCap)
+	}
+}
+
+// fragLive reports whether queue entry e still stands for a partial
+// datagram this shard holds.
+func (ts *transportShard) fragLive(e fragQEntry) bool {
+	cur, ok := ts.frags.Lookup(e.key)
+	return ok && cur == e.st
+}
+
+// fragRoom makes room for one more queue entry: a full array is slid
+// down onto itself, stale entries left behind, instead of grown.
+func (ts *transportShard) fragRoom() {
+	q := &ts.fragq
+	if len(q.buf) < cap(q.buf) {
+		return
+	}
+	live := q.buf[:0]
+	for _, e := range q.buf[q.head:] {
+		if ts.fragLive(e) {
+			live = append(live, e)
+		}
+	}
+	clear(q.buf[len(live):])
+	q.buf, q.head = live, 0
+}
+
+// shedStaleFrags advances the queue's head past stale entries, zeroing
+// each; a drained queue resets onto its own array.
+func (ts *transportShard) shedStaleFrags() {
+	q := &ts.fragq
+	for q.head < len(q.buf) && !ts.fragLive(q.buf[q.head]) {
+		q.buf[q.head] = fragQEntry{}
+		q.head++
+	}
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
 }
 
 // fragsLen reports live partial reassemblies (nil-safe: the table is
@@ -241,19 +302,14 @@ func (ts *transportShard) fragsLen() int {
 // oldest, since all share one timeout), making room for a new one at
 // the maxFragStates cap. Counted as a reassembly timeout: the datagram
 // is abandoned exactly as if its timer had fired. O(1) amortized: the
-// fragq queue is in insertion == deadline order, and each entry is
-// examined at most once ever — entries whose datagram already
-// completed, expired, or was evicted are recognized by the state
-// pointer no longer being the table's and skipped.
+// fragq queue is in insertion == deadline order, so the oldest is the
+// first entry that is not stale, and a stale head is passed over once.
 func (ts *transportShard) evictOldestFrag() {
-	for len(ts.fragq) > 0 {
-		e := ts.fragq[0]
-		ts.fragq = ts.fragq[1:]
-		if cur, ok := ts.frags.Lookup(e.key); ok && cur == e.st {
-			ts.frags.Delete(e.key)
-			inc(&ts.h.Counters.ReassemblyTimeouts)
-			return
-		}
+	ts.shedStaleFrags()
+	if q := &ts.fragq; q.head < len(q.buf) {
+		ts.frags.Delete(q.buf[q.head].key)
+		inc(&ts.h.Counters.ReassemblyTimeouts)
+		ts.shedStaleFrags()
 	}
 }
 
@@ -274,8 +330,6 @@ func (h *Host) fragTick() {
 			}
 			return true
 		})
-		if ts.frags.Len() == 0 {
-			ts.fragq = ts.fragq[:0]
-		}
+		ts.shedStaleFrags()
 	}
 }

@@ -647,7 +647,7 @@ type transportShard struct {
 	// partial datagrams share one timeout, so insertion order is
 	// deadline order.
 	frags *flowtable.Table[fragKey, *fragState]
-	fragq []fragQEntry
+	fragq fragQueue
 
 	// tally points at this shard's slot in the host's padded tally
 	// array. Plain fields, written only by the owning worker (or the
@@ -793,7 +793,14 @@ type rxPath struct {
 	sock   *core.Layer[*Packet]
 }
 
-// buildRxPath wires the receive-path layers into stack s.
+// buildRxPath wires the receive-path layers into stack s, as two
+// scheduling groups cut at the IP -> transport demux: header work that
+// needs no per-flow state below it, PCB and socket state above. Each
+// layer is a fraction of a kilobyte to a few kilobytes of code against a
+// 32 KB L1i, so a queue between every pair cost more than the layers it
+// deferred; the one cut that stays is where the DAG fans out, and it
+// keeps the transport's lookup pass a tight loop over the batch
+// (EXPERIMENTS.md, "Native layer groups", has the placement sweep).
 func (h *Host) buildRxPath(s *core.Stack[*Packet]) *rxPath {
 	rx := &rxPath{h: h}
 	rx.device = s.AddLayer("device", rx.deviceInput)
@@ -811,6 +818,8 @@ func (h *Host) buildRxPath(s *core.Stack[*Packet]) *rxPath {
 	s.Link(rx.tcpin, rx.sock)
 	s.Link(rx.udpin, rx.sock)
 	s.Link(rx.icmpin, rx.sock)
+	s.Group(rx.device, rx.ether, rx.ipin)
+	s.Group(rx.tcpin, rx.udpin, rx.icmpin, rx.sock)
 	return rx
 }
 

@@ -11,7 +11,8 @@ import (
 
 // TestTelemetryRecordsLDLPRun drives a small UDP exchange under the
 // LDLP schedule and checks the flight recorder saw it: one pass record
-// per layer pass on the receive shard, batch-size observations from the
+// per group pass on the receive shard — under the entry layer's index,
+// named for every layer the pass runs — batch-size observations from the
 // bottom-layer passes, and a tx-flush counter
 // event on the pump tracer — all stamped from the Net's simulated
 // clock, so timestamps are non-decreasing per tracer.
@@ -52,6 +53,7 @@ func TestTelemetryRecordsLDLPRun(t *testing.T) {
 	var batches int
 	var batchSum int64
 	perLayer := map[string]int64{}
+	passesAt := map[int]int{}
 	for i, ev := range shard.Events {
 		if i > 0 && ev.TS < shard.Events[i-1].TS {
 			t.Fatalf("timestamps went backwards at event %d: %d < %d", i, ev.TS, shard.Events[i-1].TS)
@@ -60,6 +62,7 @@ func TestTelemetryRecordsLDLPRun(t *testing.T) {
 			continue
 		}
 		perLayer[shard.LayerName(int(ev.Layer))] += ev.Arg
+		passesAt[int(ev.Layer)]++
 		if ev.Layer == 0 {
 			batches++
 			batchSum += ev.Arg
@@ -68,13 +71,27 @@ func TestTelemetryRecordsLDLPRun(t *testing.T) {
 	if batches == 0 || batchSum != 8 {
 		t.Errorf("bottom-layer passes: %d totaling %d messages, want >0 totaling 8", batches, batchSum)
 	}
-	for _, name := range []string{"device", "ether", "ip", "udp"} {
+	for _, name := range []string{"device+ether+ip", "udp+socket"} {
 		if perLayer[name] != 8 {
 			t.Errorf("passes of %s carried %d messages, want 8 (all: %v)", name, perLayer[name], perLayer)
 		}
 	}
-	if name := shard.LayerName(int(shard.Events[0].Layer)); name != "device" {
-		t.Errorf("first event layer = %q, want device (bottom of rx path)", name)
+	if len(perLayer) != 2 {
+		t.Errorf("passes recorded under %v, want the device and udp groups only", perLayer)
+	}
+	// The records sit under the entry layers' indices; the layers a group
+	// runs by direct call record no pass and keep their own names.
+	rx := b.rx
+	for _, l := range []*core.Layer[*Packet]{rx.ether, rx.ipin, rx.sock} {
+		if passesAt[l.Index()] != 0 {
+			t.Errorf("%d passes recorded under %s, want none", passesAt[l.Index()], l.Name())
+		}
+		if got := shard.LayerName(l.Index()); got != l.Name() {
+			t.Errorf("interior layer %s registered as %q", l.Name(), got)
+		}
+	}
+	if name := shard.LayerName(int(shard.Events[0].Layer)); name != "device+ether+ip" {
+		t.Errorf("first event layer = %q, want device+ether+ip (bottom of rx path)", name)
 	}
 
 	bh, ok := snap.Hist("ldlp-batch")
@@ -107,10 +124,10 @@ func TestTelemetryRecordsLDLPRun(t *testing.T) {
 
 // TestTelemetryRecordBudgetPerACK pins the flight recorder's cost on
 // the light-load fast path as a count that repeats exactly: one
-// replayed bare TCP ACK under LDLP leaves exactly four records on the
-// shard tracer — one pass each of device, ether, ip and tcp, each of one
-// message — and none on the pump tracer; under Conventional it leaves
-// none at all.
+// replayed bare TCP ACK under LDLP leaves exactly two records on the
+// shard tracer — one pass of each group, entered at device and at tcp,
+// each of one message — and none on the pump tracer; under Conventional
+// it leaves none at all.
 func TestTelemetryRecordBudgetPerACK(t *testing.T) {
 	for _, disc := range []core.Discipline{core.LDLP, core.Conventional} {
 		n, a, b := twoHosts(t, disc)
@@ -149,18 +166,23 @@ func TestTelemetryRecordBudgetPerACK(t *testing.T) {
 			}
 			continue
 		}
-		if after-before != 4 {
-			t.Fatalf("ldlp: one ACK wrote %d records, want 4", after-before)
+		if after-before != 2 {
+			t.Fatalf("ldlp: one ACK wrote %d records, want 2", after-before)
 		}
 		var got []string
-		for _, ev := range shard.Events[len(shard.Events)-4:] {
+		var at []int
+		for _, ev := range shard.Events[len(shard.Events)-2:] {
 			if ev.Kind != telemetry.EvLayerEnter || ev.Arg != 1 {
 				t.Errorf("ldlp: not a one-message pass record: %+v", ev)
 			}
 			got = append(got, shard.LayerName(int(ev.Layer)))
+			at = append(at, int(ev.Layer))
 		}
-		if want := "device ether ip tcp"; strings.Join(got, " ") != want {
+		if want := "device+ether+ip tcp+socket"; strings.Join(got, " ") != want {
 			t.Errorf("ldlp: passes = %v, want %s", got, want)
+		}
+		if at[0] != b.rx.device.Index() || at[1] != b.rx.tcpin.Index() {
+			t.Errorf("ldlp: passes recorded under layers %v, want device and tcp", at)
 		}
 		checkNoLeaks(t)
 	}
@@ -185,8 +207,10 @@ func TestTelemetryRecordsDrops(t *testing.T) {
 		for _, ev := range tr.Events {
 			if ev.Kind == telemetry.EvDrop && telemetry.DropReason(ev.Arg) == telemetry.DropNoSocket {
 				found = true
-				if tr.LayerName(int(ev.Layer)) != "udp" {
-					t.Errorf("drop recorded at layer %q, want udp", tr.LayerName(int(ev.Layer)))
+				// The event keeps the index of the layer that rejected;
+				// udp is an entry layer, so it resolves to its group-pass name.
+				if int(ev.Layer) != b.rx.udpin.Index() || tr.LayerName(int(ev.Layer)) != "udp+socket" {
+					t.Errorf("drop recorded at layer %d %q, want udp's index and udp+socket", ev.Layer, tr.LayerName(int(ev.Layer)))
 				}
 			}
 		}

@@ -43,6 +43,11 @@ type Config struct {
 	// QueueOpCycles models the ~40-instruction enqueue/dequeue cost paid
 	// per layer per message under LDLP (§3.2).
 	QueueOpCycles float64
+	// GroupSize runs contiguous groups of that many layers by direct call
+	// under LDLP (core.Stack.Group), so a message pays QueueOpCycles once
+	// per group instead of once per layer. 0 or 1 is the paper's
+	// schedule, a queue between every pair of layers.
+	GroupSize int
 	// BatchCap caps an LDLP batch. 0 means "fit the data cache", the
 	// paper's rule. 1 under LDLP degenerates to per-message processing.
 	BatchCap int
@@ -67,6 +72,7 @@ func DefaultConfig(d core.Discipline) Config {
 		IssueFixed:    1376,
 		IssuePerByte:  0.5,
 		QueueOpCycles: 40,
+		GroupSize:     1,
 		BatchCap:      0,
 		BufferLimit:   500,
 		Duration:      1.0,
@@ -87,6 +93,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: non-positive buffer limit %d", c.BufferLimit)
 	case c.IssueFixed < 0 || c.IssuePerByte < 0 || c.QueueOpCycles < 0:
 		return fmt.Errorf("sim: negative cost in %+v", c)
+	case c.GroupSize < 0:
+		return fmt.Errorf("sim: negative group size %d", c.GroupSize)
 	}
 	return nil
 }
@@ -170,6 +178,7 @@ func New(cfg Config) *Sim {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	cfg.GroupSize = max(cfg.GroupSize, 1)
 	s := &Sim{cfg: cfg, clock: cfg.Machine.ClockHz}
 	s.cpu = machine.New(cfg.Machine)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -212,6 +221,11 @@ func New(cfg Config) *Sim {
 		}
 		prev = l
 	}
+	if g := cfg.GroupSize; g > 1 {
+		for ls := s.stack.Layers(); len(ls) > 0; ls = ls[min(g, len(ls)):] {
+			s.stack.Group(ls[:min(g, len(ls))]...)
+		}
+	}
 	s.stack.OnProcess(func(l *core.Layer[*message], m *message) { s.charge(layerIndex(l), m) })
 	s.stack.SetSink(func(m *message) {
 		at := s.batchStartTime + (s.cpu.Cycles()-s.batchStartCycles)/s.clock
@@ -247,8 +261,8 @@ func (s *Sim) charge(i int, m *message) {
 	sl := &s.layers[i]
 
 	// Queue handling cost (LDLP only: call-through stacks pay no
-	// queueing).
-	if cfg.Discipline == core.LDLP {
+	// queueing), paid where a message enters a group of layers.
+	if cfg.Discipline == core.LDLP && i%cfg.GroupSize == 0 {
 		s.cpu.AddIssueCycles(cfg.QueueOpCycles)
 	}
 

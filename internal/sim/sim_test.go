@@ -193,6 +193,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Duration = 0 },
 		func(c *Config) { c.BufferLimit = 0 },
 		func(c *Config) { c.IssueFixed = -1 },
+		func(c *Config) { c.GroupSize = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(core.LDLP)
@@ -304,6 +305,56 @@ func TestAblationTables(t *testing.T) {
 	da := DisciplineAblation(opts, 4000)
 	if len(da.Points) != 3 {
 		t.Errorf("discipline rows = %d", len(da.Points))
+	}
+
+	// Per-layer queues are right for the paper's machine and cost only
+	// their cycles on one whose cache holds the stack.
+	lg := LayerGroupAblation(opts, 3000, []int{1, 5})
+	perLayer, oneGroup := lg.Points[0].Y, lg.Points[1].Y
+	if !(perLayer["8KB-I"] < oneGroup["8KB-I"] && perLayer["8KB-latency"] < oneGroup["8KB-latency"]) {
+		t.Errorf("8 KB cache: per-layer queues %v should beat one group %v", perLayer, oneGroup)
+	}
+	if !(oneGroup["native-I"] == perLayer["native-I"] && oneGroup["native-I"] < 5 && oneGroup["native-latency"] < perLayer["native-latency"]) {
+		t.Errorf("native-shaped machine: one group %v should take only the cold misses per-layer queues %v take, and be faster", oneGroup, perLayer)
+	}
+}
+
+// TestGroupSizeQueuesPerGroup: the simulator takes the engine's own
+// grouping. Group size 0 and 1 are the paper's schedule, the same run
+// to the last digit; wider groups pay one queue op per group per message
+// and, on the paper's 8 KB cache, take more instruction misses; one
+// group over the whole stack is the conventional stack plus a queue op.
+func TestGroupSizeQueuesPerGroup(t *testing.T) {
+	atSize := func(g int) (Result, core.Stats) {
+		cfg := DefaultConfig(core.LDLP)
+		cfg.Duration = 0.3
+		cfg.GroupSize = g
+		s := New(cfg)
+		return s.Run(traffic.NewPoisson(5000, 552, 42)), s.stack.Stats()
+	}
+	paper, paperStats := atSize(1)
+	zero, _ := atSize(0)
+	if zero.Latency != paper.Latency || zero.IMissesPerMsg != paper.IMissesPerMsg || zero.Processed != paper.Processed {
+		t.Errorf("GroupSize 0 differs from 1: %+v vs %+v", zero, paper)
+	}
+	if want := int64(paper.Processed) * 5; paperStats.QueueOps != want {
+		t.Errorf("per-layer queues: %d queue ops for %d messages, want %d", paperStats.QueueOps, paper.Processed, want)
+	}
+	for g, groups := range map[int]int64{2: 3, 3: 2, 5: 1} {
+		res, st := atSize(g)
+		if want := int64(res.Processed) * groups; st.QueueOps != want || st.Processed != int64(res.Processed)*5 {
+			t.Errorf("group size %d: %d queue ops and %d handler runs for %d messages, want %d and %d",
+				g, st.QueueOps, st.Processed, res.Processed, want, res.Processed*5)
+		}
+		if !(res.IMissesPerMsg > paper.IMissesPerMsg) {
+			t.Errorf("group size %d: %v I-misses/msg, want more than the per-layer schedule's %v on an 8 KB cache",
+				g, res.IMissesPerMsg, paper.IMissesPerMsg)
+		}
+	}
+	conv := run(t, core.Conventional, 2000, nil)
+	one := run(t, core.LDLP, 2000, func(c *Config) { c.GroupSize = 5 })
+	if math.Abs(one.IMissesPerMsg-conv.IMissesPerMsg) > 1 {
+		t.Errorf("one group: %v I-misses/msg, conventional %v", one.IMissesPerMsg, conv.IMissesPerMsg)
 	}
 }
 

@@ -285,6 +285,39 @@ func CacheSizeAblation(opts SweepOptions, rate float64, sizes []int) *stats.Tabl
 	return tab
 }
 
+// LayerGroupAblation sweeps the LDLP group size — a queue between
+// groups of g layers instead of between every pair — on three machines:
+// the paper's (8 KB direct-mapped caches, 6 KB layers), the same stack
+// with four times the cache, and one shaped like the host this repo runs
+// on (32 KB 8-way caches, 3 KB layers: a 15 KB receive path). On the
+// first two any group wider than one layer gives LDLP's misses back —
+// two 6 KB layers overflow 8 KB, and five placed at random in a
+// direct-mapped 32 KB still conflict — so the paper's per-layer queues
+// are right for its machine. On the third nothing misses at any g, and
+// a queue buys only its 40 cycles. The last group size should be the
+// stack depth: one group, the conventional schedule (CacheSizeAblation
+// has its numbers).
+func LayerGroupAblation(opts SweepOptions, rate float64, groups []int) *stats.Table {
+	tab := stats.NewTable("Ablation: LDLP layer group size", "layers/group",
+		"8KB-latency", "8KB-I", "32KB-latency", "32KB-I", "native-latency", "native-I")
+	for _, g := range groups {
+		var row []float64
+		for _, m := range []struct{ size, assoc, code int }{{8192, 1, 6144}, {32768, 1, 6144}, {32768, 8, 3072}} {
+			cfg := DefaultConfig(core.LDLP)
+			cfg.GroupSize = g
+			cfg.LayerCode = m.code
+			cfg.Machine.ICache.Size, cfg.Machine.ICache.Assoc = m.size, m.assoc
+			cfg.Machine.DCache.Size, cfg.Machine.DCache.Assoc = m.size, m.assoc
+			res := averageRuns(cfg, opts, func(seed int64) traffic.Source {
+				return traffic.NewPoisson(rate, opts.MessageSize, seed)
+			})
+			row = append(row, res.Latency.Mean(), res.IMissesPerMsg)
+		}
+		tab.Add(float64(g), row...)
+	}
+	return tab
+}
+
 // DisciplineAblation compares conventional, ILP and LDLP at one rate.
 func DisciplineAblation(opts SweepOptions, rate float64) *stats.Table {
 	tab := stats.NewTable("Ablation: discipline", "discipline", "latency", "i-misses", "d-misses", "throughput")
