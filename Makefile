@@ -56,19 +56,16 @@ fleet-smoke:
 	$(GO) test -short -count=1 ./internal/fleet/...
 	$(GO) run ./cmd/ldlpsim -fleet-nodes 64 -fleet-steps 3
 
-# Short fuzzing pass over every FuzzXxx target (graph parser, the
-# engine's layer groups against the ungrouped schedule, DNS codec, mbuf
-# chain ops, flow table + eviction cache differential, httpd's request
-# stream through real TCP and its response parser).
+# Short fuzzing pass, ten seconds on every FuzzXxx target in the tree.
+# The targets are discovered (packages with a `func Fuzz`, then
+# `go test -list`), so a new fuzzer runs here and in CI without an edit.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzParseGraph -fuzztime=10s ./internal/core
-	$(GO) test -run=^$$ -fuzz=FuzzStackGroups -fuzztime=10s ./internal/core
-	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/dns
-	$(GO) test -run=^$$ -fuzz=FuzzEncodeName -fuzztime=10s ./internal/dns
-	$(GO) test -run=^$$ -fuzz=FuzzChainOps -fuzztime=10s ./internal/mbuf
-	$(GO) test -run=^$$ -fuzz=FuzzFlowTable -fuzztime=10s ./internal/flowtable
-	$(GO) test -run=^$$ -fuzz=FuzzHTTPStream -fuzztime=10s ./internal/httpd
-	$(GO) test -run=^$$ -fuzz=FuzzParseResponse -fuzztime=10s ./internal/httpd
+	@for dir in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for target in $$($(GO) test -list '^Fuzz' $$dir | grep '^Fuzz'); do \
+			echo "fuzz $$dir $$target"; \
+			$(GO) test -run='^$$' -fuzz="^$$target$$" -fuzztime=10s $$dir || exit 1; \
+		done; \
+	done
 
 # Repository-benchmark smoke: all five BENCHMARK.json workloads at
 # -quick size (about a second once built). Every correctness check of

@@ -15,8 +15,7 @@
 // ({file, line, col, analyzer, message, chain}); -github additionally
 // emits GitHub Actions ::error annotations so findings land inline on
 // pull-request diffs; -v reports where the time went (go list vs
-// type-check vs analysis) and whether the package metadata came from
-// the on-disk cache.
+// type-check vs analysis).
 //
 // Suppress a finding with a justified directive on the same line or the
 // line above:
@@ -128,7 +127,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ldlpvet: %v\n", err)
 		os.Exit(2)
 	}
-	pkgs, fset, stats, err := lint.LoadWithStats(cwd, patterns)
+	pkgs, fset, stats, err := lint.Load(cwd, patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ldlpvet: %v\n", err)
 		os.Exit(2)
@@ -141,13 +140,8 @@ func main() {
 	}
 	analysisTime := time.Since(analysisStart)
 	if *verbose {
-		src := "go list"
-		if stats.CacheHit {
-			src = "cache"
-		}
-		fmt.Fprintf(os.Stderr, "ldlpvet: load %v (list %v via %s, check %v), analysis %v, %d package(s)\n",
-			(stats.List + stats.Check).Round(time.Millisecond),
-			stats.List.Round(time.Millisecond), src,
+		fmt.Fprintf(os.Stderr, "ldlpvet: list %v, check %v, analysis %v, %d package(s)\n",
+			stats.List.Round(time.Millisecond),
 			stats.Check.Round(time.Millisecond),
 			analysisTime.Round(time.Millisecond), len(pkgs))
 	}

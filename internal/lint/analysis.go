@@ -1,10 +1,11 @@
-// Package lint is the repo's custom static-analysis suite: six
-// analyzers (mbufown, hotpathalloc, atomiccounter, lockorder,
-// shardaffinity, determinism) that mechanically enforce the hot-path
-// invariants the soak suites otherwise catch only at runtime — balanced
-// mbuf ownership, the zero-allocation receive path, atomics-only
-// counter access, the declared lock order, per-connection shard
-// ownership of transport state, and per-seed replay determinism.
+// Package lint is the repo's custom static-analysis suite: seven
+// analyzers (mbufown, hotpathalloc, quiescence, atomiccounter,
+// lockorder, shardaffinity, determinism) that mechanically enforce the
+// hot-path invariants the soak suites otherwise catch only at runtime —
+// balanced mbuf ownership, the zero-allocation receive path, pump-only
+// code unreachable from the shard workers, atomics-only counter access,
+// the declared lock order, per-connection shard ownership of transport
+// state, and per-seed replay determinism.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Reportf, testdata fixtures with `// want` expectations) but is built
@@ -112,18 +113,20 @@ func (p *Pass) reportUndeclared(what string, names ...string) {
 	}
 }
 
-// reportUndeclaredEdges applies reportUndeclared to both ends of every
-// DeclaredEdges entry.
-func (p *Pass) reportUndeclaredEdges(edges map[string][]string) {
-	for caller, callees := range edges {
-		p.reportUndeclared("declared-edge caller", caller)
-		p.reportUndeclared("declared-edge callee", callees...)
+// reportUndeclaredRegistrars applies reportUndeclared to both ends of
+// every Registrars entry.
+func (p *Pass) reportUndeclaredRegistrars(registrars map[string]string) {
+	for registrar, invoker := range registrars {
+		p.reportUndeclared("registrar", registrar)
+		p.reportUndeclared("registrar's invoker", invoker)
 	}
 }
 
 // IsTestFile reports whether the file holding pos is a _test.go file.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+func (p *Pass) IsTestFile(pos token.Pos) bool { return isTestFile(p.Fset, pos) }
+
+func isTestFile(fset *token.FileSet, pos token.Pos) bool {
+	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
 // ignoreRe matches a lint suppression. Group 1 is the analyzer name,
@@ -341,20 +344,15 @@ func CalleeQName(info *types.Info, call *ast.CallExpr) (string, bool) {
 // path boundary ("mbuf.PoolShard.Get" matches
 // "ldlp/internal/mbuf.PoolShard.Get").
 func MatchQName(qname string, patterns []string) bool {
-	return matchedPattern(qname, patterns) != ""
-}
-
-// matchedPattern returns the first pattern matching qname, or "".
-func matchedPattern(qname string, patterns []string) string {
 	for _, pat := range patterns {
 		if qname == pat {
-			return pat
+			return true
 		}
 		if strings.HasSuffix(qname, pat) && qname[len(qname)-len(pat)-1] == '/' {
-			return pat
+			return true
 		}
 	}
-	return ""
+	return false
 }
 
 // usesVar reports whether any identifier under n resolves to v.

@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -23,11 +25,13 @@ import (
 //     table[int, string].lookup are both edges to the one generic
 //     method body. One mechanism, covered by the generic fixture,
 //     replaces the earlier per-name special-casing.
-//   - Calls through plain function values (the engine's cached emit
-//     closures, layer handler fields) are statically unresolvable; the
-//     analyzers that need them declare those edges in config
-//     (DeclaredEdges: caller pattern -> callee patterns), mirroring how
-//     the engine wires handlers once at AddLayer.
+//   - Calls through plain function values (the engine's emit closures,
+//     layer handler fields) are statically unresolvable, but where the
+//     value came from is not: a declared function or method value passed
+//     to a registrar (core.Stack.AddLayer, SetSink) is an edge from the
+//     function that later invokes it (handlerEdges). The config names
+//     the registrar and its invoker; the handlers are read off the call
+//     sites, so one registered tomorrow is in the graph tomorrow.
 //   - Function literals are attributed to their enclosing declared
 //     function: wherever the closure actually runs, the enclosing
 //     function is the only place the graph can anchor it, and for
@@ -60,13 +64,22 @@ type ProgFunc struct {
 	HotPath, ColdPath, Quiescent bool
 }
 
+// funcArg is one declared function or method value passed as an
+// argument to a resolved callee: s.AddLayer("tcp", rx.tcpInput) records
+// {Stack.AddLayer, rxPath.tcpInput}.
+type funcArg struct{ callee, fn string }
+
 // Program is the whole-program view handed to every Pass.
 type Program struct {
 	Fset  *token.FileSet
 	Funcs map[string]*ProgFunc
 
+	// funcArgs lists every function value handed to a call, in source
+	// order; handlerEdges picks out the ones handed to a registrar.
+	funcArgs []funcArg
+
 	// mbuf ownership facts, computed lazily by the mbufown analyzer
-	// (they need its config) and cached here.
+	// (they need its config) and kept here.
 	mbufFacts map[string]*mbufFacts
 }
 
@@ -77,6 +90,9 @@ func buildProgram(fset *token.FileSet, pkgs []*Package, sites ignoreSites) *Prog
 	prog := &Program{Fset: fset, Funcs: map[string]*ProgFunc{}}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
+			// A test's wiring is not the program's: a handler a _test.go
+			// file registers is not a callee of the engine.
+			inTest := isTestFile(fset, f.Pos())
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -97,6 +113,11 @@ func buildProgram(fset *token.FileSet, pkgs []*Package, sites ignoreSites) *Prog
 					}
 					if qname, ok := CalleeQName(pkg.Info, call); ok {
 						pf.Edges = append(pf.Edges, CallEdge{Callee: qname, Pos: call.Pos()})
+						for _, arg := range call.Args {
+							if fn, ok := funcValueQName(pkg.Info, arg); ok && !inTest {
+								prog.funcArgs = append(prog.funcArgs, funcArg{callee: qname, fn: fn})
+							}
+						}
 					}
 					if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 						switch sel.Sel.Name {
@@ -130,34 +151,70 @@ func allocSuppressed(fset *token.FileSet, fnd allocFinding, sites ignoreSites) b
 	return suppressed(Diagnostic{Pos: fset.Position(fnd.pos), Analyzer: "hotpathalloc"}, sites)
 }
 
-// expandDeclared resolves a DeclaredEdges config (caller pattern ->
-// callee patterns) against the functions actually present, returning
-// concrete qname -> qnames. Patterns use MatchQName suffix matching so
-// fixtures and the real module share config shapes.
-func (p *Program) expandDeclared(declared map[string][]string) map[string][]string {
-	if len(declared) == 0 {
-		return nil
+// funcValueQName names the declared function or method an expression
+// denotes when it is used as a value (f, pkg.F, x.method). Function
+// literals are not values in this sense: they stay attributed to the
+// function that encloses them.
+func funcValueQName(info *types.Info, e ast.Expr) (string, bool) {
+	var id *ast.Ident
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return "", false
 	}
-	// Index every known qname by its pattern-matchable suffixes once.
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok {
+		return "", false
+	}
+	return qnameOfFunc(fn), true
+}
+
+// matching returns, sorted, the declared functions whose qualified name
+// matches pattern (MatchQName suffix matching, so fixtures and the real
+// module share config shapes).
+func (p *Program) matching(pattern string) []string {
+	var out []string
+	for q := range p.Funcs {
+		if MatchQName(q, []string{pattern}) {
+			out = append(out, q)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// handlerEdges derives the edges the resolver cannot see. registrars
+// maps a registrar (a function that stores the function value it is
+// given) to the function that later calls what was stored; every
+// function value passed to the registrar anywhere in the program becomes
+// a callee of that invoker. The result is concrete qname -> qnames, in
+// registration order.
+func (p *Program) handlerEdges(registrars map[string]string) map[string][]string {
 	out := map[string][]string{}
-	for caller, calleePats := range declared {
-		for qname := range p.Funcs {
-			if !MatchQName(qname, []string{caller}) {
-				continue
-			}
-			for _, pat := range calleePats {
-				for cq := range p.Funcs {
-					if MatchQName(cq, []string{pat}) {
-						out[qname] = append(out[qname], cq)
-					}
+	for registrar, invoker := range registrars {
+		invokers := p.matching(invoker)
+		for _, fa := range p.funcArgs {
+			if MatchQName(fa.callee, []string{registrar}) {
+				for _, q := range invokers {
+					out[q] = append(out[q], fa.fn)
 				}
 			}
 		}
 	}
-	for _, v := range out {
-		sort.Strings(v)
-	}
 	return out
+}
+
+// callees returns pf's resolved edges followed by its handler edges,
+// which have no call site and are positioned at pf's declaration.
+func (p *Program) callees(pf *ProgFunc, handlers map[string][]string) []CallEdge {
+	edges := slices.Clip(pf.Edges)
+	for _, h := range handlers[pf.QName] {
+		edges = append(edges, CallEdge{Callee: h, Pos: pf.Decl.Name.Pos()})
+	}
+	return edges
 }
 
 // pathStep is one hop of an interprocedural chain.
@@ -167,11 +224,12 @@ type pathStep struct {
 }
 
 // reachFrom walks the graph breadth-first from the given roots
-// (concrete qnames), following resolved edges plus declared ones, and
-// returns for every reached function the edge that first reached it
-// (parent pointers for chain reconstruction). Roots themselves map to a
-// zero step.
-func (p *Program) reachFrom(roots []string, declared map[string][]string) map[string]pathStep {
+// (concrete qnames), following resolved edges plus the derived handler
+// ones, and returns for every reached function the edge that first
+// reached it (parent pointers for chain reconstruction). Roots themselves
+// map to a zero step. A reached function for which stop (if non-nil)
+// reports true is recorded but not entered.
+func (p *Program) reachFrom(roots []string, handlers map[string][]string, stop func(*ProgFunc) bool) map[string]pathStep {
 	reached := map[string]pathStep{}
 	var queue []string
 	for _, r := range roots {
@@ -187,23 +245,18 @@ func (p *Program) reachFrom(roots []string, declared map[string][]string) map[st
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		pf := p.Funcs[cur]
-		if pf == nil {
-			continue
-		}
-		edges := pf.Edges
-		for _, extra := range declared[cur] {
-			edges = append(edges, CallEdge{Callee: extra, Pos: pf.Decl.Pos()})
-		}
-		for _, e := range edges {
+		for _, e := range p.callees(p.Funcs[cur], handlers) {
 			if _, seen := reached[e.Callee]; seen {
 				continue
 			}
-			if _, known := p.Funcs[e.Callee]; !known {
-				continue
+			pf, known := p.Funcs[e.Callee]
+			if !known {
+				continue // outside the module: not traversable
 			}
 			reached[e.Callee] = pathStep{caller: cur, edge: e}
-			queue = append(queue, e.Callee)
+			if stop == nil || !stop(pf) {
+				queue = append(queue, e.Callee)
+			}
 		}
 	}
 	return reached

@@ -1,57 +1,30 @@
 package lint
 
-import "slices"
+// engineRegistrars is how the engine's function-value calls enter the
+// call graph. It invokes layer handlers and the Sink through values
+// stored at setup, so Stack.process's true callees are invisible to the
+// resolver. Each line names a function that stores such a value and the
+// function that later calls it; the handlers themselves are read off the
+// AddLayer/SetSink call sites (Program.handlerEdges), so hotpathalloc's
+// proof covers worker -> Inject -> ... -> process -> handler -> ... and
+// quiescence's reachability every registered handler, the cold ICMP one
+// included, without a dynamic-dispatch analysis or a list to keep.
+var engineRegistrars = map[string]string{
+	"ldlp/internal/core.Stack.AddLayer":       "ldlp/internal/core.Stack.process",
+	"ldlp/internal/core.Stack.SetSink":        "ldlp/internal/core.Stack.deliver",
+	"ldlp/internal/core.ShardedStack.SetSink": "ldlp/internal/core.ShardedStack.flush",
+}
 
 // DefaultAnalyzers returns the seven analyzers configured for this
 // repository's invariants. The qualified names below are load-bearing:
-// hotpathalloc.Required doubles as the regression guard for the
-// BenchmarkHotPathInject zero-alloc path (renaming or untagging one of
-// those functions fails `make lint`), ColdPaths is the closed list of
-// declared escape hatches out of the transitive allocation-freedom
-// proof, the lockorder classes declare the repo-wide acquisition order,
-// and the shardaffinity hand-off list IS the transport path's declared
-// cross-shard surface — extending any of them is a design decision, not
-// a lint chore.
+// hotpathalloc.Required holds the entry points of the zero-allocation
+// paths the netstack's alloc-free tests drive (renaming or untagging one
+// fails `make lint`; what they reach, and the //ldlp:coldpath steps that
+// end the proof, are declared in the source), the lockorder classes
+// declare the repo-wide acquisition order, and the shardaffinity hand-off
+// list IS the transport path's declared cross-shard surface — extending
+// any of them is a design decision, not a lint chore.
 func DefaultAnalyzers() []*Analyzer {
-	// The closed list of declared cold steps reachable from the hot
-	// closure. Each carries //ldlp:coldpath at its declaration; the
-	// transitive walk stops there instead of reporting the allocations
-	// inside. Adding an entry is a perf decision — it concedes the hot
-	// path can take that step.
-	coldPaths := []string{
-		// Table growth: amortized O(1) over insertions, runs once per
-		// doubling.
-		"ldlp/internal/flowtable.Table.grow",
-		// Passive open: SYN handling allocates the PCB; the steady-state
-		// segment path never reaches it.
-		"ldlp/internal/netstack.rxPath.tcpPassiveOpen",
-		// Reassembly: fragmented datagrams are the exception in a
-		// small-message protocol, and the buffers allocate by design
-		// (O(log k) per k-fragment datagram).
-		"ldlp/internal/netstack.transportShard.reassemble",
-		// ICMP delivery: reply buffers. Outside the small-message
-		// contract that BenchmarkHotPathInject* measures.
-		"ldlp/internal/netstack.rxPath.icmpInput",
-	}
-	// The engine invokes layer handlers through function values cached
-	// at Use() time, so Stack.process's true callees are invisible to the
-	// resolver. Every registered handler, written once: quiescence, whose
-	// reachability must overapproximate, takes the whole list;
-	// hotpathalloc takes it minus the declared cold paths, and its proof
-	// then covers worker -> Inject -> ... -> process -> handler -> ...
-	// without a dynamic-dispatch analysis.
-	rxHandlers := []string{
-		"ldlp/internal/netstack.rxPath.deviceInput",
-		"ldlp/internal/netstack.rxPath.etherInput",
-		"ldlp/internal/netstack.rxPath.ipInput",
-		"ldlp/internal/netstack.rxPath.tcpInput",
-		"ldlp/internal/netstack.rxPath.udpInput",
-		"ldlp/internal/netstack.rxPath.icmpInput",
-		"ldlp/internal/netstack.rxPath.sockInput",
-	}
-	hotHandlers := slices.DeleteFunc(slices.Clone(rxHandlers), func(h string) bool {
-		return slices.Contains(coldPaths, h)
-	})
 	return []*Analyzer{
 		NewMbufOwn(MbufOwnConfig{
 			AllocFns: []string{
@@ -67,91 +40,41 @@ func DefaultAnalyzers() []*Analyzer {
 			MbufTypes: []string{"ldlp/internal/mbuf.Mbuf"},
 		}),
 		NewHotPathAlloc(HotPathAllocConfig{
-			// The functions BenchmarkHotPathInject drives, per package:
-			// the conventional and LDLP inject→decode→demux→recycle path.
+			// The hot path's entry points; everything they reach is checked
+			// from them, tagged or not. Host.deliver is the frame's way in:
+			// the conventional and LDLP inject→decode→demux→recycle path
+			// hangs off it.
 			Required: []string{
 				"ldlp/internal/netstack.Host.deliver",
-				"ldlp/internal/netstack.Host.getPacket",
-				"ldlp/internal/netstack.Host.putPacket",
-				"ldlp/internal/netstack.rxPath.drop",
-				"ldlp/internal/netstack.rxPath.reject",
-				"ldlp/internal/netstack.rxPath.deviceInput",
-				"ldlp/internal/netstack.rxPath.etherInput",
-				"ldlp/internal/netstack.rxPath.ipInput",
-				"ldlp/internal/netstack.rxPath.tcpInput",
-				"ldlp/internal/netstack.rxPath.sockInput",
-				"ldlp/internal/netstack.rxPath.freeChain",
-				// The small-datagram path BenchmarkHotPathInjectUDP drives:
-				// checksum, demux, drop-before-copy, copy into a reused
-				// socket slot.
-				"ldlp/internal/netstack.rxPath.udpInput",
-				"ldlp/internal/netstack.UDPSock.slot",
-				// The million-flow PCB lookup path: the flow cache and the
-				// open-addressed table must stay allocation-free per lookup
-				// (growth allocates, but only in the untagged cold grow()).
-				"ldlp/internal/netstack.transportShard.lookupPCB",
 				// The application side of the TCP data path, which
 				// TestTCPDataPathAllocFree drives: Send into the send queue
 				// (which is the retransmission queue) and out as segments,
 				// Recv out of the receive queue.
 				"ldlp/internal/netstack.TCPSock.Send",
 				"ldlp/internal/netstack.TCPSock.Recv",
-				// The dispatch policies' per-frame surface: every frame pays
-				// Key + Shard before it reaches a shard queue, so all three
-				// policies must key and route without allocating (rebalancing
-				// is pump-side and exempt).
-				"ldlp/internal/dispatch.FrameKey",
-				"ldlp/internal/dispatch.hashByte",
+				// The dispatch policies' per-frame surface, called through
+				// the Policy interface: every frame pays Key + Shard before
+				// it reaches a shard queue, so all three policies must key
+				// and route without allocating (rebalancing is pump-side and
+				// exempt).
 				"ldlp/internal/dispatch.Static.Key",
 				"ldlp/internal/dispatch.Static.Shard",
 				"ldlp/internal/dispatch.LoadAware.Key",
 				"ldlp/internal/dispatch.LoadAware.Shard",
 				"ldlp/internal/dispatch.RPCDispatch.Key",
 				"ldlp/internal/dispatch.RPCDispatch.Shard",
-				"ldlp/internal/dispatch.RPCDispatch.rpcXID",
-				"ldlp/internal/flowtable.Table.Lookup",
+				// Growth allocates, but only in the cold grow(); the passive
+				// open that inserts is itself cold, so nothing tagged calls it.
 				"ldlp/internal/flowtable.Table.Insert",
-				"ldlp/internal/flowtable.arr.find",
-				"ldlp/internal/flowtable.arr.insert",
-				"ldlp/internal/flowtable.Cache.Lookup",
-				"ldlp/internal/flowtable.Cache.Insert",
-				"ldlp/internal/mbuf.PoolShard.get",
-				"ldlp/internal/mbuf.PoolShard.FromBytes",
-				"ldlp/internal/mbuf.Mbuf.Free",
-				"ldlp/internal/mbuf.Mbuf.FreeChain",
-				"ldlp/internal/mbuf.Mbuf.release",
-				"ldlp/internal/mbuf.FreeQueue.Free",
-				"ldlp/internal/mbuf.FreeQueue.FreeChain",
-				"ldlp/internal/mbuf.Mbuf.Prepend",
-				"ldlp/internal/core.Stack.Inject",
-				"ldlp/internal/core.Stack.process",
-				"ldlp/internal/core.Stack.deliver",
-				"ldlp/internal/core.Stack.enqueue",
+				// The engine's LDLP half: Run is untagged (it is the pump's
+				// loop), so what it and the emit closure call enter here.
 				"ldlp/internal/core.Stack.runLayer",
-				"ldlp/internal/core.fifo.push",
-				"ldlp/internal/core.fifo.pop",
-				"ldlp/internal/core.bitset.set",
-				"ldlp/internal/core.bitset.clear",
+				"ldlp/internal/core.Stack.deliver",
 				"ldlp/internal/core.bitset.has",
 				"ldlp/internal/core.bitset.highest",
-				"ldlp/internal/checksum.Accumulator.Add",
-				"ldlp/internal/checksum.Accumulator.Sum16",
-				"ldlp/internal/checksum.Simple",
-				// The flight recorder's record path: the telemetry promise
-				// is that these stay allocation- and lock-free forever.
-				"ldlp/internal/telemetry.Ring.Record",
-				"ldlp/internal/telemetry.Ring.RecordSpan",
-				"ldlp/internal/telemetry.Tracer.Event",
 				"ldlp/internal/telemetry.Tracer.Now",
-				"ldlp/internal/telemetry.Tracer.Pass",
-				"ldlp/internal/telemetry.Hist.Observe",
-				"ldlp/internal/telemetry.Counter.Inc",
-				"ldlp/internal/telemetry.Counter.Add",
 			},
-			ColdPaths: coldPaths,
-			DeclaredEdges: map[string][]string{
-				"ldlp/internal/core.Stack.process": hotHandlers,
-			},
+			Registrars: engineRegistrars,
 		}),
 		NewQuiescence(QuiescenceConfig{
 			// The one goroutine body that runs while packets are in
@@ -160,22 +83,13 @@ func DefaultAnalyzers() []*Analyzer {
 			Roots: []string{
 				"ldlp/internal/core.ShardedStack.worker",
 			},
-			// Every registered handler, the cold ICMP one included, plus
-			// the Sink the worker's flush calls.
-			DeclaredEdges: map[string][]string{
-				"ldlp/internal/core.Stack.process": rxHandlers,
-				"ldlp/internal/core.ShardedStack.flush": {
-					"ldlp/internal/netstack.Host.putPacket",
-				},
-			},
-			// The pump's at-quiescence walks stay declared even if the
-			// directive is deleted.
+			Registrars: engineRegistrars,
+			// The at-quiescence walks that touch no shard-owned state, so
+			// only this list notices the directive going: the rest
+			// (applyMigration, tcpTick, fragTick, flushTx) turn into
+			// shardaffinity findings the moment they lose it.
 			Required: []string{
 				"ldlp/internal/netstack.Host.dispatchTick",
-				"ldlp/internal/netstack.Host.applyMigration",
-				"ldlp/internal/netstack.Host.tcpTick",
-				"ldlp/internal/netstack.Host.fragTick",
-				"ldlp/internal/netstack.Host.flushTx",
 				"ldlp/internal/dispatch.LoadAware.Rebalance",
 				"ldlp/internal/mbuf.FreeQueue.Flush",
 			},

@@ -5,29 +5,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
 // HotPathAllocConfig parameterizes the hotpathalloc analyzer.
 type HotPathAllocConfig struct {
-	// Required lists fully-qualified functions that MUST carry the
-	// //ldlp:hotpath tag. This is the regression guard for the
-	// BenchmarkHotPathInject zero-alloc path: deleting or untagging one
-	// of these functions fails `make lint`, so the allocation rules can
-	// never silently stop applying to the benchmarked path.
+	// Required lists the entry points of the hot path: the tagged
+	// functions no other tagged function reaches, so this list is the
+	// only thing that notices one losing its //ldlp:hotpath tag (an
+	// interior function that loses its tag is still walked, untagged,
+	// from the tagged function that reaches it). Untagging or deleting
+	// an entry is a finding; so is an entry some other tagged function
+	// reaches, which the closure check already covers.
 	Required []string
-	// ColdPaths lists the declared //ldlp:coldpath escape hatches
-	// (MatchQName patterns). The transitive walk stops at a tagged
-	// coldpath function without reporting only if it matches this list:
-	// an undeclared tag reached from a hot root is reported with the
-	// full call chain, and a listed pattern whose function lost its tag
-	// (or was deleted) trips a regression guard, mirroring Required.
-	ColdPaths []string
-	// DeclaredEdges adds caller -> callee edges (MatchQName patterns on
-	// both sides) for calls the graph cannot resolve statically — the
-	// engine's cached emit closures and layer handler fields, wired once
-	// at AddLayer and invoked as plain function values ever after.
-	DeclaredEdges map[string][]string
+	// Registrars maps a function that stores the function value it is
+	// given (core.Stack.AddLayer) to the function that later calls it
+	// (core.Stack.process). See Program.handlerEdges.
+	Registrars map[string]string
 }
 
 // NewHotPathAlloc builds the hotpathalloc analyzer. Functions whose doc
@@ -39,152 +34,117 @@ type HotPathAllocConfig struct {
 // has already left the hot path.
 //
 // The check is transitive: a tagged function's entire static call
-// closure (resolved edges plus DeclaredEdges) must be allocation-free.
-// Reaching a function that allocates is reported at the hot root's call
-// site with the full chain; reaching a //ldlp:coldpath function stops
-// the walk, silently if the coldpath is declared in ColdPaths and with
-// a chain report if not. Callees outside the module (stdlib, export
-// data only) are not traversed — the module's own tagged surface calls
-// the standard library only through the vetted leaf helpers.
+// closure (resolved edges plus the handlers its Registrars were given)
+// must be allocation-free. Reaching a function that allocates is
+// reported at the hot root's call site with the full chain; reaching a
+// //ldlp:coldpath function stops the walk — the directive is the whole
+// declaration, and adding one shows up in the diff of the function it
+// excuses. Callees outside the module (stdlib, export data only) are not
+// traversed — the module's own tagged surface calls the standard library
+// only through the vetted leaf helpers.
 func NewHotPathAlloc(cfg HotPathAllocConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "hotpathalloc",
 		Doc:  "//ldlp:hotpath functions and their entire call closure must not allocate (composites, boxing, closures, fmt, unbounded append)",
 	}
-	var declared map[string][]string // memoized per Program
-	var declaredFor *Program
+	// Per Program: every tagged function's closure, and for each function
+	// in one, a tagged function (other than itself) whose closure it is in.
+	var closures map[string]map[string]pathStep
+	var coveredBy map[string]string
+	var closuresFor *Program
 	a.Run = func(pass *Pass) error {
-		if pass.Prog != declaredFor {
-			declared = pass.Prog.expandDeclared(cfg.DeclaredEdges)
-			declaredFor = pass.Prog
+		if pass.Prog != closuresFor {
+			closures, coveredBy = hotClosures(pass.Prog, pass.Prog.handlerEdges(cfg.Registrars))
+			closuresFor = pass.Prog
 		}
-		foundCold := map[string]bool{}
-		declaredAny := false
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {
 					continue
 				}
-				declaredAny = true
 				qname := FuncQName(pass.PkgPath, fd)
 				tagged := HasDirective(fd.Doc, "//ldlp:hotpath")
-				if !tagged && MatchQName(qname, cfg.Required) {
-					pass.Reportf(fd.Name.Pos(), "%s is on the benchmarked hot path and must carry //ldlp:hotpath", qname)
+				if MatchQName(qname, cfg.Required) {
+					if !tagged {
+						pass.Reportf(fd.Name.Pos(), "%s is a declared hot-path entry point and must carry //ldlp:hotpath", qname)
+					}
+					if by := coveredBy[qname]; by != "" {
+						pass.Reportf(fd.Name.Pos(), "%s is redundant in the lint config's Required list: covered by %s, whose closure check reaches it", qname, shortQName(by))
+					}
 				}
-				if HasDirective(fd.Doc, "//ldlp:coldpath") {
-					if pat := matchedPattern(qname, cfg.ColdPaths); pat != "" {
-						foundCold[pat] = true
-					}
-					if tagged {
-						pass.Reportf(fd.Name.Pos(), "%s carries both //ldlp:hotpath and //ldlp:coldpath; pick one", qname)
-					}
+				if tagged && HasDirective(fd.Doc, "//ldlp:coldpath") {
+					pass.Reportf(fd.Name.Pos(), "%s carries both //ldlp:hotpath and //ldlp:coldpath; pick one", qname)
 				}
 				if tagged && fd.Body != nil {
 					checkHotBody(pass, fd)
-					checkHotClosure(pass, cfg, declared, fd)
+					checkHotClosure(pass, closures[qname])
 				}
 			}
 		}
 		pass.reportUndeclared("hot-path function", cfg.Required...)
-		pass.reportUndeclaredEdges(cfg.DeclaredEdges)
-		if declaredAny {
-			for _, cold := range cfg.ColdPaths {
-				if !foundCold[cold] && qnamePkg(cold) == pass.PkgPath {
-					pass.Reportf(pass.Files[0].Name.Pos(),
-						"coldpath %s is declared in the lint config but no function carries the //ldlp:coldpath tag under that name (regression guard)", cold)
-				}
-			}
-		}
+		pass.reportUndeclaredRegistrars(cfg.Registrars)
 		return nil
 	}
 	return a
 }
 
-// checkHotClosure walks the static call closure of one tagged hot
-// function and reports, at the first-hop call site inside the root's
-// body, every reachable function that allocates and every reachable
-// undeclared //ldlp:coldpath tag. Callees that are themselves tagged
-// //ldlp:hotpath are skipped — their own closure check covers them —
-// and declared coldpaths stop the walk, which is exactly what makes
-// them escape hatches.
-func checkHotClosure(pass *Pass, cfg HotPathAllocConfig, declared map[string][]string, fd *ast.FuncDecl) {
-	prog := pass.Prog
-	root := FuncQName(pass.PkgPath, fd)
-	rootFn := prog.Funcs[root]
-	if rootFn == nil {
-		return
-	}
-	type item struct {
-		qname string
-		first CallEdge // call site in the root body that began this path
-	}
-	parents := map[string]pathStep{root: {}}
-	var queue []item
-	enqueue := func(from string, e CallEdge, first CallEdge) {
-		if _, seen := parents[e.Callee]; seen {
-			return
-		}
-		pf := prog.Funcs[e.Callee]
-		if pf == nil {
-			return // outside the module: not traversable, not reportable
-		}
-		parents[e.Callee] = pathStep{caller: from, edge: e}
+// hotClosures walks the static call closure of every //ldlp:hotpath
+// function. A walk records but does not enter a callee that is itself
+// tagged //ldlp:hotpath — its own closure check covers it — or
+// //ldlp:coldpath, which is exactly what makes that tag an escape hatch.
+// coveredBy maps each function a walk recorded to the first tagged root
+// (in name order) that reached it.
+func hotClosures(prog *Program, handlers map[string][]string) (closures map[string]map[string]pathStep, coveredBy map[string]string) {
+	closures = map[string]map[string]pathStep{}
+	coveredBy = map[string]string{}
+	tagged := func(pf *ProgFunc) bool { return pf.HotPath || pf.ColdPath }
+	var roots []string
+	for q, pf := range prog.Funcs {
 		if pf.HotPath {
-			return // its own closure check covers it
+			roots = append(roots, q)
 		}
-		queue = append(queue, item{qname: e.Callee, first: first})
 	}
-	for _, e := range rootFn.Edges {
-		enqueue(root, e, e)
-	}
-	for _, extra := range declared[root] {
-		e := CallEdge{Callee: extra, Pos: fd.Name.Pos()}
-		enqueue(root, e, e)
-	}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		pf := prog.Funcs[it.qname]
-		chain := chainTo(parents, it.qname)
-		if pf.ColdPath {
-			if !MatchQName(it.qname, cfg.ColdPaths) {
-				pass.ReportChain(it.first.Pos, chain,
-					"hot path reaches //ldlp:coldpath function %s that is not declared in the lint config (chain: %s); add it to ColdPaths or keep it off the hot path",
-					shortQName(it.qname), formatChain(chain))
+	sort.Strings(roots)
+	for _, root := range roots {
+		closures[root] = prog.reachFrom([]string{root}, handlers, tagged)
+		for q := range closures[root] {
+			if _, ok := coveredBy[q]; !ok && q != root {
+				coveredBy[q] = root
 			}
-			continue // a coldpath tag stops the walk either way
 		}
-		if len(pf.Allocs) > 0 {
-			fnd := pf.Allocs[0]
-			more := ""
-			if n := len(pf.Allocs) - 1; n > 0 {
-				more = fmt.Sprintf(" (+%d more)", n)
-			}
-			pass.ReportChain(it.first.Pos, chain,
-				"hot path reaches an allocation in %s (chain: %s): %s at %s%s; tag the cold step //ldlp:coldpath and declare it in the lint config if this path is intentionally cold",
-				shortQName(it.qname), formatChain(chain), fnd.msg, prog.Fset.Position(fnd.pos), more)
+	}
+	return closures, coveredBy
+}
+
+// checkHotClosure reports every untagged function in one tagged root's
+// closure that allocates, at the call site inside the root's body that
+// began the path to it.
+func checkHotClosure(pass *Pass, closure map[string]pathStep) {
+	prog := pass.Prog
+	for q := range closure {
+		pf := prog.Funcs[q]
+		if pf.HotPath || pf.ColdPath || len(pf.Allocs) == 0 {
+			continue
 		}
-		for _, e := range pf.Edges {
-			enqueue(it.qname, e, it.first)
+		chain := chainTo(closure, q)
+		fnd := pf.Allocs[0]
+		more := ""
+		if n := len(pf.Allocs) - 1; n > 0 {
+			more = fmt.Sprintf(" (+%d more)", n)
 		}
-		for _, extra := range declared[it.qname] {
-			enqueue(it.qname, CallEdge{Callee: extra, Pos: pf.Decl.Pos()}, it.first)
-		}
+		pass.ReportChain(closure[chain[1]].edge.Pos, chain,
+			"hot path reaches an allocation in %s (chain: %s): %s at %s%s; tag the cold step //ldlp:coldpath if this path is intentionally cold",
+			shortQName(q), formatChain(chain), fnd.msg, prog.Fset.Position(fnd.pos), more)
 	}
 }
 
 // qnamePkg extracts the package path from a qualified function name
 // ("ldlp/internal/mbuf.PoolShard.get" → "ldlp/internal/mbuf").
 func qnamePkg(qname string) string {
-	base := qname
-	prefix := ""
-	if slash := strings.LastIndex(qname, "/"); slash >= 0 {
-		prefix = qname[:slash+1]
-		base = qname[slash+1:]
-	}
-	if dot := strings.Index(base, "."); dot >= 0 {
-		return prefix + base[:dot]
+	base := strings.LastIndex(qname, "/") + 1
+	if dot := strings.Index(qname[base:], "."); dot >= 0 {
+		return qname[:base+dot]
 	}
 	return qname
 }

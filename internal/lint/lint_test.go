@@ -2,8 +2,11 @@ package lint
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -90,11 +93,10 @@ func TestMbufOwn(t *testing.T) {
 
 func TestHotPathAlloc(t *testing.T) {
 	runFixture(t, "hotpathalloc", []*Analyzer{NewHotPathAlloc(HotPathAllocConfig{
-		Required:  []string{"hotpathalloc.mustStayTagged", "hotpathalloc.ghostFunction"},
-		ColdPaths: []string{"hotpathalloc.declaredCold", "hotpathalloc.ghostCold"},
-		DeclaredEdges: map[string][]string{
-			"hotpathalloc.engine":      {"hotpathalloc.handlerAlloc"},
-			"hotpathalloc.ghostEngine": {"hotpathalloc.handlerAlloc"},
+		Required: []string{"hotpathalloc.mustStayTagged", "hotpathalloc.hotInterior", "hotpathalloc.ghostFunction"},
+		Registrars: map[string]string{
+			"hotpathalloc.register":      "hotpathalloc.engine",
+			"hotpathalloc.ghostRegister": "hotpathalloc.engine",
 		},
 	})})
 }
@@ -102,9 +104,9 @@ func TestHotPathAlloc(t *testing.T) {
 func TestQuiescence(t *testing.T) {
 	runFixture(t, "quiescence", []*Analyzer{NewQuiescence(QuiescenceConfig{
 		Roots: []string{"quiescence.worker", "quiescence.ghostWorker"},
-		DeclaredEdges: map[string][]string{
-			"quiescence.engine":      {"quiescence.handler", "quiescence.ghostHandler"},
-			"quiescence.ghostEngine": {"quiescence.handler"},
+		Registrars: map[string]string{
+			"quiescence.register":      "quiescence.engine",
+			"quiescence.ghostRegister": "quiescence.ghostEngine",
 		},
 		Required: []string{"quiescence.tickRequired", "quiescence.ghostTick"},
 	})})
@@ -236,11 +238,14 @@ func TestDefaultAnalyzers(t *testing.T) {
 // TestRepoIsLintClean runs the full default suite over the module,
 // exactly like `make lint`: the tree must stay free of unexplained
 // findings, so CI catches regressions even when only `go test` runs.
+// It then holds the handler edges derived from the tree's
+// AddLayer/SetSink call sites to the registered handlers — the set the
+// lint config listed by hand before it was derived.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loading the whole module is not short")
 	}
-	pkgs, fset, err := Load(filepath.Join("..", ".."), []string{"./..."})
+	pkgs, fset, _, err := Load(filepath.Join("..", ".."), []string{"./..."})
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
@@ -250,5 +255,54 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("unexplained finding: %s", d)
+	}
+
+	var got []string
+	for invoker, handlers := range buildProgram(fset, pkgs, ignoreSites{}).handlerEdges(engineRegistrars) {
+		for _, h := range handlers {
+			got = append(got, shortQName(invoker)+" -> "+shortQName(h))
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		"core.ShardedStack.flush -> netstack.Host.putPacket",
+		"core.Stack.deliver -> netstack.Host.putPacket",
+		"core.Stack.process -> netstack.rxPath.deviceInput",
+		"core.Stack.process -> netstack.rxPath.etherInput",
+		"core.Stack.process -> netstack.rxPath.icmpInput",
+		"core.Stack.process -> netstack.rxPath.ipInput",
+		"core.Stack.process -> netstack.rxPath.sockInput",
+		"core.Stack.process -> netstack.rxPath.tcpInput",
+		"core.Stack.process -> netstack.rxPath.udpInput",
+	}
+	t.Logf("derived handler edges:\n  %s", strings.Join(got, "\n  "))
+	if !slices.Equal(got, want) {
+		t.Errorf("derived handler edges differ from the registered handlers:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestLoadLeavesNoUserCache holds Load and LoadFixture to writing
+// nothing outside the Go build cache: with os.UserCacheDir pointed at an
+// empty directory (and the build cache pinned where it was), a load must
+// leave it empty.
+func TestLoadLeavesNoUserCache(t *testing.T) {
+	gocache, err := exec.Command("go", "env", "GOCACHE").Output()
+	if err != nil {
+		t.Fatalf("go env GOCACHE: %v", err)
+	}
+	t.Setenv("GOCACHE", strings.TrimSpace(string(gocache)))
+	userCache := t.TempDir()
+	t.Setenv("XDG_CACHE_HOME", userCache)
+	if dir, err := os.UserCacheDir(); err != nil || dir != userCache {
+		t.Skipf("cannot redirect os.UserCacheDir here (%q, %v)", dir, err)
+	}
+	if _, _, _, err := Load(filepath.Join("..", ".."), []string{"./internal/checksum"}); err != nil {
+		t.Fatalf("loading a package: %v", err)
+	}
+	if _, _, err := LoadFixture(filepath.Join("testdata", "determinism")); err != nil {
+		t.Fatalf("loading a fixture: %v", err)
+	}
+	if left, err := os.ReadDir(userCache); err != nil || len(left) > 0 {
+		t.Errorf("a load wrote under os.UserCacheDir(): %v %v", left, err)
 	}
 }

@@ -2,8 +2,6 @@ package lint
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,11 +11,9 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -49,19 +45,13 @@ type listEntry struct {
 	Imports      []string
 }
 
-// LoadStats reports where load time went and whether the go list layer
-// was served from the on-disk cache, for ldlpvet -v.
+// LoadStats reports where load time went, for ldlpvet -v.
 type LoadStats struct {
-	// List is the time spent obtaining the `go list -export` metadata
-	// (running the go tool on a miss, reading and validating the cache
-	// file on a hit).
+	// List is the time spent in `go list -export`.
 	List time.Duration
 	// Check is the time spent parsing and type-checking the target
 	// packages from source.
 	Check time.Duration
-	// CacheHit reports whether every go list invocation was served from
-	// the cache.
-	CacheHit bool
 }
 
 // Load type-checks the packages matched by patterns (run from dir,
@@ -73,27 +63,19 @@ type LoadStats struct {
 // Dependencies — stdlib and module packages alike — are resolved from
 // compiler export data emitted by `go list -deps -test -export`, so the
 // loader needs nothing beyond the standard library and the go tool.
-func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
-	pkgs, fset, _, err := LoadWithStats(dir, patterns)
-	return pkgs, fset, err
-}
-
-// LoadWithStats is Load with a timing/caching breakdown attached.
-func LoadWithStats(dir string, patterns []string) ([]*Package, *token.FileSet, *LoadStats, error) {
-	stats := &LoadStats{}
+func Load(dir string, patterns []string) ([]*Package, *token.FileSet, LoadStats, error) {
+	var stats LoadStats
 	start := time.Now()
-	entries, hitDeps, err := cachedGoList(dir, append([]string{"-deps", "-test"}, patterns...))
+	entries, err := goList(dir, append([]string{"-deps", "-test"}, patterns...))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, stats, err
 	}
-	targets, hitTargets, err := cachedGoList(dir, patterns)
+	targets, err := goList(dir, patterns)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, stats, err
 	}
 	stats.List = time.Since(start)
-	stats.CacheHit = hitDeps && hitTargets
 	checkStart := time.Now()
-	defer func() { stats.Check = time.Since(checkStart) }()
 
 	// exports: ordinary build of each dependency. testExports: the
 	// package-under-test rebuilt with its in-package test files, which is
@@ -157,7 +139,7 @@ func LoadWithStats(dir string, patterns []string) ([]*Package, *token.FileSet, *
 		files := append(append([]string{}, e.GoFiles...), e.TestGoFiles...)
 		pkg, err := check(fset, path, e.Dir, files, baseImp)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, stats, err
 		}
 		pkgs = append(pkgs, pkg)
 	}
@@ -171,10 +153,11 @@ func LoadWithStats(dir string, patterns []string) ([]*Package, *token.FileSet, *
 		imp := newExportImporter(fset, exports, map[string]string{path: testExports[path]})
 		pkg, err := check(fset, path+"_test", e.Dir, e.XTestGoFiles, imp)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, stats, err
 		}
 		pkgs = append(pkgs, pkg)
 	}
+	stats.Check = time.Since(checkStart)
 	return pkgs, fset, stats, nil
 }
 
@@ -212,7 +195,7 @@ func LoadFixture(dir string) (*Package, *token.FileSet, error) {
 // fixtureStd returns export-data paths for the stdlib packages fixtures
 // are allowed to import.
 func fixtureStd(dir string) (map[string]string, error) {
-	entries, _, err := cachedGoList(dir, []string{"-deps",
+	entries, err := goList(dir, []string{"-deps",
 		"errors", "fmt", "math/rand", "sort", "strings", "sync", "sync/atomic", "time"})
 	if err != nil {
 		return nil, err
@@ -251,151 +234,6 @@ func goList(dir string, args []string) ([]*listEntry, error) {
 		entries = append(entries, &e)
 	}
 	return entries, nil
-}
-
-// cachedGoList is goList behind an on-disk cache. The cache key covers
-// everything the listing can depend on — toolchain version, go.mod and
-// go.sum, every .go source file in the module, and the argument list —
-// so a hit is exact, not heuristic. The second result reports whether
-// the entries came from the cache.
-func cachedGoList(dir string, args []string) ([]*listEntry, bool, error) {
-	key, err := listCacheKey(dir, args)
-	if err != nil {
-		// Unhashable tree (racing deletes, permissions): just run the tool.
-		entries, err := goList(dir, args)
-		return entries, false, err
-	}
-	path := filepath.Join(listCacheDir(), key+".json")
-	if entries, ok := readListCache(path); ok {
-		return entries, true, nil
-	}
-	entries, err := goList(dir, args)
-	if err != nil {
-		return nil, false, err
-	}
-	writeListCache(path, entries)
-	return entries, false, nil
-}
-
-func listCacheDir() string {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		base = os.TempDir()
-	}
-	return filepath.Join(base, "ldlpvet")
-}
-
-// findModuleRoot walks up from dir to the enclosing go.mod, falling
-// back to dir itself outside any module.
-func findModuleRoot(dir string) string {
-	d, err := filepath.Abs(dir)
-	if err != nil {
-		return dir
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return dir
-		}
-		d = parent
-	}
-}
-
-// listCacheKey hashes the inputs `go list -export` output depends on.
-// Source files are hashed by content, so touching a file without
-// changing it does not invalidate; WalkDir's lexical order keeps the
-// key deterministic.
-func listCacheKey(dir string, args []string) (string, error) {
-	h := sha256.New()
-	root := findModuleRoot(dir)
-	relDir, err := filepath.Rel(root, dir)
-	if err != nil {
-		relDir = dir
-	}
-	fmt.Fprintf(h, "go=%s\ndir=%s\nargs=%s\n",
-		runtime.Version(), filepath.ToSlash(relDir), strings.Join(args, "\x00"))
-	for _, name := range []string{"go.mod", "go.sum"} {
-		if b, err := os.ReadFile(filepath.Join(root, name)); err == nil {
-			fmt.Fprintf(h, "%s=%x\n", name, sha256.Sum256(b))
-		}
-	}
-	walkErr := filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if de.IsDir() {
-			if de.Name() == ".git" {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(de.Name(), ".go") {
-			return nil
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			rel = path
-		}
-		fmt.Fprintf(h, "%s=%x\n", filepath.ToSlash(rel), sha256.Sum256(b))
-		return nil
-	})
-	if walkErr != nil {
-		return "", walkErr
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// readListCache loads a cached entry list, rejecting it if any export
-// file it references has vanished — the go build cache may have evicted
-// the artifact since the listing was taken, and a dangling Export path
-// would fail later inside the importer with a much worse error.
-func readListCache(path string) ([]*listEntry, bool) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	var entries []*listEntry
-	if err := json.Unmarshal(b, &entries); err != nil {
-		return nil, false
-	}
-	for _, e := range entries {
-		if e.Export != "" {
-			if _, err := os.Stat(e.Export); err != nil {
-				return nil, false
-			}
-		}
-	}
-	return entries, true
-}
-
-// writeListCache persists entries best-effort: a cache that cannot be
-// written only costs the next run a go list invocation.
-func writeListCache(path string, entries []*listEntry) {
-	b, err := json.Marshal(entries)
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	tmp.Close()
-	os.Rename(tmp.Name(), path)
 }
 
 // exportImporter resolves imports from compiler export data, with an

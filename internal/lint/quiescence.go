@@ -10,15 +10,16 @@ type QuiescenceConfig struct {
 	// (the shard worker loop). Everything they can reach statically
 	// runs, potentially, while packets are in flight.
 	Roots []string
-	// DeclaredEdges adds caller -> callee edges for the calls the graph
-	// cannot resolve: the engine invokes layer handlers and the caller's
-	// Sink through function values wired once at setup, so the worker's
-	// true closure includes every registered handler. Reachability must
-	// overapproximate — list them all.
-	DeclaredEdges map[string][]string
+	// Registrars maps a function that stores the function value it is
+	// given to the function that later calls it (Program.handlerEdges):
+	// the engine invokes layer handlers and the caller's Sink through
+	// values wired once at setup, so the worker's true closure includes
+	// every registered handler.
+	Registrars map[string]string
 	// Required lists functions that MUST carry the //ldlp:quiescent tag
-	// (regression guard): the pump's at-quiescence walks stay declared
-	// even if someone deletes the directive.
+	// and that no other analyzer would miss it on: one that touches
+	// shard-owned state is a shardaffinity finding the moment the tag
+	// goes, so only the at-quiescence walks of other state are listed.
 	Required []string
 }
 
@@ -28,9 +29,9 @@ type QuiescenceConfig struct {
 // rebalancing, migration re-homing, timer ticks, the stats walks. The
 // analyzer turns that comment into a checked invariant: a tagged
 // function must be statically unreachable from the rx-worker roots
-// (resolved call edges plus DeclaredEdges). A violation is reported at
-// the tagged function's declaration with the full chain from the root
-// that reaches it.
+// (resolved call edges plus the handlers its Registrars were given). A
+// violation is reported at the tagged function's declaration with the
+// full chain from the root that reaches it.
 //
 // This is the static half of the proof; the dynamic half is the drain
 // barrier itself. Together they are what lets shardaffinity exempt
@@ -44,14 +45,11 @@ func NewQuiescence(cfg QuiescenceConfig) *Analyzer {
 	var reachedFor *Program
 	a.Run = func(pass *Pass) error {
 		if pass.Prog != reachedFor {
-			declared := pass.Prog.expandDeclared(cfg.DeclaredEdges)
 			var roots []string
-			for q := range pass.Prog.Funcs {
-				if MatchQName(q, cfg.Roots) {
-					roots = append(roots, q)
-				}
+			for _, root := range cfg.Roots {
+				roots = append(roots, pass.Prog.matching(root)...)
 			}
-			reached = pass.Prog.reachFrom(roots, declared)
+			reached = pass.Prog.reachFrom(roots, pass.Prog.handlerEdges(cfg.Registrars), nil)
 			reachedFor = pass.Prog
 		}
 		for _, f := range pass.Files {
@@ -78,7 +76,7 @@ func NewQuiescence(cfg QuiescenceConfig) *Analyzer {
 		}
 		pass.reportUndeclared("quiescent function", cfg.Required...)
 		pass.reportUndeclared("rx-worker root", cfg.Roots...)
-		pass.reportUndeclaredEdges(cfg.DeclaredEdges)
+		pass.reportUndeclaredRegistrars(cfg.Registrars)
 		return nil
 	}
 	return a

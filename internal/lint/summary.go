@@ -109,7 +109,7 @@ func isMbufPtr(t types.Type, mbufTypes []string) bool {
 	return q != "" && MatchQName(q, mbufTypes)
 }
 
-// mbufSummaries computes (and caches on the Program) the ownership
+// mbufSummaries computes (and memoizes on the Program) the ownership
 // facts for every declared function.
 func (p *Program) mbufSummaries(cfg MbufOwnConfig) map[string]*mbufFacts {
 	if p.mbufFacts != nil {

@@ -1,11 +1,11 @@
 // Fixture for the hotpathalloc analyzer. The test configures
-// Required = ["hotpathalloc.mustStayTagged", "hotpathalloc.ghostFunction"],
-// ColdPaths = ["hotpathalloc.declaredCold", "hotpathalloc.ghostCold"], and
-// DeclaredEdges = {"hotpathalloc.engine": ["hotpathalloc.handlerAlloc"],
-// "hotpathalloc.ghostEngine": ["hotpathalloc.handlerAlloc"]};
-// ghostFunction, ghostCold and ghostEngine are deliberately absent, so
-// the regression guards fire on the package clause below.
-package hotpathalloc // want `ghostFunction is required by the lint config but no longer declared` `coldpath hotpathalloc.ghostCold is declared in the lint config but no function carries` `declared-edge caller hotpathalloc.ghostEngine is required by the lint config but no longer declared`
+// Required = ["hotpathalloc.mustStayTagged", "hotpathalloc.hotInterior",
+// "hotpathalloc.ghostFunction"] and
+// Registrars = {"hotpathalloc.register": "hotpathalloc.engine",
+// "hotpathalloc.ghostRegister": "hotpathalloc.engine"} — no handler and
+// no cold path is named; ghostFunction and ghostRegister are deliberately
+// absent, so the regression guards fire on the package clause below.
+package hotpathalloc // want `ghostFunction is required by the lint config but no longer declared` `registrar hotpathalloc.ghostRegister is required by the lint config but no longer declared`
 
 import "fmt"
 
@@ -98,8 +98,8 @@ func hotTransitive(n int) *item {
 	return midClean(n) // want `reaches an allocation in hotpathalloc.leafAlloc \(chain: hotpathalloc.hotTransitive -> hotpathalloc.midClean -> hotpathalloc.leafAlloc\)`
 }
 
-// declaredCold is tagged AND declared in the test config: the walk
-// stops silently, making it a sanctioned escape hatch.
+// declaredCold is tagged, and the tag is the whole declaration: the
+// walk stops silently, making it a sanctioned escape hatch.
 //
 //ldlp:coldpath
 func declaredCold(n int) *item { return &item{v: n} }
@@ -109,37 +109,65 @@ func hotWithDeclaredCold(n int) *item {
 	return declaredCold(n)
 }
 
-// undeclaredCold carries the tag but is NOT in ColdPaths: reaching it
-// from a hot root is reported, with the chain.
-//
-//ldlp:coldpath
-func undeclaredCold(n int) *item { return &item{v: n} }
-
-//ldlp:hotpath
-func hotWithUndeclaredCold(n int) *item {
-	return undeclaredCold(n) // want `reaches //ldlp:coldpath function hotpathalloc.undeclaredCold that is not declared in the lint config`
-}
-
 // A function cannot be both hot and cold.
 //
 //ldlp:hotpath
 //ldlp:coldpath
 func confusedTags() {} // want `carries both //ldlp:hotpath and //ldlp:coldpath; pick one`
 
-// engine invokes its handler through a function value wired at setup —
-// statically unresolvable, so the test config declares the edge
-// engine -> handlerAlloc. The finding lands on the declaration because
-// there is no visible call site.
+// engine invokes its handlers through function values wired at setup —
+// statically unresolvable, so the test config declares register as the
+// registrar engine calls back for, and the edges engine -> handler are
+// read off wire's register calls: a function value and a method value
+// that allocate are findings, a clean handler and a //ldlp:coldpath one
+// (the ICMP layer's shape) are not. The findings land on the declaration
+// because there is no visible call site.
 //
 //ldlp:hotpath
-func engine(h func(int)) { // want `reaches an allocation in hotpathalloc.handlerAlloc \(chain: hotpathalloc.engine -> hotpathalloc.handlerAlloc\)`
-	h(1)
+func engine() { // want `reaches an allocation in hotpathalloc.handlerAlloc \(chain: hotpathalloc.engine -> hotpathalloc.handlerAlloc\)` `reaches an allocation in hotpathalloc.layer.input \(chain: hotpathalloc.engine -> hotpathalloc.layer.input\)`
+	for _, h := range handlers {
+		h(1)
+	}
+}
+
+var handlers []func(int)
+
+func register(h func(int)) { handlers = append(handlers, h) }
+
+func wire(l *layer) {
+	register(handlerAlloc)
+	register(l.input)
+	register(handlerClean)
+	register(handlerCold)
 }
 
 func handlerAlloc(n int) {
 	s := make([]int, n)
 	_ = s
 }
+
+type layer struct{ seen []int }
+
+func (l *layer) input(n int) { l.seen = append(l.seen, n) }
+
+func handlerClean(n int) {}
+
+//ldlp:coldpath
+func handlerCold(n int) { _ = make([]int, n) }
+
+// --- Required holds entry points only ---
+
+// hotInterior is in Required, but hotEntry's closure walk reaches it
+// (through an untagged step), so an untagged hotInterior would still be
+// checked: the entry is redundant, and says so.
+//
+//ldlp:hotpath
+func hotEntry() { viaUntagged() }
+
+func viaUntagged() { hotInterior() }
+
+//ldlp:hotpath
+func hotInterior() {} // want `redundant in the lint config's Required list: covered by hotpathalloc.hotEntry`
 
 // --- Generic receiver resolution ---
 

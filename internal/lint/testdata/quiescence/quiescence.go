@@ -1,12 +1,11 @@
 // Fixture for the quiescence analyzer. The test configures
 // Roots = ["quiescence.worker", "quiescence.ghostWorker"],
-// DeclaredEdges = {"quiescence.engine": ["quiescence.handler",
-// "quiescence.ghostHandler"], "quiescence.ghostEngine":
-// ["quiescence.handler"]}, and
+// Registrars = {"quiescence.register": "quiescence.engine",
+// "quiescence.ghostRegister": "quiescence.ghostEngine"}, and
 // Required = ["quiescence.tickRequired", "quiescence.ghostTick"];
-// the ghost* names are deliberately absent, so the stale-name guard
-// fires once per kind on the package clause below.
-package quiescence // want `quiescent function quiescence.ghostTick is required by the lint config but no longer declared` `rx-worker root quiescence.ghostWorker is required by the lint config but no longer declared` `declared-edge caller quiescence.ghostEngine is required by the lint config but no longer declared` `declared-edge callee quiescence.ghostHandler is required by the lint config but no longer declared`
+// no handler is named, and the ghost* names are deliberately absent, so
+// the stale-name guard fires once per kind on the package clause below.
+package quiescence // want `quiescent function quiescence.ghostTick is required by the lint config but no longer declared` `rx-worker root quiescence.ghostWorker is required by the lint config but no longer declared` `registrar quiescence.ghostRegister is required by the lint config but no longer declared` `registrar's invoker quiescence.ghostEngine is required by the lint config but no longer declared`
 
 var shared int
 
@@ -19,11 +18,18 @@ func worker() {
 	}
 }
 
-// engine invokes its handler through a cached function value, invisible
-// to the resolver; the test config declares the handler edge.
-func engine() {}
+// engine invokes its handler through a stored function value, invisible
+// to the resolver; the test config declares register as the registrar
+// engine calls back for.
+func engine() { stored() }
 
-// handler is reached only through the declared edge.
+var stored func()
+
+func register(h func()) { stored = h }
+
+func wire() { register(handler) }
+
+// handler is reached only through the edge derived from wire's call.
 func handler() { helper() }
 
 func helper() { reachableTick() }
@@ -31,7 +37,7 @@ func helper() { reachableTick() }
 func directHelper() { directTick() }
 
 // reachableTick is tagged quiescent but the worker reaches it through
-// the declared engine edge — the violation, reported with the chain.
+// the derived engine edge — the violation, reported with the chain.
 //
 //ldlp:quiescent
 func reachableTick() { // want `statically reachable from rx-worker root quiescence.worker \(chain: quiescence.worker -> quiescence.engine -> quiescence.handler -> quiescence.helper -> quiescence.reachableTick\)`

@@ -11,9 +11,7 @@ package netstack
 // touched from its owning shard) this is the proof that sharding the
 // data path changed its performance and nothing else.
 //
-// Two deliberate exclusions from the ledger: PCBCacheHits/Misses (the
-// one-entry PCB cache is per shard, so its hit pattern legitimately
-// depends on the shard count) and TxBatches/TxMaxBatch (batch
+// One deliberate exclusion from the ledger: TxBatches/TxMaxBatch (batch
 // composition depends on how flows interleave across shard queues).
 // Everything else — every frame, every drop reason, every ACK — must be
 // bit-for-bit equal.
@@ -129,7 +127,7 @@ type equivRun struct {
 }
 
 // ledgerFields is the drop-reason/traffic ledger compared across shard
-// counts. See the file comment for why PCBCache* and TxBatches are out.
+// counts. See the file comment for why TxBatches is out.
 func ledgerFor(name string, c *Counters) map[string]int64 {
 	return map[string]int64{
 		name + ".framesIn":      c.FramesIn,

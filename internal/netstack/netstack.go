@@ -79,8 +79,6 @@ type Counters struct {
 	NoSocket            int64
 	TCPFastPath         int64
 	TCPSlowPath         int64
-	PCBCacheHits        int64
-	PCBCacheMisses      int64
 	AcksSent            int64
 	DelayedAcks         int64
 	Retransmits         int64
@@ -130,21 +128,6 @@ type Options struct {
 	// schedule has no queues to shard). 0 or 1 keeps the deterministic
 	// single-threaded path.
 	RxShards int
-	// Faults, when non-nil, impairs this host's ingress link: every
-	// frame addressed to the host passes through a seeded faults
-	// Injector (loss, bursts, duplication, reordering, delay, bit
-	// corruption, partitions). Equivalent to calling Net.Impair on the
-	// host's address after AddHost.
-	Faults *faults.Config
-	// FaultSeed seeds the ingress injector (0 derives a stable seed
-	// from the host's IP, so multi-host setups stay deterministic
-	// without choosing seeds by hand).
-	FaultSeed int64
-	// TelemetryClock stamps the host's flight-recorder events. Nil uses
-	// the Net's simulated clock (in nanoseconds), which keeps traces
-	// deterministic per seed; real-time drivers (cmd/ldlptrace) inject a
-	// monotonic wall clock instead.
-	TelemetryClock telemetry.Clock
 	// TelemetryRing sizes each shard's flight-recorder ring (<= 0 uses
 	// the telemetry default).
 	TelemetryRing int
@@ -306,9 +289,6 @@ func (n *Net) AddHost(name string, ip layers.IPAddr, opts Options) *Host {
 	h := newHost(n, name, ip, opts)
 	n.hosts[h.mac] = h
 	n.order = append(n.order, h)
-	if opts.Faults != nil {
-		n.Impair(ip, *opts.Faults, opts.FaultSeed)
-	}
 	return h
 }
 
@@ -861,15 +841,11 @@ func newHost(n *Net, name string, ip layers.IPAddr, opts Options) *Host {
 	h.tshards[0].pool = h.txPool
 
 	// Telemetry domain: per-shard flight recorders plus the pump tracer.
-	// The default clock is the Net's simulated time in nanoseconds —
-	// the pump advances n.now strictly before workers observe frames
-	// (the channel send into a shard queue orders the write), so traces
-	// stay deterministic per seed without a real clock anywhere.
-	clock := opts.TelemetryClock
-	if clock == nil {
-		clock = func() int64 { return int64(n.now * 1e9) }
-	}
-	h.tel = telemetry.NewDomain(name, clock)
+	// The clock is the Net's simulated time in nanoseconds — the pump
+	// advances n.now strictly before workers observe frames (the channel
+	// send into a shard queue orders the write), so traces stay
+	// deterministic per seed without a real clock anywhere.
+	h.tel = telemetry.NewDomain(name, func() int64 { return int64(n.now * 1e9) })
 	h.telPump = h.tel.Tracer("pump", opts.TelemetryRing)
 	h.telPump.RegisterLayer(0, "pump")
 	h.txBatch = h.tel.Hist("tx-batch")

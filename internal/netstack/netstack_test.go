@@ -306,13 +306,13 @@ func TestPCBSingleEntryCache(t *testing.T) {
 	n.RunUntilIdle()
 	_ = l.Accept()
 
-	base := b.Counters.PCBCacheHits
+	base := b.FlowStats().CacheHits
 	for i := 0; i < 10; i++ {
 		cli.Send([]byte("x"))
 		n.RunUntilIdle()
 		n.Tick(0.01)
 	}
-	if hits := b.Counters.PCBCacheHits - base; hits < 8 {
+	if hits := b.FlowStats().CacheHits - base; hits < 8 {
 		t.Errorf("PCB cache hits = %d over 10 in-order segments, want nearly all", hits)
 	}
 }

@@ -384,12 +384,9 @@ func (pcb *tcpPCB) teardown() {
 //
 //ldlp:hotpath
 func (ts *transportShard) lookupPCB(t fourTuple) *tcpPCB {
-	h := ts.h
 	if pcb, ok := ts.pcbCache.Lookup(t); ok {
-		inc(&h.Counters.PCBCacheHits)
 		return pcb
 	}
-	inc(&h.Counters.PCBCacheMisses)
 	pcb, ok := ts.pcbs.Lookup(t)
 	if !ok {
 		return nil

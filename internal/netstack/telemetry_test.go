@@ -263,16 +263,13 @@ func TestTelemetryDisabledRecordsNothing(t *testing.T) {
 }
 
 // TestTelemetryShardedSnapshot runs the multi-core engine and checks
-// every shard tracer that processed frames contributed events, with a
-// caller-supplied clock feeding the timestamps.
+// every shard tracer that processed frames contributed events, stamped
+// by the Net's simulated clock as the workers read it.
 func TestTelemetryShardedSnapshot(t *testing.T) {
 	mbuf.ResetPool()
-	var fake int64
-	opts := ShardedOptions(2)
-	opts.TelemetryClock = func() int64 { return fake }
 	n := NewNet()
 	defer n.Close()
-	b := n.AddHost("b", ipB, opts)
+	b := n.AddHost("b", ipB, ShardedOptions(2))
 	a := n.AddHost("a", ipA, DefaultOptions(core.LDLP))
 	sb, err := b.UDPSocket(7)
 	if err != nil {
@@ -284,7 +281,7 @@ func TestTelemetryShardedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sa.Close()
-	fake = 42
+	n.Tick(0.5)
 	for i := 0; i < 32; i++ {
 		sa.SendTo(ipB, 7, []byte{byte(i)})
 	}
@@ -295,8 +292,8 @@ func TestTelemetryShardedSnapshot(t *testing.T) {
 	for _, tr := range snap.Tracers {
 		recorded += tr.Recorded
 		for _, ev := range tr.Events {
-			if ev.TS != 42 {
-				t.Fatalf("event ts = %d, want the injected clock's 42", ev.TS)
+			if ev.TS != 5e8 {
+				t.Fatalf("event ts = %d, want the simulated clock's 0.5 s", ev.TS)
 			}
 		}
 	}

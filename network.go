@@ -105,9 +105,8 @@ func RPCDispatchByXID(port uint16) DispatchPolicy { return dispatch.NewRPCDispat
 // FaultConfig describes a composable set of link impairments: Bernoulli
 // and Gilbert–Elliott bursty loss, timed partitions, duplication,
 // reordering, delay with jitter, and single-bit corruption. Install it
-// per-destination with Net.Impair (or Net.ImpairAll), or set
-// HostOptions.Faults before AddHost; every decision comes from one
-// seeded generator, so a run replays exactly.
+// per-destination with Net.Impair (or Net.ImpairAll); every decision
+// comes from one seeded generator, so a run replays exactly.
 type FaultConfig = faults.Config
 
 // FaultWindow is an absolute simulated-time interval, used for
