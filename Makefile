@@ -13,14 +13,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet plus the repo's own analyzer suite (ldlpvet),
-# which enforces mbuf ownership balance, the zero-alloc //ldlp:hotpath
-# contract, atomics-only counter access, lock ordering, and per-seed
-# determinism. Exits non-zero on any unexplained finding.
+# Static analysis: gofmt (any file it would rewrite fails the target),
+# go vet, and the repo's own analyzer suite (ldlpvet), which enforces
+# mbuf ownership balance, the zero-alloc //ldlp:hotpath contract,
+# atomics-only counter access, lock ordering, and per-seed determinism.
+# Exits non-zero on any unexplained finding.
 # Extra ldlpvet flags, e.g. `make lint LDLPVET_FLAGS="-v -github"`.
 LDLPVET_FLAGS ?=
 
 lint: vet
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/ldlpvet $(LDLPVET_FLAGS) ./...
 
 test:
@@ -59,11 +62,14 @@ fleet-smoke:
 # Short fuzzing pass, ten seconds on every FuzzXxx target in the tree.
 # The targets are discovered (packages with a `func Fuzz`, then
 # `go test -list`), so a new fuzzer runs here and in CI without an edit.
+# Minimizing a new input is capped at 2 s (go's default is 60 s, and its
+# byte-subset pass is quadratic in the input, so a kilobyte of frames
+# would otherwise spend the whole pass minimizing one input).
 fuzz:
 	@for dir in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
 		for target in $$($(GO) test -list '^Fuzz' $$dir | grep '^Fuzz'); do \
 			echo "fuzz $$dir $$target"; \
-			$(GO) test -run='^$$' -fuzz="^$$target$$" -fuzztime=10s $$dir || exit 1; \
+			$(GO) test -run='^$$' -fuzz="^$$target$$" -fuzztime=10s -fuzzminimizetime=2s $$dir || exit 1; \
 		done; \
 	done
 

@@ -273,7 +273,7 @@ func TestRPCDispatchKeysCallsByXID(t *testing.T) {
 	// Everything that is not an unfragmented call to the port keys like
 	// Static: replies, other ports, short payloads, fragments, TCP.
 	statics := [][]byte{
-		mkFrame(srcA, dstB, layers.ProtoUDP, 3, 0, 0, rpcPayload(300, 1), nil),  // reply, not a call
+		mkFrame(srcA, dstB, layers.ProtoUDP, 3, 0, 0, rpcPayload(300, 1), nil),    // reply, not a call
 		mkFrame(srcA, dstB, layers.ProtoUDP, 4, 0, 0, ports(5000, 9999, 28), nil), // other port
 		mkFrame(srcA, dstB, layers.ProtoUDP, 5, 0, 0, ports(5000, port, 4), nil),  // too short for the header
 		mkFrame(srcA, dstB, layers.ProtoTCP, 6, 0, 0, ports(5000, port, 28), nil), // TCP

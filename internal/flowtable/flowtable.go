@@ -1,8 +1,9 @@
 // Package flowtable is the connection-scale lookup substrate: an
 // open-addressed hash table tuned for the per-shard flow state the
 // netstack keeps (TCP PCBs keyed by 4-tuple, reassembly state keyed by
-// IP ID), plus a small recently-active-flow cache in front of it
-// (cache.go) whose eviction policy is pluggable.
+// IP ID). The netstack fronts its PCB table with the paper's
+// single-entry PCB cache (a field on its transport shard), not with
+// anything here.
 //
 // A Go map served the same role up to a few thousand flows, but §2 of
 // the paper puts the PCB lookup squarely on the small-message fast

@@ -1,9 +1,6 @@
 package flowtable
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func ident(k uint64) uint64 { return Mix64(k) }
 
@@ -181,117 +178,5 @@ func TestTableRangeMidMigration(t *testing.T) {
 	})
 	if len(seen) != n {
 		t.Fatalf("mid-migration Range saw %d entries, want %d", len(seen), n)
-	}
-}
-
-func TestCacheLRUOrder(t *testing.T) {
-	c := NewCache[int, string](3, PolicyLRU, 1)
-	c.Insert(1, "a")
-	c.Insert(2, "b")
-	c.Insert(3, "c")
-	c.Lookup(1) // refresh 1: order 1,3,2
-	c.Insert(4, "d")
-	// 2 was least recent: evicted.
-	if _, ok := c.Lookup(2); ok {
-		t.Fatal("LRU kept the least-recently-used entry")
-	}
-	for _, k := range []int{1, 3, 4} {
-		if _, ok := c.Lookup(k); !ok {
-			t.Fatalf("LRU evicted the wrong entry (%d gone)", k)
-		}
-	}
-}
-
-func TestCacheFIFOOrder(t *testing.T) {
-	c := NewCache[int, string](3, PolicyFIFO, 1)
-	c.Insert(1, "a")
-	c.Insert(2, "b")
-	c.Insert(3, "c")
-	c.Lookup(1) // FIFO: hit must NOT refresh
-	c.Insert(4, "d")
-	// 1 was the oldest insertion: evicted despite the recent hit.
-	if _, ok := c.Lookup(1); ok {
-		t.Fatal("FIFO refreshed on hit")
-	}
-	for _, k := range []int{2, 3, 4} {
-		if _, ok := c.Lookup(k); !ok {
-			t.Fatalf("FIFO evicted the wrong entry (%d gone)", k)
-		}
-	}
-}
-
-func TestCacheRandomDeterministicPerSeed(t *testing.T) {
-	run := func(seed uint64) []int {
-		c := NewCache[int, int](4, PolicyRandom, seed)
-		for i := 0; i < 64; i++ {
-			c.Insert(i, i)
-		}
-		return c.Keys()
-	}
-	a, b := run(7), run(7)
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("same seed diverged: %v vs %v", a, b)
-	}
-	if fmt.Sprint(run(7)) == fmt.Sprint(run(8)) {
-		t.Fatal("different seeds produced identical eviction patterns (suspicious)")
-	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	for _, p := range Policies() {
-		c := NewCache[int, int](4, p, 3)
-		for i := 1; i <= 4; i++ {
-			c.Insert(i, i)
-		}
-		c.Invalidate(2)
-		if _, ok := c.Lookup(2); ok {
-			t.Fatalf("%v: Invalidate left the entry", p)
-		}
-		if c.Len() != 3 {
-			t.Fatalf("%v: Len = %d after Invalidate, want 3", p, c.Len())
-		}
-		c.Invalidate(99) // absent: no-op
-		if c.Len() != 3 {
-			t.Fatalf("%v: Invalidate(absent) changed Len", p)
-		}
-		// The freed slot is reused without eviction.
-		evBefore := c.Stats().Evictions
-		c.Insert(5, 5)
-		if c.Stats().Evictions != evBefore {
-			t.Fatalf("%v: insert into freed slot evicted", p)
-		}
-	}
-}
-
-func TestCacheStatsAndHitRate(t *testing.T) {
-	c := NewCache[int, int](2, PolicyLRU, 1)
-	c.Insert(1, 1)
-	c.Lookup(1)
-	c.Lookup(1)
-	c.Lookup(2)
-	s := c.Stats()
-	if s.Hits != 2 || s.Misses != 1 {
-		t.Fatalf("stats = %+v, want 2 hits 1 miss", s)
-	}
-	if got := s.HitRate(); got < 0.66 || got > 0.67 {
-		t.Fatalf("HitRate = %v, want 2/3", got)
-	}
-	if (CacheStats{}).HitRate() != 0 {
-		t.Fatal("empty HitRate not 0")
-	}
-	if NewCache[int, int](0, PolicyLRU, 0).Cap() != DefaultCacheSize {
-		t.Fatal("default capacity not applied")
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	want := map[Policy]string{PolicyLRU: "lru", PolicyFIFO: "fifo", PolicyRandom: "random"}
-	for p, s := range want {
-		if p.String() != s {
-			t.Fatalf("%d.String() = %q, want %q", p, p.String(), s)
-		}
-	}
-	if Policy(99).String() != "unknown" {
-		t.Fatal("unknown policy name")
 	}
 }

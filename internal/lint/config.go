@@ -134,12 +134,11 @@ func DefaultAnalyzers() []*Analyzer {
 				"ldlp/internal/netstack.tcpPCB",
 				"ldlp/internal/netstack.transportShard",
 				"ldlp/internal/netstack.fragState",
-				// The flow table, the flow cache and the padded tally slot
-				// inherit their shard's ownership: single-writer structures
-				// touched only from the owning worker or at quiescence.
+				// The flow table and the padded tally slot inherit their
+				// shard's ownership: single-writer structures touched only
+				// from the owning worker or at quiescence.
 				"ldlp/internal/netstack.shardTally",
 				"ldlp/internal/flowtable.Table",
-				"ldlp/internal/flowtable.Cache",
 			},
 			// Shard context: receive-path methods run on the owning worker;
 			// owned types' own methods run wherever a caller already proved
@@ -149,7 +148,6 @@ func DefaultAnalyzers() []*Analyzer {
 				"ldlp/internal/netstack.transportShard",
 				"ldlp/internal/netstack.tcpPCB",
 				"ldlp/internal/flowtable.Table",
-				"ldlp/internal/flowtable.Cache",
 			},
 			// The declared cross-shard surface, now just two families: host
 			// setup (fresh values handed to their owner-to-be) and the few
@@ -167,7 +165,6 @@ func DefaultAnalyzers() []*Analyzer {
 				// Construction hands a fresh (never-shared) value to its
 				// owner-to-be.
 				"ldlp/internal/flowtable.New",
-				"ldlp/internal/flowtable.NewCache",
 				"ldlp/internal/netstack.TCPListener.Accept",
 			},
 		}),
@@ -180,8 +177,8 @@ func DefaultAnalyzers() []*Analyzer {
 				// sim-driven traces depend on the seed alone; time.Now
 				// anywhere in the package would silently break replay.
 				"ldlp/internal/telemetry",
-				// The flow table promises deterministic iteration and seeded
-				// eviction — no map ranging, no global rand, no clock.
+				// The flow table promises deterministic iteration — no map
+				// ranging, no global rand, no clock.
 				"ldlp/internal/flowtable",
 				// Dispatch policies must be replay-deterministic: identical
 				// frame sequences and rebalance points yield identical shard

@@ -100,7 +100,7 @@ func (h *Host) dispatchTick() {
 }
 
 // applyMigration re-homes every flow the migration covers from its old
-// shard to its new one: TCP connections (flow table + cache entry +
+// shard to its new one: TCP connections (flow table + cached PCB +
 // PCB back-pointer) and in-progress reassemblies (fragments key by IP
 // ID, so a covered datagram's reassembly state moves with its future
 // fragments). The covered-key test uses the same canonical key builders
@@ -126,9 +126,11 @@ func (h *Host) applyMigration(mg dispatch.Migration) {
 		return true
 	})
 	for i, t := range tuples {
-		// Only the owning shard's cache may hold a flow's entry; every
-		// migration re-establishes that by invalidating at the source.
-		from.pcbCache.Invalidate(t)
+		// Only the owning shard's cache may hold a flow's PCB; every
+		// migration re-establishes that by clearing it at the source.
+		if from.last == pcbs[i] {
+			from.last = nil
+		}
 		from.pcbs.Delete(t)
 		pcbs[i].owner = to
 		to.pcbs.Insert(t, pcbs[i])

@@ -26,7 +26,6 @@ import (
 	"ldlp/internal/core"
 	"ldlp/internal/dispatch"
 	"ldlp/internal/faults"
-	"ldlp/internal/flowtable"
 	"ldlp/internal/layers"
 	"ldlp/internal/mbuf"
 )
@@ -59,6 +58,9 @@ type equivScript struct {
 	// unbound port (the NoSocket drop path).
 	pingAt  []bool
 	strayAt []bool
+	// tap records every frame the wire hands the server into
+	// equivRun.toServer (FuzzRxPath seeds its corpus from it).
+	tap bool
 }
 
 func genEquivScript(seed int64, maxMsg int) *equivScript {
@@ -124,6 +126,9 @@ type equivRun struct {
 	reasmLocal    int64
 	reassembled   int64
 	tcpReinjects  int64
+	// toServer is the server's inbound frames in wire order, a nil entry
+	// at each Tick; recorded only when the script asks for it.
+	toServer [][]byte
 }
 
 // ledgerFields is the drop-reason/traffic ledger compared across shard
@@ -159,9 +164,9 @@ func ledgerFor(name string, c *Counters) map[string]int64 {
 // count. cfg impairs both directions when non-nil (fault runs compare
 // stream contents only — injector draws depend on frame order, which
 // legitimately differs across shard counts). mutate, when non-nil,
-// adjusts the server's Options before the host is built (the eviction-
-// policy runs use it to sweep FlowCachePolicy).
-func runEquivWorkload(t *testing.T, script *equivScript, shards int, cfg *faults.Config, mutate func(*Options)) *equivRun {
+// adjusts the server's Options before the host is built (the dispatch-
+// policy runs use it to install a policy).
+func runEquivWorkload(t testing.TB, script *equivScript, shards int, cfg *faults.Config, mutate func(*Options)) *equivRun {
 	t.Helper()
 	mbuf.ResetPool()
 	n := NewNet()
@@ -183,6 +188,19 @@ func runEquivWorkload(t *testing.T, script *equivScript, shards int, cfg *faults
 	b := n.AddHost("server", ipB, mkOpts(shards))
 	if cfg != nil {
 		n.ImpairAll(*cfg, 0xD1FF)
+	}
+	var toServer [][]byte
+	if script.tap {
+		tick := n.Now()
+		n.Loss = func(dst layers.IPAddr, data []byte) bool {
+			if dst == ipB {
+				if n.Now() != tick {
+					toServer, tick = append(toServer, nil), n.Now()
+				}
+				toServer = append(toServer, bytes.Clone(data))
+			}
+			return false
+		}
 	}
 
 	l, err := b.ListenTCP(80)
@@ -383,6 +401,7 @@ func runEquivWorkload(t *testing.T, script *equivScript, shards int, cfg *faults
 	if s := mbuf.PoolStats(); s.InUse != 0 && n.HeldFrames() == 0 {
 		t.Errorf("mbuf leak at %d shards: %+v", shards, s)
 	}
+	run.toServer = toServer
 	return run
 }
 
@@ -489,41 +508,6 @@ func TestDifferentialEquivalenceUnderFaults(t *testing.T) {
 			for _, shards := range []int{4} {
 				got := runEquivWorkload(t, script, shards, &cfg, nil)
 				compareStreams(t, script, base, got, shards)
-			}
-		})
-	}
-}
-
-// TestDifferentialEquivalenceEvictionPolicies pins the flow cache's
-// "policy never changes lookup results" contract end to end: the same
-// workload through every eviction policy, at one shard and several,
-// must produce the identical streams, datagram sequences and ledger as
-// the single-shard LRU baseline. The policy only decides which entries
-// stay warm — a divergence here means a cache hit returned a different
-// PCB than the table would have.
-func TestDifferentialEquivalenceEvictionPolicies(t *testing.T) {
-	script := genEquivScript(11, 512)
-	base := runEquivWorkload(t, script, 1, nil, nil)
-	for _, policy := range flowtable.Policies() {
-		policy := policy
-		t.Run(policy.String(), func(t *testing.T) {
-			mutate := func(o *Options) {
-				o.FlowCachePolicy = policy
-				o.FlowCacheSize = 4 // small enough that eviction actually happens
-			}
-			for _, shards := range []int{1, 2, 4} {
-				got := runEquivWorkload(t, script, shards, nil, mutate)
-				compareStreams(t, script, base, got, shards)
-				for f := range got.udpSeqs {
-					if got.udpSeqs[f] != base.udpSeqs[f] {
-						t.Errorf("policy=%v shards=%d: UDP flow %d sequence differs", policy, shards, f)
-					}
-				}
-				for k, v := range base.ledger {
-					if got.ledger[k] != v {
-						t.Errorf("policy=%v shards=%d: ledger[%s] = %d, want %d", policy, shards, k, got.ledger[k], v)
-					}
-				}
 			}
 		})
 	}

@@ -131,15 +131,6 @@ type Options struct {
 	// TelemetryRing sizes each shard's flight-recorder ring (<= 0 uses
 	// the telemetry default).
 	TelemetryRing int
-	// FlowCacheSize sets each transport shard's recently-active flow
-	// cache capacity — the N-entry generalization of the paper's
-	// single-entry PCB cache. <= 0 uses flowtable.DefaultCacheSize (8).
-	FlowCacheSize int
-	// FlowCachePolicy selects the flow cache's eviction policy (LRU,
-	// FIFO or random — the DEC-TR-592 comparison). The policy changes
-	// only which entries stay warm, never lookup results, so any choice
-	// preserves wire-level behaviour. Zero value is LRU.
-	FlowCachePolicy flowtable.Policy
 	// Dispatch selects the receive-side dispatch policy mapping frames
 	// to shards (and, for dispatch.LoadAware, rebalancing hot flows at
 	// quiescent points). Nil uses dispatch.Static — the classic flow-hash
@@ -614,12 +605,13 @@ type transportShard struct {
 	txq []frame
 
 	// TCP state (tcp.go): this shard's connections in an open-addressed
-	// flow table, fronted by the N-entry recently-active flow cache —
-	// the paper's single-entry PCB cache generalized per DEC-TR-592
-	// (per-shard, so the cached lines stay core-local and two flows on
-	// different shards cannot evict each other).
-	pcbs     *flowtable.Table[fourTuple, *tcpPCB]
-	pcbCache *flowtable.Cache[fourTuple, *tcpPCB]
+	// flow table, fronted by last, the paper's single-entry PCB cache
+	// (4.4BSD's tcp_last_inpcb): the PCB the previous segment on this
+	// shard resolved to. Per shard, so two flows on different shards
+	// cannot evict each other. teardown and applyMigration clear it when
+	// they remove the PCB it points at.
+	pcbs *flowtable.Table[fourTuple, *tcpPCB]
+	last *tcpPCB
 
 	// Reassembly state (frag.go): fragments hash by IP ID, so every
 	// fragment of one datagram lands here. fragq remembers insertion
@@ -648,7 +640,8 @@ type shardTally struct {
 	txFrames   int64
 	reinjects  int64
 	reasmLocal int64
-	_          [24]byte
+	pcbMisses  int64 // lookupPCB calls the one-entry cache did not answer
+	_          [16]byte
 }
 
 // ShardTransportStats is one transport shard's view for telemetry and
@@ -683,43 +676,38 @@ func (h *Host) ShardTransportStats() []ShardTransportStats {
 	return out
 }
 
-// FlowStats aggregates the flow-table and flow-cache effectiveness
-// counters across every transport shard: cache hit rate per the
-// configured eviction policy, and the flow table's probe-depth
-// distribution (groups touched per lookup — p99 near 1 means lookups
-// stay within one or two cache lines even at millions of flows).
+// FlowStats aggregates the flow-table and PCB-cache effectiveness
+// counters across every transport shard: the single-entry PCB cache's
+// hit rate, and the flow table's probe-depth distribution (groups
+// touched per lookup — p99 near 1 means lookups stay within one or two
+// cache lines even at millions of flows).
 // Pump-side: call while the network is quiescent.
 type FlowStats struct {
-	Policy         string  `json:"policy"`
-	CacheHits      int64   `json:"cacheHits"`
-	CacheMisses    int64   `json:"cacheMisses"`
-	CacheEvictions int64   `json:"cacheEvictions"`
-	CacheHitRate   float64 `json:"cacheHitRate"`
-	TableLookups   int64   `json:"tableLookups"`
-	TableHits      int64   `json:"tableHits"`
-	PCBs           int     `json:"pcbs"`
-	Capacity       int     `json:"capacity"`
-	ProbeDepthP50  float64 `json:"probeDepthP50"`
-	ProbeDepthP99  float64 `json:"probeDepthP99"`
-	ProbeDepthMax  int64   `json:"probeDepthMax"`
+	CacheHits     int64   `json:"cacheHits"`
+	CacheMisses   int64   `json:"cacheMisses"`
+	CacheHitRate  float64 `json:"cacheHitRate"`
+	TableLookups  int64   `json:"tableLookups"`
+	TableHits     int64   `json:"tableHits"`
+	PCBs          int     `json:"pcbs"`
+	Capacity      int     `json:"capacity"`
+	ProbeDepthP50 float64 `json:"probeDepthP50"`
+	ProbeDepthP99 float64 `json:"probeDepthP99"`
+	ProbeDepthMax int64   `json:"probeDepthMax"`
 	// Migrated counts connections re-homed to another shard by the
 	// dispatch policy's rebalancing (0 under static policies).
 	Migrated int64 `json:"migrated"`
 }
 
-// FlowStats reports the merged flow-table/flow-cache statistics.
+// FlowStats reports the merged flow-table/PCB-cache statistics.
 // Pump-at-quiescence: it reads every shard's single-writer stats.
 //
 //ldlp:quiescent
 func (h *Host) FlowStats() FlowStats {
 	var out FlowStats
 	var depth telemetry.HistSnapshot
-	var cs flowtable.CacheStats
 	for _, ts := range h.tshards {
-		c := ts.pcbCache.Stats()
-		cs.Hits += c.Hits
-		cs.Misses += c.Misses
-		cs.Evictions += c.Evictions
+		out.CacheHits += ts.tally.tcpSegs - ts.tally.pcbMisses
+		out.CacheMisses += ts.tally.pcbMisses
 		st := ts.pcbs.Stats()
 		out.TableLookups += st.Lookups
 		out.TableHits += st.Hits
@@ -727,9 +715,9 @@ func (h *Host) FlowStats() FlowStats {
 		out.Capacity += st.Capacity
 		depth.Merge(ts.pcbs.DepthHist())
 	}
-	out.Policy = h.opts.FlowCachePolicy.String()
-	out.CacheHits, out.CacheMisses, out.CacheEvictions = cs.Hits, cs.Misses, cs.Evictions
-	out.CacheHitRate = cs.HitRate()
+	if n := out.CacheHits + out.CacheMisses; n > 0 {
+		out.CacheHitRate = float64(out.CacheHits) / float64(n)
+	}
 	out.ProbeDepthP50 = depth.Quantile(0.50)
 	out.ProbeDepthP99 = depth.Quantile(0.99)
 	out.ProbeDepthMax = depth.Max
@@ -833,9 +821,8 @@ func newHost(n *Net, name string, ip layers.IPAddr, opts Options) *Host {
 		seed := uint64(poolBase)<<16 | uint64(i)
 		h.tshards[i] = &transportShard{
 			h: h, idx: i,
-			pcbs:     flowtable.New[fourTuple, *tcpPCB](0, pcbHasher(seed)),
-			pcbCache: flowtable.NewCache[fourTuple, *tcpPCB](opts.FlowCacheSize, opts.FlowCachePolicy, seed|1),
-			tally:    &tallies[i],
+			pcbs:  flowtable.New[fourTuple, *tcpPCB](0, pcbHasher(seed)),
+			tally: &tallies[i],
 		}
 	}
 	h.tshards[0].pool = h.txPool

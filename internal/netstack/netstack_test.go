@@ -304,16 +304,27 @@ func TestPCBSingleEntryCache(t *testing.T) {
 	l, _ := b.ListenTCP(80)
 	cli := a.DialTCP(ipB, 80)
 	n.RunUntilIdle()
-	_ = l.Accept()
+	srv := l.Accept()
 
-	base := b.FlowStats().CacheHits
+	base := b.FlowStats()
 	for i := 0; i < 10; i++ {
 		cli.Send([]byte("x"))
 		n.RunUntilIdle()
 		n.Tick(0.01)
 	}
-	if hits := b.FlowStats().CacheHits - base; hits < 8 {
+	fs := b.FlowStats()
+	if hits := fs.CacheHits - base.CacheHits; hits < 8 {
 		t.Errorf("PCB cache hits = %d over 10 in-order segments, want nearly all", hits)
+	}
+	if misses := fs.CacheMisses - base.CacheMisses; misses != 0 {
+		t.Errorf("PCB cache missed %d times on its one connection, want 0", misses)
+	}
+	segs := b.ShardTransportStats()[0].TCPSegs
+	if fs.CacheHits+fs.CacheMisses != segs || fs.CacheHitRate <= 0.5 {
+		t.Errorf("hits %d + misses %d over %d segments, hit rate %v", fs.CacheHits, fs.CacheMisses, segs, fs.CacheHitRate)
+	}
+	if b.tshards[0].last != srv.pcb {
+		t.Error("the cached PCB is not the connection's")
 	}
 }
 

@@ -162,18 +162,14 @@ func mergedProbeDepth(h *Host) telemetry.HistSnapshot {
 	return s
 }
 
-// cacheTallies sums the per-shard flow-cache hit/miss counters.
+// cacheTallies reads the single-entry PCB cache's hit/miss counters.
 func cacheTallies(h *Host) (hits, misses int64) {
-	for _, ts := range h.tshards {
-		cs := ts.pcbCache.Stats()
-		hits += cs.Hits
-		misses += cs.Misses
-	}
-	return
+	fs := h.FlowStats()
+	return fs.CacheHits, fs.CacheMisses
 }
 
 // The flow table's half of the zero-allocation gate: with 10k
-// established flows behind one listener, a steady-state segment — flow
+// established flows behind one listener, a steady-state segment — PCB
 // cache miss, open-addressed table probe and all — takes the fast path
 // without allocating.
 func TestAcceptScaleSteadyStateAllocFree(t *testing.T) {
@@ -188,7 +184,7 @@ func TestAcceptScaleSteadyStateAllocFree(t *testing.T) {
 	before := hb.Counters.TCPFastPath
 	// One run is a whole lap of the access pattern, not one segment:
 	// AllocsPerRun reports a whole number per run, so a step only some
-	// segments take (a flow-cache miss into the table) would round to 0.
+	// segments take (a PCB-cache miss into the table) would round to 0.
 	const laps = 3
 	if allocs := testing.AllocsPerRun(laps, lap); allocs != 0 && !raceBuild() {
 		t.Errorf("%v allocations per %d steady-state segments at %d flows, want 0", allocs, len(sc.pattern), sc.flows)
@@ -222,7 +218,7 @@ func raceBuild() bool {
 // path with a SYN-flood-established connection population (1M flows;
 // 10k under -short): every delivered segment must take the TCP fast
 // path at 0 allocs/op — the flow table's no-per-lookup-allocation
-// promise at scale — and reports flowcache-hit-rate and
+// promise at scale — and reports the PCB cache's hit rate and
 // p99-probe-depth, failing outright when probe chains grow past the
 // displacement bound.
 func BenchmarkAcceptScale(b *testing.B) {
@@ -262,7 +258,7 @@ func BenchmarkAcceptScale(b *testing.B) {
 	hits -= hitsBase
 	misses -= missesBase
 	if hits+misses <= 0 {
-		b.Fatal("flow cache saw no lookups in steady state")
+		b.Fatal("PCB cache saw no lookups in steady state")
 	}
 	b.ReportMetric(float64(hits)/float64(hits+misses), "flowcache-hit-rate")
 

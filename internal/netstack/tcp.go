@@ -370,28 +370,27 @@ func (pcb *tcpPCB) timeout() {
 }
 
 func (pcb *tcpPCB) teardown() {
-	pcb.owner.pcbCache.Invalidate(pcb.tuple)
+	if pcb.owner.last == pcb {
+		pcb.owner.last = nil
+	}
 	pcb.owner.pcbs.Delete(pcb.tuple)
 	pcb.state = stClosed
 }
 
-// lookupPCB finds the PCB for a tuple: first the shard's N-entry
-// recently-active flow cache (the generalization of the single-entry
-// PCB cache §2's trace mentions — per shard, so the cached lines stay
-// core-local and two flows on different shards cannot evict each
-// other; DEC-TR-592's destination locality is why a handful of entries
-// absorb most traffic), then the shard's open-addressed flow table.
+// lookupPCB finds the PCB for a tuple: first the shard's single-entry
+// PCB cache (§2's, 4.4BSD's tcp_last_inpcb: a hit is one pointer load
+// and one 8-byte compare), then the shard's open-addressed flow table,
+// whose answer becomes the new cached entry. A miss is counted; hits
+// are tcpSegs minus misses.
 //
 //ldlp:hotpath
 func (ts *transportShard) lookupPCB(t fourTuple) *tcpPCB {
-	if pcb, ok := ts.pcbCache.Lookup(t); ok {
-		return pcb
+	if ts.last != nil && ts.last.tuple == t {
+		return ts.last
 	}
-	pcb, ok := ts.pcbs.Lookup(t)
-	if !ok {
-		return nil
-	}
-	ts.pcbCache.Insert(t, pcb)
+	ts.tally.pcbMisses++
+	pcb, _ := ts.pcbs.Lookup(t)
+	ts.last = pcb
 	return pcb
 }
 
