@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 
 	"ldlp/internal/core"
@@ -105,6 +106,7 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 		o := netstack.DefaultOptions(d)
 		o.MTU = 600
 		o.RxShards = sh
+		o.TelemetryRing = 1 << 15 // the whole run, so the drop ledger is checkable
 		return o
 	}
 	a := n.AddHost("client", ipA, mkOpts(1))
@@ -203,24 +205,28 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 	// read exactly one of: alive (a PCB, no timeout drop) or gave up (one
 	// timeout drop, PCB reaped). A nil srv is a handshake that gave up
 	// before Accept: the server holds an embryonic connection at most.
-	for _, e := range []struct {
-		h    *netstack.Host
-		sock *netstack.TCPSock
-	}{{a, cli}, {b, srv}} {
-		drops, pcbs := e.h.Counters.TimeoutDrops, int64(e.h.FlowStats().PCBs)
+	snaps := []netstack.Snapshot{a.Snapshot(), b.Snapshot()}
+	for i, sock := range []*netstack.TCPSock{cli, srv} {
+		s := snaps[i]
+		drops, pcbs := s.Counters.TimeoutDrops, int64(s.Flows.PCBs)
 		switch {
-		case e.sock == nil:
+		case sock == nil:
 			if drops+pcbs > 1 {
-				fail("%s: never-accepted connection left %d timeout drops and %d PCBs", e.h.Name(), drops, pcbs)
+				fail("%s: never-accepted connection left %d timeout drops and %d PCBs", s.Name, drops, pcbs)
 			}
-		case e.sock.Err() == nil:
+		case sock.Err() == nil:
 			if drops != 0 || pcbs != 1 {
-				fail("%s: live connection, but %d timeout drops and %d PCBs", e.h.Name(), drops, pcbs)
+				fail("%s: live connection, but %d timeout drops and %d PCBs", s.Name, drops, pcbs)
 			}
-		case !errors.Is(e.sock.Err(), netstack.ErrTimeout) || !lossy:
-			fail("TCP connection died on %s under a link that loses nothing: %v", e.h.Name(), e.sock.Err())
+		case !errors.Is(sock.Err(), netstack.ErrTimeout) || !lossy:
+			fail("TCP connection died on %s under a link that loses nothing: %v", s.Name, sock.Err())
 		case drops != 1 || pcbs != 0:
-			fail("%s: connection gave up, but %d timeout drops and %d PCBs (want 1 and reaped)", e.h.Name(), drops, pcbs)
+			fail("%s: connection gave up, but %d timeout drops and %d PCBs (want 1 and reaped)", s.Name, drops, pcbs)
+		}
+		// Every counted drop has its reason-coded event and vice versa
+		// (DropEvents is nil if the flight recorder lost any).
+		if !maps.Equal(s.Drops, s.DropEvents) {
+			fail("%s: counted drops %v, recorded drop events %v", s.Name, s.Drops, s.DropEvents)
 		}
 	}
 	if tcpDied() {
@@ -259,11 +265,11 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 	if cfg.Enabled() && len(injs) == 0 {
 		fail("preset %s impairs traffic but registered no injectors; frame ledger unchecked", name)
 	}
-	if a.Counters.FramesOut == 0 || b.Counters.FramesIn == 0 {
+	if snaps[0].Counters.FramesOut == 0 || snaps[1].Counters.FramesIn == 0 {
 		fail("scenario moved no frames (client out=%d, server in=%d); ledger and delivery checks are vacuous",
-			a.Counters.FramesOut, b.Counters.FramesIn)
+			snaps[0].Counters.FramesOut, snaps[1].Counters.FramesIn)
 	}
-	for _, h := range []*netstack.Host{a, b} { // host order, not map order: same seed, same output
+	for i, h := range []*netstack.Host{a, b} { // host order, not map order: same seed, same output
 		ip, inj := h.IP(), injs[h.IP()]
 		if inj == nil {
 			continue
@@ -275,7 +281,7 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 		if s.Dropped != s.LossDrops+s.BurstDrops+s.PartitionDrops {
 			fail("%v: drop attribution broken: %+v", ip, s)
 		}
-		if in := h.Counters.FramesIn; in != s.Frames-s.Dropped+s.Duplicated {
+		if in := snaps[i].Counters.FramesIn; in != s.Frames-s.Dropped+s.Duplicated {
 			fail("%v: FramesIn=%d, want %d-%d+%d", ip, in, s.Frames, s.Dropped, s.Duplicated)
 		}
 		if verbose {
@@ -288,30 +294,29 @@ func runScenario(cfg faults.Config, d core.Discipline, shards int, seed int64, r
 	// empty ldlp-batch histogram means the instrumentation fell off the
 	// receive path (another vacuous-check hazard: traces would read as
 	// "no batches" instead of failing).
-	if d == core.LDLP && b.Counters.FramesIn > 0 {
-		snap := b.Telemetry().Snapshot()
-		if bh, ok := snap.Hist("ldlp-batch"); !ok || bh.Count == 0 {
-			fail("server moved %d frames but recorded no ldlp-batch observations; telemetry is dead", b.Counters.FramesIn)
+	if sb := snaps[1]; d == core.LDLP && sb.Counters.FramesIn > 0 {
+		if bh, ok := sb.Telemetry.Hist("ldlp-batch"); !ok || bh.Count == 0 {
+			fail("server moved %d frames but recorded no ldlp-batch observations; telemetry is dead", sb.Counters.FramesIn)
 		}
 	}
 	if verbose {
-		for _, h := range []*netstack.Host{a, b} {
-			c := h.Counters
+		for _, s := range snaps {
+			c := s.Counters
 			fmt.Printf("  %-12s %s: in=%d out=%d badEther=%d badIP=%d badTCP=%d badUDP=%d rexmt=%d timeouts=%d reasmTO=%d\n",
-				name, h.Name(), c.FramesIn, c.FramesOut, c.BadEther, c.BadIP, c.BadTCP, c.BadUDP,
+				name, s.Name, c.FramesIn, c.FramesOut, c.BadEther, c.BadIP, c.BadTCP, c.BadUDP,
 				c.Retransmits, c.TimeoutDrops, c.ReassemblyTimeouts)
-			for _, e := range h.Telemetry().Snapshot().Hists {
-				s := e.Hist.Summary()
-				if s.Count == 0 {
+			for _, e := range s.Telemetry.Hists {
+				hs := e.Hist.Summary()
+				if hs.Count == 0 {
 					continue
 				}
 				fmt.Printf("  %-12s %s: hist %-10s count=%d mean=%.1f p50=%.1f p99=%.1f max=%d\n",
-					name, h.Name(), e.Name, s.Count, s.Mean, s.P50, s.P99, s.Max)
+					name, s.Name, e.Name, hs.Count, hs.Mean, hs.P50, hs.P99, hs.Max)
 			}
 		}
 	}
-	if s := mbuf.PoolStats(); s.InUse != 0 {
-		fail("mbuf leak: %+v", s)
+	if p := snaps[1].Pool; p.InUse != 0 {
+		fail("mbuf leak: %+v", p)
 	}
 	return errs
 }

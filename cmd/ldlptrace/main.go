@@ -176,7 +176,7 @@ func run(pid, shards int, rate, duration float64, seed int64, ring int, quantum 
 	if received == 0 {
 		return telemetry.Snapshot{}, fmt.Errorf("no datagrams delivered (rate %v, duration %v)", rate, duration)
 	}
-	snap := server.Telemetry().Snapshot()
+	snap := server.Snapshot().Telemetry
 	for _, tr := range snap.Tracers {
 		if tr.Lost > 0 {
 			fmt.Fprintf(os.Stderr, "ldlptrace: warning: tracer %s overwrote %d events (raise -ring)\n",

@@ -91,5 +91,5 @@ func runBurst(d core.Discipline) {
 	}
 	fmt.Printf("[%v] %d stubs: %d resolved, %d NXDOMAIN; server answered %d; "+
 		"largest receive batch %d frames\n",
-		d, stubs, resolved, nx, srv.Answered, hs.StackStats().LargestBatch)
+		d, stubs, resolved, nx, srv.Answered, hs.Snapshot().Stack.LargestBatch)
 }

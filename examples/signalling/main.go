@@ -57,7 +57,7 @@ func main() {
 		}
 	}
 	fmt.Printf("burst of 30 setups: %d active; switch's largest receive batch: %d frames\n",
-		active, hn.StackStats().LargestBatch)
+		active, hn.Snapshot().Stack.LargestBatch)
 	for _, c := range calls {
 		c.Hangup()
 	}

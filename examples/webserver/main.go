@@ -104,13 +104,15 @@ func run(d core.Discipline) {
 		}
 	}
 
-	c := serverHost.Counters
+	s := serverHost.Snapshot()
+	c := s.Counters
+	tx, _ := s.Telemetry.Hist("tx-batch")
 	fmt.Printf("[%v] %d requests -> %d responses (%d not-found); "+
 		"fast-path %d/%d segments; ACKs %d (delayed-ack rule); "+
 		"largest rx batch %d, largest tx batch %d\n",
 		d, nClients*nRequests, responses, notFound,
 		c.TCPFastPath, c.TCPFastPath+c.TCPSlowPath, c.AcksSent,
-		serverHost.StackStats().LargestBatch, c.TxMaxBatch)
+		s.Stack.LargestBatch, tx.Max)
 	if responses != nClients*nRequests {
 		panic("lost responses")
 	}

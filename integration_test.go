@@ -88,7 +88,7 @@ func TestFullStackStory(t *testing.T) {
 
 	// All three hosts ran LDLP receive paths; message sizes were small.
 	for _, h := range []*netstack.Host{nsHost, wwwHost, cliHost} {
-		if h.Counters.FramesIn == 0 {
+		if h.Snapshot().Counters.FramesIn == 0 {
 			t.Errorf("host %s received nothing", h.Name())
 		}
 	}
@@ -143,7 +143,7 @@ func TestPerLayerCountersAfterTraffic(t *testing.T) {
 	if sb.Pending() != 10 {
 		t.Fatalf("pending = %d", sb.Pending())
 	}
-	st := b.StackStats()
+	st := b.Snapshot().Stack
 	// device, ether, ip, udp, socket each processed all ten: 50 handler
 	// invocations; tcp and icmp layers idle.
 	if st.Processed != 50 {

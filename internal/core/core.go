@@ -125,8 +125,6 @@ type Layer[M any] struct {
 
 	// Processed counts handler invocations at this layer.
 	Processed int64
-	// MaxQueue tracks the deepest the input queue has been.
-	MaxQueue int
 }
 
 // Name returns the layer's name.
@@ -135,9 +133,6 @@ func (l *Layer[M]) Name() string { return l.name }
 // Index returns the layer's position in the stack (bottom = 0) — the
 // index telemetry events are recorded under.
 func (l *Layer[M]) Index() int { return l.index }
-
-// QueueLen reports the current input-queue depth.
-func (l *Layer[M]) QueueLen() int { return l.queue.len() }
 
 // Options configures a Stack.
 type Options struct {
@@ -329,9 +324,6 @@ func (s *Stack[M]) Layers() []*Layer[M] { return s.layers }
 // Stats returns a copy of the counters.
 func (s *Stack[M]) Stats() Stats { return s.stats }
 
-// Discipline reports the configured discipline.
-func (s *Stack[M]) Discipline() Discipline { return s.opts.Discipline }
-
 // Pending reports the number of messages buffered inside the stack.
 func (s *Stack[M]) Pending() int { return s.queued }
 
@@ -384,9 +376,6 @@ func (s *Stack[M]) enqueue(l *Layer[M], m M) {
 	s.pending.set(l.index)
 	s.queued++
 	s.stats.QueueOps++
-	if l.queue.len() > l.MaxQueue {
-		l.MaxQueue = l.queue.len()
-	}
 }
 
 func (s *Stack[M]) checkLinked(from, to *Layer[M]) {

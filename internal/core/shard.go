@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"ldlp/internal/telemetry"
 )
 
 // defaultShardQueue bounds a shard's input queue when Options.MaxQueued
@@ -124,9 +122,6 @@ func NewShardedStack[M any](opts Options, hash func(M) uint64, build func(shard 
 	return s
 }
 
-// NumShards reports the shard count.
-func (s *ShardedStack[M]) NumShards() int { return len(s.shards) }
-
 // SetSink installs the receiver for messages leaving any shard's stack
 // top. It runs on the delivering shard's worker, never concurrently
 // with itself. Must be called before the first Inject.
@@ -138,22 +133,6 @@ func (s *ShardedStack[M]) SetSink(fn Sink[M]) { s.sink = fn }
 // it must be called before the first Inject; fn itself must be safe for
 // concurrent use (Inject may run from many goroutines).
 func (s *ShardedStack[M]) SetRoute(fn func(key uint64, shards int) int) { s.route = fn }
-
-// SetTelemetry wires each shard's private stack to a flight-recorder
-// tracer from d (labelled "shard<i>", one ring of ringCap events per
-// shard, <= 0 selecting the default) plus a shared batch-size histogram
-// named "ldlp-batch". Like SetSink it must be called before the first
-// Inject: workers are parked on their empty input queues until then, so
-// the per-shard stacks are not yet in use.
-func (s *ShardedStack[M]) SetTelemetry(d *telemetry.Domain, ringCap int) {
-	if d == nil {
-		return
-	}
-	batch := d.Hist("ldlp-batch")
-	for i, sh := range s.shards {
-		sh.stack.SetTelemetry(d.Tracer("shard"+fmt.Sprint(i), ringCap), batch)
-	}
-}
 
 // Inject routes one arriving message to its flow's shard. It returns
 // ErrStackFull (counted in Stats.Dropped) when that shard's input queue

@@ -80,7 +80,7 @@ func TestShardedDeliversAllPreservingFlowOrder(t *testing.T) {
 	}
 	// Per-shard stats must sum to the aggregate (valid after Drain).
 	var sum int64
-	for i := 0; i < s.NumShards(); i++ {
+	for i := range s.shards {
 		sum += s.ShardStats(i).Delivered
 	}
 	if sum != st.Delivered {
@@ -421,7 +421,7 @@ func TestShardedStatsIsSumOfShardStats(t *testing.T) {
 	}
 	s.Drain()
 	var sum Stats
-	for i := 0; i < s.NumShards(); i++ {
+	for i := range s.shards {
 		st := s.ShardStats(i)
 		sum.QueueOps += st.QueueOps
 		sum.Processed += st.Processed

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"ldlp/internal/telemetry"
@@ -79,8 +80,12 @@ func TestStackTelemetryRecordsBatchesAndSpans(t *testing.T) {
 	}
 }
 
+// TestShardedStackTelemetry wires each shard's private stack to its own
+// tracer and a shared batch histogram from the build callback, the way
+// the netstack does.
 func TestShardedStackTelemetry(t *testing.T) {
 	d := telemetry.NewDomain("shards", nil)
+	batch := d.Hist("ldlp-batch")
 	var upper []*Layer[int]
 	s := NewShardedStack[int](Options{Discipline: LDLP, BatchLimit: 8, Shards: 2},
 		func(m int) uint64 { return uint64(m) },
@@ -89,8 +94,8 @@ func TestShardedStackTelemetry(t *testing.T) {
 			up := st.AddLayer("ip", func(m int, emit Emit[int]) { emit(nil, m) })
 			st.Link(lo, up)
 			upper = append(upper, up)
+			st.SetTelemetry(d.Tracer(fmt.Sprint("shard", i), 128), batch)
 		})
-	s.SetTelemetry(d, 128)
 	defer s.Close()
 
 	const n = 64

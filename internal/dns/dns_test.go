@@ -351,7 +351,7 @@ func TestBurstAtServerBatchesUnderLDLP(t *testing.T) {
 			t.Fatalf("lookup %d: done=%v err=%v", i, lk.Done, lk.Err)
 		}
 	}
-	if got := hs.StackStats().LargestBatch; got < 10 {
+	if got := hs.Snapshot().Stack.LargestBatch; got < 10 {
 		t.Errorf("server's largest receive batch = %d, want a real burst", got)
 	}
 }

@@ -125,7 +125,7 @@ func (q *FreeQueue) flushSlot(i int) {
 		if spilled > 0 {
 			ov := ps.pool.overflow.Load()
 			for _, m := range spillArr[:spilled] {
-				ps.overflowPuts.Inc()
+				ps.overflowPuts.Add(1)
 				if m.cluster {
 					ov.clust.Put(m)
 				} else {
@@ -136,11 +136,11 @@ func (q *FreeQueue) flushSlot(i int) {
 	} else {
 		ov := ps.pool.overflow.Load()
 		for _, m := range batch {
-			ps.slowFrees.Inc()
+			ps.slowFrees.Add(1)
 			if m.cluster {
 				ps.slowClusters.Add(-1)
 			}
-			ps.overflowPuts.Inc()
+			ps.overflowPuts.Add(1)
 			if m.cluster {
 				ov.clust.Put(m)
 			} else {

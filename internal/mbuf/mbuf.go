@@ -39,8 +39,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"ldlp/internal/telemetry"
 )
 
 const (
@@ -95,15 +93,13 @@ type PoolShard struct {
 	fastClusters int64
 
 	// Slow-path accounting, taken only when TryLock misses (so mu cannot
-	// protect it). These are telemetry counters (lock-free, hot-path
-	// tagged) rather than bare atomics so this accounting rides the same
-	// lint-enforced substrate as the rest of the flight recorder.
-	slowAllocs   telemetry.Counter
-	slowFrees    telemetry.Counter
-	slowClusters telemetry.Counter
-	heapAllocs   telemetry.Counter
-	overflowGets telemetry.Counter
-	overflowPuts telemetry.Counter
+	// protect it): lock-free atomics.
+	slowAllocs   atomic.Int64
+	slowFrees    atomic.Int64
+	slowClusters atomic.Int64
+	heapAllocs   atomic.Int64
+	overflowGets atomic.Int64
+	overflowPuts atomic.Int64
 
 	// Keep shards off each other's cache lines: the freelists and
 	// counters above are the write-hot fields.
@@ -266,7 +262,7 @@ func (ps *PoolShard) get(cluster bool) *Mbuf {
 		ps.mu.Unlock()
 	}
 	if !counted {
-		ps.slowAllocs.Inc()
+		ps.slowAllocs.Add(1)
 		if cluster {
 			ps.slowClusters.Add(1)
 		}
@@ -280,11 +276,11 @@ func (ps *PoolShard) get(cluster bool) *Mbuf {
 			m, _ = ov.small.Get().(*Mbuf)
 		}
 		if m != nil {
-			ps.overflowGets.Inc()
+			ps.overflowGets.Add(1)
 		}
 	}
 	if m == nil {
-		ps.heapAllocs.Inc()
+		ps.heapAllocs.Add(1)
 		size := MSize
 		if cluster {
 			size = MCLBytes
@@ -356,13 +352,13 @@ func (m *Mbuf) release() {
 			return
 		}
 	} else {
-		ps.slowFrees.Inc()
+		ps.slowFrees.Add(1)
 		if m.cluster {
 			ps.slowClusters.Add(-1)
 		}
 	}
 	ov := ps.pool.overflow.Load()
-	ps.overflowPuts.Inc()
+	ps.overflowPuts.Add(1)
 	if m.cluster {
 		ov.clust.Put(m)
 	} else {

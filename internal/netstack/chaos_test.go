@@ -85,6 +85,7 @@ func runChaosScenario(t *testing.T, cfg faults.Config, combo chaosCombo) {
 		o := DefaultOptions(combo.disc)
 		o.MTU = 600 // small enough that TCP segments and big datagrams fragment
 		o.RxShards = shards
+		o.TelemetryRing = 1 << 14 // the whole run, so the drop ledger is checkable
 		return o
 	}
 	a := n.AddHost("client", ipA, mkOpts(1))
@@ -260,11 +261,13 @@ func runChaosScenario(t *testing.T, cfg faults.Config, combo chaosCombo) {
 		if s.Dropped != s.LossDrops+s.BurstDrops+s.PartitionDrops {
 			t.Errorf("%v: drop attribution broken: %+v", ip, s)
 		}
-		if in := hosts[ip].Counters.FramesIn; in != s.Frames-s.Dropped+s.Duplicated {
+		if in := hosts[ip].Snapshot().Counters.FramesIn; in != s.Frames-s.Dropped+s.Duplicated {
 			t.Errorf("%v: FramesIn=%d, want frames %d - dropped %d + duplicated %d",
 				ip, in, s.Frames, s.Dropped, s.Duplicated)
 		}
 	}
+	checkDropLedger(t, a)
+	checkDropLedger(t, b)
 	checkNoLeaks(t)
 }
 
@@ -299,7 +302,7 @@ func TestChaosPartitionTimesOutTCP(t *testing.T) {
 	}
 	if cli.Err() != ErrTimeout {
 		t.Fatalf("connection never gave up: err=%v state=%s retransmits=%d",
-			cli.Err(), cli.State(), a.Counters.Retransmits)
+			cli.Err(), cli.State(), a.Snapshot().Counters.Retransmits)
 	}
 	if err := cli.Send([]byte("more")); err != ErrTimeout {
 		t.Errorf("Send after timeout = %v, want ErrTimeout", err)
@@ -311,10 +314,10 @@ func TestChaosPartitionTimesOutTCP(t *testing.T) {
 	if got := a.numPCBs(); got != 0 {
 		t.Errorf("timed-out connection still pins %d PCBs", got)
 	}
-	if got := a.Counters.TimeoutDrops; got != 1 {
+	if got := a.Snapshot().Counters.TimeoutDrops; got != 1 {
 		t.Errorf("TimeoutDrops = %d, want 1", got)
 	}
-	if got := a.Counters.Retransmits; got != tcpMaxRetries {
+	if got := a.Snapshot().Counters.Retransmits; got != tcpMaxRetries {
 		t.Errorf("gave up after %d retransmits, want exactly %d", got, tcpMaxRetries)
 	}
 	checkNoLeaks(t)
@@ -335,14 +338,14 @@ func TestChaosFragStateCapAndEviction(t *testing.T) {
 	if got := b.numFrags(); got != maxFragStates {
 		t.Errorf("fragment state grew to %d entries, want cap %d", got, maxFragStates)
 	}
-	if got := b.Counters.ReassemblyTimeouts; got != flood-maxFragStates {
+	if got := b.Snapshot().Counters.ReassemblyTimeouts; got != flood-maxFragStates {
 		t.Errorf("evictions counted as %d reassembly timeouts, want %d", got, flood-maxFragStates)
 	}
 	n.Tick(fragTimeout + 1)
 	if got := b.numFrags(); got != 0 {
 		t.Errorf("%d partial datagrams survived the timeout", got)
 	}
-	if got := b.Counters.ReassemblyTimeouts; got != flood {
+	if got := b.Snapshot().Counters.ReassemblyTimeouts; got != flood {
 		t.Errorf("ReassemblyTimeouts = %d after expiry, want %d", got, flood)
 	}
 	checkNoLeaks(t)
@@ -375,7 +378,7 @@ func TestChaosMalformedFragmentDropsAlone(t *testing.T) {
 	}
 	// Spoofed fragment with the same key, claiming bytes past 64 KB.
 	b.deliver(chaosFrame(ipA, ipB, layers.ProtoUDP, id, 0, 65528, make([]byte, 16)))
-	if got := b.Counters.BadIP; got != 1 {
+	if got := b.Snapshot().Counters.BadIP; got != 1 {
 		t.Errorf("malformed fragment not counted: BadIP = %d, want 1", got)
 	}
 	if b.numFrags() != 1 {
@@ -389,7 +392,7 @@ func TestChaosMalformedFragmentDropsAlone(t *testing.T) {
 	if !bytes.Equal(d.Data, payload) {
 		t.Error("reassembled payload corrupted")
 	}
-	if got := b.Counters.Reassembled; got != 1 {
+	if got := b.Snapshot().Counters.Reassembled; got != 1 {
 		t.Errorf("Reassembled = %d, want 1", got)
 	}
 	checkNoLeaks(t)
@@ -432,7 +435,7 @@ func TestChaosChecksumCorruptionUDP(t *testing.T) {
 				}
 				received++
 			}
-			c := &b.Counters
+			c := b.Snapshot().Counters
 			s := inj.Stats()
 			if c.FramesIn != s.Frames {
 				t.Errorf("corruption dropped frames at the link: FramesIn=%d, injector saw %d", c.FramesIn, s.Frames)
@@ -512,7 +515,8 @@ func TestChaosChecksumCorruptionTCP(t *testing.T) {
 				corrupted += inj.Stats().Corrupted
 			}
 			for _, h := range []*Host{a, b} {
-				caught += h.Counters.BadTCP + h.Counters.BadIP + h.Counters.BadEther
+				c := h.Snapshot().Counters
+				caught += c.BadTCP + c.BadIP + c.BadEther
 			}
 			if corrupted == 0 || caught == 0 {
 				t.Errorf("expected corruption injected and caught: corrupted=%d caught=%d", corrupted, caught)
@@ -568,7 +572,7 @@ func TestChaosChecksumCorruptionFragments(t *testing.T) {
 		}
 		received++
 	}
-	c := &b.Counters
+	c := b.Snapshot().Counters
 	s := inj.Stats()
 	if c.FramesIn != s.Frames {
 		t.Errorf("corruption dropped frames at the link: FramesIn=%d, injector saw %d", c.FramesIn, s.Frames)
@@ -778,7 +782,7 @@ func TestChaosCloseDuringRetransmitAcrossShards(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		n.Tick(0.1) // a few RTOs fire; retransmission is in progress
 	}
-	if a.Counters.Retransmits == 0 {
+	if a.Snapshot().Counters.Retransmits == 0 {
 		t.Fatal("partition produced no retransmits; the test lost its premise")
 	}
 	for _, cli := range clis {
@@ -790,7 +794,7 @@ func TestChaosCloseDuringRetransmitAcrossShards(t *testing.T) {
 	if got := a.numPCBs(); got != 0 {
 		t.Errorf("%d client PCBs survived close + retry exhaustion", got)
 	}
-	if got := a.Counters.TimeoutDrops; got != conns {
+	if got := a.Snapshot().Counters.TimeoutDrops; got != conns {
 		t.Errorf("TimeoutDrops = %d, want %d", got, conns)
 	}
 	for _, cli := range clis {
@@ -876,7 +880,7 @@ func TestChaosListenerTeardownAcrossShards(t *testing.T) {
 	if survivors != early {
 		t.Fatalf("accepted %d connections, want the %d pre-teardown ones", survivors, early)
 	}
-	if b.Counters.NoSocket == 0 {
+	if b.Snapshot().Counters.NoSocket == 0 {
 		t.Error("post-teardown SYNs were not counted NoSocket")
 	}
 	for c, cli := range lateClis {

@@ -25,35 +25,29 @@ import (
 	"ldlp/internal/layers"
 )
 
-// DispatchStats is a host's receive-side dispatch view for telemetry
-// and tests: which policy routes frames, how much rebalancing it has
-// done, and how evenly the shards are loaded. Pump-side: read while the
-// network is quiescent.
+// DispatchStats is a host's receive-side dispatch view in
+// Snapshot.Dispatch: which policy routes frames, how much rebalancing it
+// has done, and how evenly the shards are loaded.
 type DispatchStats struct {
-	Policy        string  `json:"policy"`
-	Rebalances    int64   `json:"rebalances"`    // rebalance rounds that moved something
-	BucketMoves   int64   `json:"bucketMoves"`   // indirection-table entries re-homed
-	FlowsMigrated int64   `json:"flowsMigrated"` // TCP connections moved between shards
-	FragsMigrated int64   `json:"fragsMigrated"` // partial reassemblies moved
-	ShardFrames   []int64 `json:"shardFrames"`   // frames processed per shard, cumulative
+	Policy        string
+	Rebalances    int64   // rebalance rounds that moved something
+	BucketMoves   int64   // indirection-table entries re-homed
+	FlowsMigrated int64   // TCP connections moved between shards
+	FragsMigrated int64   // partial reassemblies moved
+	ShardFrames   []int64 // frames processed per shard, cumulative
 	// Imbalance is max(ShardFrames) * shards / sum(ShardFrames): 1.0 is
 	// a perfectly even spread, shards (= every frame on one shard) the
 	// worst case. 0 before any traffic.
-	Imbalance float64 `json:"imbalance"`
+	Imbalance float64
 }
 
-// DispatchStats reports the host's dispatch policy activity and
+// dispatchStats reports the host's dispatch policy activity and
 // per-shard frame balance.
-func (h *Host) DispatchStats() DispatchStats {
-	out := DispatchStats{
-		Policy:        h.policy.Name(),
-		Rebalances:    h.rebalances,
-		BucketMoves:   h.bucketMoves,
-		FlowsMigrated: h.flowsMigrated,
-		FragsMigrated: h.fragsMigrated,
-	}
+func (h *Host) dispatchStats() DispatchStats {
+	out := h.dispatch
+	out.Policy = h.policy.Name()
 	if h.sharded {
-		out.ShardFrames = make([]int64, h.shards.NumShards())
+		out.ShardFrames = make([]int64, len(h.tshards))
 		for i := range out.ShardFrames {
 			out.ShardFrames[i] = h.shards.ShardStats(i).Processed
 		}
@@ -92,8 +86,8 @@ func (h *Host) dispatchTick() {
 	if len(migs) == 0 {
 		return
 	}
-	h.rebalances++
-	h.bucketMoves += int64(len(migs))
+	h.dispatch.Rebalances++
+	h.dispatch.BucketMoves += int64(len(migs))
 	for _, mg := range migs {
 		h.applyMigration(mg)
 	}
@@ -134,7 +128,7 @@ func (h *Host) applyMigration(mg dispatch.Migration) {
 		from.pcbs.Delete(t)
 		pcbs[i].owner = to
 		to.pcbs.Insert(t, pcbs[i])
-		h.flowsMigrated++
+		h.dispatch.FlowsMigrated++
 	}
 	if from.frags != nil {
 		var fkeys []fragKey
@@ -151,7 +145,7 @@ func (h *Host) applyMigration(mg dispatch.Migration) {
 			// The source's fragq entry goes stale; fragLive's pointer
 			// check sheds it.
 			to.adoptFrag(k, fsts[i])
-			h.fragsMigrated++
+			h.dispatch.FragsMigrated++
 		}
 	}
 }

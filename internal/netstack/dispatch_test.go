@@ -126,7 +126,7 @@ func TestLoadAwareMigratesHotFlows(t *testing.T) {
 	n.RunUntilIdle()
 	n.Tick(0.01) // quiescent point: the policy rebalances here
 
-	ds := b.DispatchStats()
+	ds := b.Snapshot().Dispatch
 	if ds.Policy != pol.Name() {
 		t.Errorf("DispatchStats.Policy = %q, want %q", ds.Policy, pol.Name())
 	}
@@ -139,9 +139,6 @@ func TestLoadAwareMigratesHotFlows(t *testing.T) {
 	if ds.FragsMigrated == 0 {
 		t.Fatalf("hot bucket moved but its reassembly state did not: %+v", ds)
 	}
-	if fs := b.FlowStats(); fs.Migrated != ds.FlowsMigrated {
-		t.Errorf("FlowStats.Migrated = %d, DispatchStats.FlowsMigrated = %d", fs.Migrated, ds.FlowsMigrated)
-	}
 
 	// The migrated reassembly completes on the new shard.
 	b.deliver(chaosFrame(ipA, ipB, layers.ProtoUDP, fragID, 0, 576, whole[576:]))
@@ -153,7 +150,7 @@ func TestLoadAwareMigratesHotFlows(t *testing.T) {
 	if !bytes.Equal(d.Data, payload) {
 		t.Error("reassembled payload corrupted across migration")
 	}
-	if got := b.Counters.Reassembled; got != 1 {
+	if got := b.Snapshot().Counters.Reassembled; got != 1 {
 		t.Errorf("Reassembled = %d, want 1", got)
 	}
 
@@ -263,7 +260,7 @@ func TestChaosDispatchSteal(t *testing.T) {
 		t.Fatalf("stream corrupted by stealing: got %d bytes, want %d, diverges at %d",
 			got.Len(), want.Len(), i)
 	}
-	ds := b.DispatchStats()
+	ds := b.Snapshot().Dispatch
 	if ds.Rebalances == 0 || ds.BucketMoves == 0 {
 		t.Fatalf("no stealing happened — the test lost its premise: %+v", ds)
 	}
@@ -281,7 +278,7 @@ func TestDispatchStatsSingleThreaded(t *testing.T) {
 	}
 	tx.SendTo(ipB, 2000, []byte("hi"))
 	a.net.RunUntilIdle()
-	ds := b.DispatchStats()
+	ds := b.Snapshot().Dispatch
 	if ds.Policy != "static" || len(ds.ShardFrames) != 1 {
 		t.Errorf("unsharded DispatchStats = %+v", ds)
 	}
@@ -333,7 +330,7 @@ func TestRPCDispatchSpreadsOneFlow(t *testing.T) {
 		if delivered != reqs {
 			t.Fatalf("delivered %d/%d requests", delivered, reqs)
 		}
-		return b.DispatchStats().ShardFrames
+		return b.Snapshot().Dispatch.ShardFrames
 	}
 	staticFrames := run(t, func() dispatch.Policy { return nil })
 	rpcFrames := run(t, func() dispatch.Policy { return dispatch.NewRPCDispatch(port) })

@@ -11,7 +11,7 @@ package netstack
 // touched from its owning shard) this is the proof that sharding the
 // data path changed its performance and nothing else.
 //
-// One deliberate exclusion from the ledger: TxBatches/TxMaxBatch (batch
+// One deliberate exclusion from the ledger: the tx-batch histogram (batch
 // composition depends on how flows interleave across shard queues).
 // Everything else — every frame, every drop reason, every ACK — must be
 // bit-for-bit equal.
@@ -132,8 +132,8 @@ type equivRun struct {
 }
 
 // ledgerFields is the drop-reason/traffic ledger compared across shard
-// counts. See the file comment for why TxBatches is out.
-func ledgerFor(name string, c *Counters) map[string]int64 {
+// counts. See the file comment for why transmit batching is out.
+func ledgerFor(name string, c Counters) map[string]int64 {
 	return map[string]int64{
 		name + ".framesIn":      c.FramesIn,
 		name + ".framesOut":     c.FramesOut,
@@ -386,18 +386,18 @@ func runEquivWorkload(t testing.TB, script *equivScript, shards int, cfg *faults
 
 	run.pings = len(a.PingReplies())
 	sort.Strings(run.bigSet)
-	run.ledger = ledgerFor("a", &a.Counters)
-	for k, v := range ledgerFor("b", &b.Counters) {
+	run.ledger = ledgerFor("a", a.Snapshot().Counters)
+	for k, v := range ledgerFor("b", b.Snapshot().Counters) {
 		run.ledger[k] = v
 	}
-	for _, st := range b.ShardTransportStats() {
+	for _, st := range b.Snapshot().Shards {
 		run.shardTCPSegs += st.TCPSegs
 		run.shardUDPDgms += st.UDPDgrams
 		run.reinjects += st.Reinjects
 		run.reasmLocal += st.ReasmLocal
 	}
-	run.reassembled = b.Counters.Reassembled
-	run.tcpReinjects = b.Counters.TCPReinjects
+	run.reassembled = b.Snapshot().Counters.Reassembled
+	run.tcpReinjects = b.Snapshot().Counters.TCPReinjects
 	if s := mbuf.PoolStats(); s.InUse != 0 && n.HeldFrames() == 0 {
 		t.Errorf("mbuf leak at %d shards: %+v", shards, s)
 	}
@@ -558,7 +558,7 @@ func TestTupleShardMatchesRxFlowHash(t *testing.T) {
 				tcpHdr[2], tcpHdr[3] = byte(tup.lport>>8), byte(tup.lport)
 
 				owner := b.tupleShard(tup)
-				routed := pol.Shard(dispatch.FrameKey(frame), b.RxShards())
+				routed := pol.Shard(dispatch.FrameKey(frame), len(b.tshards))
 				if owner.idx != routed {
 					t.Fatalf("tuple %v: DialTCP would own shard %d but segments route to shard %d", tup, owner.idx, routed)
 				}
@@ -694,7 +694,7 @@ func TestMalformedFrameLedgerShardInvariant(t *testing.T) {
 			}
 		}
 		n.RunUntilIdle()
-		return ledgerFor("b", &b.Counters)
+		return ledgerFor("b", b.Snapshot().Counters)
 	}
 	base := run(1)
 	if base["b.badIP"] == 0 && base["b.badEther"] == 0 {

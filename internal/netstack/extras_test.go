@@ -23,8 +23,8 @@ func TestPingEcho(t *testing.T) {
 		if r.From != ipB || r.ID != 7 || r.Seq != 1 || string(r.Payload) != "echo me" {
 			t.Errorf("[%v] reply = %+v", d, r)
 		}
-		if b.Counters.EchoRequests != 1 || a.Counters.EchoReplies != 1 {
-			t.Errorf("[%v] counters: req %d rep %d", d, b.Counters.EchoRequests, a.Counters.EchoReplies)
+		if b.Snapshot().Counters.EchoRequests != 1 || a.Snapshot().Counters.EchoReplies != 1 {
+			t.Errorf("[%v] counters: req %d rep %d", d, b.Snapshot().Counters.EchoRequests, a.Snapshot().Counters.EchoReplies)
 		}
 		checkNoLeaks(t)
 	}
@@ -64,8 +64,8 @@ func TestCorruptICMPCounted(t *testing.T) {
 		return false
 	}
 	n.RunUntilIdle()
-	if b.Counters.BadICMP != 1 {
-		t.Errorf("BadICMP = %d, want 1", b.Counters.BadICMP)
+	if b.Snapshot().Counters.BadICMP != 1 {
+		t.Errorf("BadICMP = %d, want 1", b.Snapshot().Counters.BadICMP)
 	}
 	if len(a.PingReplies()) != 0 {
 		t.Error("corrupted request should not be answered")
@@ -89,11 +89,11 @@ func TestUDPFragmentationRoundTrip(t *testing.T) {
 		if !bytes.Equal(dg.Data, payload) {
 			t.Fatalf("[%v] reassembly corrupted the payload", d)
 		}
-		if a.Counters.FragmentsSent < 3 {
-			t.Errorf("[%v] fragments sent = %d, want >= 3", d, a.Counters.FragmentsSent)
+		if a.Snapshot().Counters.FragmentsSent < 3 {
+			t.Errorf("[%v] fragments sent = %d, want >= 3", d, a.Snapshot().Counters.FragmentsSent)
 		}
-		if b.Counters.Reassembled != 1 {
-			t.Errorf("[%v] reassembled = %d, want 1", d, b.Counters.Reassembled)
+		if b.Snapshot().Counters.Reassembled != 1 {
+			t.Errorf("[%v] reassembled = %d, want 1", d, b.Snapshot().Counters.Reassembled)
 		}
 		checkNoLeaks(t)
 	}
@@ -147,8 +147,8 @@ func TestReassemblyTimeoutDropsPartials(t *testing.T) {
 		t.Fatalf("partial datagrams held = %d, want 1", b.numFrags())
 	}
 	n.Tick(31) // beyond the 30s reassembly timeout
-	if b.Counters.ReassemblyTimeouts != 1 {
-		t.Errorf("timeouts = %d, want 1", b.Counters.ReassemblyTimeouts)
+	if b.Snapshot().Counters.ReassemblyTimeouts != 1 {
+		t.Errorf("timeouts = %d, want 1", b.Snapshot().Counters.ReassemblyTimeouts)
 	}
 	if b.numFrags() != 0 {
 		t.Error("expired partial datagram still held")
@@ -170,8 +170,8 @@ func TestSmallMTUHostFragments(t *testing.T) {
 	payload := make([]byte, 1200)
 	sa.SendTo(ipB, 2, payload)
 	n.RunUntilIdle()
-	if a.Counters.FragmentsSent < 3 {
-		t.Errorf("fragments sent = %d at MTU 576, want >= 3", a.Counters.FragmentsSent)
+	if a.Snapshot().Counters.FragmentsSent < 3 {
+		t.Errorf("fragments sent = %d at MTU 576, want >= 3", a.Snapshot().Counters.FragmentsSent)
 	}
 	if dg, ok := sb.Recv(); !ok || len(dg.Data) != 1200 {
 		t.Fatal("reassembly at small MTU failed")
@@ -191,8 +191,8 @@ func TestTransmitSideBatching(t *testing.T) {
 	}
 	_ = sa
 	n.RunUntilIdle()
-	if b.Counters.TxMaxBatch < 5 {
-		t.Errorf("largest transmit batch = %d, want the echo replies batched", b.Counters.TxMaxBatch)
+	if tx, _ := b.Snapshot().Telemetry.Hist("tx-batch"); tx.Max < 5 {
+		t.Errorf("largest transmit batch = %d, want the echo replies batched", tx.Max)
 	}
 	if got := len(a.PingReplies()); got != 10 {
 		t.Errorf("replies = %d, want 10", got)
@@ -201,8 +201,8 @@ func TestTransmitSideBatching(t *testing.T) {
 	n2, a2, b2 := twoHosts(t, core.Conventional)
 	a2.Ping(b2.IP(), 1, 1, nil)
 	n2.RunUntilIdle()
-	if b2.Counters.TxBatches != 0 {
-		t.Errorf("conventional host recorded %d tx batches", b2.Counters.TxBatches)
+	if tx, _ := b2.Snapshot().Telemetry.Hist("tx-batch"); tx.Count != 0 {
+		t.Errorf("conventional host recorded %d tx batches", tx.Count)
 	}
 }
 
@@ -320,12 +320,12 @@ func TestFragQueueBoundedUnderChurn(t *testing.T) {
 			t.Errorf("%v: %d partial datagrams held, want the one outstanding", disc, got)
 		}
 		n.Tick(fragTimeout + 1)
-		if got := b.Counters.Reassembled; got != rounds*perRound {
+		if got := b.Snapshot().Counters.Reassembled; got != rounds*perRound {
 			t.Errorf("%v: Reassembled = %d, want %d", disc, got, rounds*perRound)
 		}
 		// One timeout per never-completing datagram, which is what the
 		// queue's parent implementation counts for this script too.
-		if got := b.Counters.ReassemblyTimeouts; got != rounds {
+		if got := b.Snapshot().Counters.ReassemblyTimeouts; got != rounds {
 			t.Errorf("%v: ReassemblyTimeouts = %d, want %d", disc, got, rounds)
 		}
 		if q := &b.tshards[0].fragq; b.numFrags() != 0 || len(q.buf) != 0 || q.head != 0 {

@@ -4,6 +4,7 @@ import (
 	"ldlp/internal/flowtable"
 	"ldlp/internal/layers"
 	"ldlp/internal/mbuf"
+	"ldlp/internal/telemetry"
 )
 
 // IPv4 fragmentation and reassembly. The paper's traced fast path never
@@ -141,8 +142,8 @@ func (ts *transportShard) fragmentOutput(m *mbuf.Mbuf, proto byte, dst layers.IP
 // allocate by design.
 //
 //ldlp:coldpath
-func (ts *transportShard) reassemble(p *Packet) []byte {
-	h := ts.h
+func (rx *rxPath) reassemble(p *Packet) []byte {
+	h, ts := rx.h, rx.ts
 	ts.initFrags()
 	key := fragKey{src: p.IP.Src, id: p.IP.ID, proto: p.IP.Protocol}
 	fragPayload := p.M.Contiguous()
@@ -152,13 +153,13 @@ func (ts *transportShard) reassemble(p *Packet) []byte {
 		// Malformed fragment: drop it alone. It must not tear down a
 		// legitimate in-progress datagram that happens to share its key
 		// (that would let one spoofed fragment veto any reassembly).
-		inc(&h.Counters.BadIP)
+		h.reject(rx.tel, rx.ipin.Index(), telemetry.DropBadIP)
 		return nil
 	}
 	st, _ := ts.frags.Lookup(key)
 	if st == nil {
 		if ts.frags.Len() >= maxFragStates {
-			ts.evictOldestFrag()
+			ts.evictOldestFrag(rx.tel, rx.ipin.Index())
 		}
 		st = &fragState{totalLen: -1, deadline: h.net.now + fragTimeout}
 		ts.frags.Insert(key, st)
@@ -228,7 +229,7 @@ func (ts *transportShard) reassemble(p *Packet) []byte {
 func (ts *transportShard) adoptFrag(k fragKey, st *fragState) {
 	ts.initFrags()
 	if ts.frags.Len() >= maxFragStates {
-		ts.evictOldestFrag()
+		ts.evictOldestFrag(ts.h.telPump, 0)
 	}
 	ts.frags.Insert(k, st)
 	ts.fragRoom()
@@ -304,11 +305,12 @@ func (ts *transportShard) fragsLen() int {
 // is abandoned exactly as if its timer had fired. O(1) amortized: the
 // fragq queue is in insertion == deadline order, so the oldest is the
 // first entry that is not stale, and a stale head is passed over once.
-func (ts *transportShard) evictOldestFrag() {
+// The drop is recorded on tr, the caller's tracer, at layer.
+func (ts *transportShard) evictOldestFrag(tr *telemetry.Tracer, layer int) {
 	ts.shedStaleFrags()
 	if q := &ts.fragq; q.head < len(q.buf) {
 		ts.frags.Delete(q.buf[q.head].key)
-		inc(&ts.h.Counters.ReassemblyTimeouts)
+		ts.h.reject(tr, layer, telemetry.DropReasmTimeout)
 		ts.shedStaleFrags()
 	}
 }
@@ -326,7 +328,7 @@ func (h *Host) fragTick() {
 		ts.frags.Range(func(key fragKey, st *fragState) bool {
 			if h.net.now >= st.deadline {
 				ts.frags.Delete(key)
-				inc(&h.Counters.ReassemblyTimeouts)
+				h.reject(h.telPump, 0, telemetry.DropReasmTimeout)
 			}
 			return true
 		})

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -9,15 +10,14 @@ import (
 	"ldlp/internal/dispatch"
 	"ldlp/internal/layers"
 	"ldlp/internal/mbuf"
-	"ldlp/internal/telemetry"
 )
 
 // FuzzRxPath feeds arbitrary frames into a server's receive path under
 // every discipline, shard count and dispatch policy, and holds every
 // run to the same contract: no panic, done inside rxFuzzBound, no mbuf
 // outstanding after Close, every shard's cached PCB live in that shard's
-// own table at each quiescent point, and one reason-coded drop ledger
-// for all.
+// own table at each quiescent point, counted drops equal to recorded
+// drop events reason by reason, and one drop ledger for all.
 //
 // An input is a list of records. A record starting with a zero byte is
 // a Tick (timers, and the load-aware policy's rebalance point); any
@@ -59,10 +59,10 @@ func FuzzRxPath(f *testing.F) {
 			for _, fault := range r.cacheFaults {
 				t.Errorf("%s: %s", r.name, fault)
 			}
-			if r.lost != 0 {
-				// Bounded inputs record a few hundred events per tracer at
-				// most; the default ring holds 1024.
-				t.Fatalf("%s: flight recorder lost %d events; the ledger is incomplete", r.name, r.lost)
+			// Bounded inputs record a few hundred events per tracer at
+			// most; the default ring holds 1024, so events is never nil.
+			if !maps.Equal(r.ledger, r.events) {
+				t.Errorf("%s: counted drops %v, recorded drop events %v", r.name, r.ledger, r.events)
 			}
 			scoped = scoped || r.listenOverflow
 		}
@@ -167,9 +167,8 @@ func isFragmentFrame(frame []byte) bool {
 type rxFuzzResult struct {
 	name           string
 	shards         int
-	ledger         map[string]int64
+	ledger, events map[string]int64 // Snapshot.Drops, Snapshot.DropEvents
 	inUse          int64
-	lost           uint64
 	listenOverflow bool
 	tcpReinjects   int64
 	cacheFaults    []string // pcbCacheFaults at each quiescent point
@@ -199,7 +198,7 @@ func runRxFuzzConfig(steps [][]byte, cfg rxFuzzConfig) rxFuzzResult {
 	for _, port := range []uint16{2000, 2001, 2002, 3100} {
 		b.UDPSocket(port)
 	}
-	res := rxFuzzResult{name: cfg.name, shards: cfg.shards, ledger: map[string]int64{}}
+	res := rxFuzzResult{name: cfg.name, shards: cfg.shards}
 	for _, frame := range steps {
 		if frame == nil {
 			n.RunUntilIdle() // Tick's timers and rebalance run at quiescence
@@ -212,24 +211,10 @@ func runRxFuzzConfig(steps [][]byte, cfg rxFuzzConfig) rxFuzzResult {
 	n.RunUntilIdle()
 	res.cacheFaults = append(res.cacheFaults, pcbCacheFaults(b)...)
 
-	for _, tr := range b.Telemetry().Snapshot().Tracers {
-		res.lost += tr.Lost
-		for _, ev := range tr.Events {
-			if ev.Kind == telemetry.EvDrop {
-				res.ledger["drop."+telemetry.DropReason(ev.Arg).String()]++
-			}
-		}
-	}
-	c := &b.Counters
-	for k, v := range map[string]int64{
-		"badEther": c.BadEther, "badIP": c.BadIP, "badTCP": c.BadTCP,
-		"badUDP": c.BadUDP, "badICMP": c.BadICMP, "noSocket": c.NoSocket,
-		"reasmTimeouts": c.ReassemblyTimeouts, "timeoutDrops": c.TimeoutDrops,
-	} {
-		res.ledger[k] = v
-	}
+	s := b.Snapshot()
+	res.ledger, res.events = s.Drops, s.DropEvents
 	res.listenOverflow = l.DroppedCount() > 0
-	res.tcpReinjects = c.TCPReinjects
+	res.tcpReinjects = s.Counters.TCPReinjects
 	n.Close()
 	res.inUse = mbuf.PoolStats().InUse
 	return res

@@ -237,7 +237,7 @@ func BenchmarkHotPathInjectLDLP(b *testing.B) {
 	}
 	b.StopTimer()
 
-	if bh, ok := hb.Telemetry().Snapshot().Hist("ldlp-batch"); ok && bh.Count > 0 {
+	if bh, ok := hb.Snapshot().Telemetry.Hist("ldlp-batch"); ok && bh.Count > 0 {
 		b.ReportMetric(bh.Quantile(0.50), "p50-batch")
 		b.ReportMetric(bh.Quantile(0.99), "p99-batch")
 	}
@@ -342,7 +342,7 @@ func BenchmarkHotPathInjectShards(b *testing.B) {
 				b.Fatalf("fast path took %d of %d segments", got, b.N)
 			}
 			hit := 0
-			for _, st := range hb.ShardTransportStats() {
+			for _, st := range hb.Snapshot().Shards {
 				if st.TCPSegs > 0 {
 					hit++
 				}

@@ -71,12 +71,10 @@ func (rx *rxPath) icmpInput(p *Packet, emit core.Emit[*Packet]) {
 	h := rx.h
 	buf := p.M.Contiguous()
 	if len(buf) < icmpHeaderLen {
-		inc(&h.Counters.BadICMP)
 		rx.reject(p, rx.icmpin, telemetry.DropBadICMP)
 		return
 	}
 	if checksum.Simple(buf) != 0 {
-		inc(&h.Counters.BadICMP)
 		rx.reject(p, rx.icmpin, telemetry.DropBadICMP)
 		return
 	}
@@ -94,7 +92,6 @@ func (rx *rxPath) icmpInput(p *Packet, emit core.Emit[*Packet]) {
 		h.pingReplies = append(h.pingReplies, PingReply{From: p.IP.Src, ID: id, Seq: seq, Payload: payload})
 		h.icmpMu.Unlock()
 	default:
-		inc(&h.Counters.BadICMP)
 		rx.reject(p, rx.icmpin, telemetry.DropBadICMP)
 		return
 	}

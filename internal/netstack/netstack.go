@@ -97,15 +97,59 @@ type Counters struct {
 	// ledgers for (the checked invariant that replaced PR 6's documented
 	// caveat).
 	TCPReinjects int64
-	TxBatches    int64 // transmit-side LDLP: queued-output flushes
-	TxMaxBatch   int   // largest single transmit flush
 	WindowProbes int64 // zero-window persist probes sent
 	TimeoutDrops int64 // connections reaped after retransmission gave up
+
+	// The drops with no field of their own above; Snapshot.Drops shows
+	// them by reason.
+	listenOverflows, sockOverflows, stackFull int64
 }
 
 // inc bumps a counter; atomic because sharded receive paths update
 // counters from several worker goroutines.
 func inc(c *int64) { atomic.AddInt64(c, 1) }
+
+// drops is the one mapping from a drop reason to the counter that
+// tallies it: it adds n and returns the new total, so n = 0 reads it.
+func (c *Counters) drops(r telemetry.DropReason, n int64) int64 {
+	switch r {
+	case telemetry.DropBadEther:
+		return atomic.AddInt64(&c.BadEther, n)
+	case telemetry.DropBadIP:
+		return atomic.AddInt64(&c.BadIP, n)
+	case telemetry.DropBadTCP:
+		return atomic.AddInt64(&c.BadTCP, n)
+	case telemetry.DropBadUDP:
+		return atomic.AddInt64(&c.BadUDP, n)
+	case telemetry.DropBadICMP:
+		return atomic.AddInt64(&c.BadICMP, n)
+	case telemetry.DropNoSocket:
+		return atomic.AddInt64(&c.NoSocket, n)
+	case telemetry.DropListenOverflow:
+		return atomic.AddInt64(&c.listenOverflows, n)
+	case telemetry.DropSockBuffer:
+		return atomic.AddInt64(&c.sockOverflows, n)
+	case telemetry.DropStackFull:
+		return atomic.AddInt64(&c.stackFull, n)
+	case telemetry.DropTimeout:
+		return atomic.AddInt64(&c.TimeoutDrops, n)
+	case telemetry.DropReasmTimeout:
+		return atomic.AddInt64(&c.ReassemblyTimeouts, n)
+	}
+	return 0
+}
+
+// reject is the only way a drop is accounted: it bumps the reason's
+// counter and records one EvDrop on tr, the tracer of the goroutine
+// running it, at layer. No drop counter moves and no EvDrop is recorded
+// anywhere else, so the counters and the flight recorder agree by
+// construction (Snapshot.Drops against Snapshot.DropEvents).
+//
+//ldlp:hotpath
+func (h *Host) reject(tr *telemetry.Tracer, layer int, reason telemetry.DropReason) {
+	h.Counters.drops(reason, 1)
+	tr.Event(telemetry.EvDrop, layer, int64(reason))
+}
 
 // Options configures a host.
 type Options struct {
@@ -560,13 +604,10 @@ type Host struct {
 
 	// Dispatch-rebalancing bookkeeping, pump-side only (dispatch.go):
 	// prevShardLoad holds each shard's absolute Processed count at the
-	// last dispatchTick, so the policy sees per-window deltas; the
-	// counters feed DispatchStats.
+	// last dispatchTick, so the policy sees per-window deltas; dispatch
+	// holds the rebalancing counters of Snapshot.Dispatch.
 	prevShardLoad []int64
-	rebalances    int64
-	bucketMoves   int64
-	flowsMigrated int64
-	fragsMigrated int64
+	dispatch      DispatchStats
 
 	// tel is the host's telemetry domain: one flight-recorder tracer
 	// per receive shard (wired into the LDLP engine), one pump-side
@@ -623,7 +664,7 @@ type transportShard struct {
 
 	// tally points at this shard's slot in the host's padded tally
 	// array. Plain fields, written only by the owning worker (or the
-	// pump at quiescence) and read through Host.ShardTransportStats —
+	// pump at quiescence) and read through Host.Snapshot —
 	// the single-writer analogue of the atomic-counter discipline the
 	// global Counters use.
 	tally *shardTally
@@ -644,11 +685,9 @@ type shardTally struct {
 	_          [16]byte
 }
 
-// ShardTransportStats is one transport shard's view for telemetry and
-// tests: what it carried and what it currently owns. Read while the
-// network is quiescent.
+// ShardTransportStats is one transport shard's entry in Snapshot.Shards:
+// what it carried and what it currently owns.
 type ShardTransportStats struct {
-	Shard      int
 	TCPSegs    int64 // TCP segments that reached this shard's TCP layer
 	UDPDgrams  int64 // datagrams queued to sockets by this shard
 	TxFrames   int64 // frames this shard queued for transmit
@@ -658,16 +697,16 @@ type ShardTransportStats struct {
 	Frags      int   // partial reassemblies currently held
 }
 
-// ShardTransportStats reports every transport shard's tallies, index-
-// aligned with the receive shards. Pump-side: call while the network is
+// shardStats reports every transport shard's tallies, index-aligned
+// with the receive shards. Pump-side: call while the network is
 // quiescent.
 //
 //ldlp:quiescent
-func (h *Host) ShardTransportStats() []ShardTransportStats {
+func (h *Host) shardStats() []ShardTransportStats {
 	out := make([]ShardTransportStats, len(h.tshards))
 	for i, ts := range h.tshards {
 		out[i] = ShardTransportStats{
-			Shard: i, TCPSegs: ts.tally.tcpSegs, UDPDgrams: ts.tally.udpDgrams,
+			TCPSegs: ts.tally.tcpSegs, UDPDgrams: ts.tally.udpDgrams,
 			TxFrames: ts.tally.txFrames, Reinjects: ts.tally.reinjects,
 			ReasmLocal: ts.tally.reasmLocal,
 			PCBs:       ts.pcbs.Len(), Frags: ts.fragsLen(),
@@ -676,30 +715,25 @@ func (h *Host) ShardTransportStats() []ShardTransportStats {
 	return out
 }
 
-// FlowStats aggregates the flow-table and PCB-cache effectiveness
-// counters across every transport shard: the single-entry PCB cache's
-// hit rate, and the flow table's probe-depth distribution (groups
-// touched per lookup — p99 near 1 means lookups stay within one or two
-// cache lines even at millions of flows).
-// Pump-side: call while the network is quiescent.
+// FlowStats, Snapshot.Flows, aggregates the flow-table and PCB-cache
+// effectiveness counters across every transport shard: the single-entry
+// PCB cache's hit rate, and the flow table's probe-depth distribution
+// (groups touched per lookup — p99 near 1 means lookups stay within one
+// or two cache lines even at millions of flows).
 type FlowStats struct {
-	CacheHits     int64   `json:"cacheHits"`
-	CacheMisses   int64   `json:"cacheMisses"`
-	CacheHitRate  float64 `json:"cacheHitRate"`
-	TableLookups  int64   `json:"tableLookups"`
-	TableHits     int64   `json:"tableHits"`
-	PCBs          int     `json:"pcbs"`
-	Capacity      int     `json:"capacity"`
-	ProbeDepthP50 float64 `json:"probeDepthP50"`
-	ProbeDepthP99 float64 `json:"probeDepthP99"`
-	ProbeDepthMax int64   `json:"probeDepthMax"`
-	// Migrated counts connections re-homed to another shard by the
-	// dispatch policy's rebalancing (0 under static policies).
-	Migrated int64 `json:"migrated"`
+	CacheHits     int64
+	CacheMisses   int64
+	CacheHitRate  float64
+	PCBs          int
+	Capacity      int
+	ProbeDepthP50 float64
+	ProbeDepthP99 float64
+	ProbeDepthMax int64
 }
 
-// FlowStats reports the merged flow-table/PCB-cache statistics.
-// Pump-at-quiescence: it reads every shard's single-writer stats.
+// FlowStats reports the merged flow-table/PCB-cache statistics, the
+// Flows part of Snapshot. Pump-side: call while the network is
+// quiescent.
 //
 //ldlp:quiescent
 func (h *Host) FlowStats() FlowStats {
@@ -709,8 +743,6 @@ func (h *Host) FlowStats() FlowStats {
 		out.CacheHits += ts.tally.tcpSegs - ts.tally.pcbMisses
 		out.CacheMisses += ts.tally.pcbMisses
 		st := ts.pcbs.Stats()
-		out.TableLookups += st.Lookups
-		out.TableHits += st.Hits
 		out.PCBs += st.Live
 		out.Capacity += st.Capacity
 		depth.Merge(ts.pcbs.DepthHist())
@@ -721,7 +753,6 @@ func (h *Host) FlowStats() FlowStats {
 	out.ProbeDepthP50 = depth.Quantile(0.50)
 	out.ProbeDepthP99 = depth.Quantile(0.99)
 	out.ProbeDepthMax = depth.Max
-	out.Migrated = h.flowsMigrated
 	return out
 }
 
@@ -928,8 +959,8 @@ func (h *Host) Name() string { return h.name }
 // IP returns the host's address.
 func (h *Host) IP() layers.IPAddr { return h.ip }
 
-// StackStats exposes the LDLP engine counters (batch sizes, queue ops),
-// aggregated across shards for a sharded host.
+// StackStats is the receive engine's counters (batch sizes, queue ops),
+// aggregated across shards for a sharded host: Snapshot.Stack.
 func (h *Host) StackStats() core.Stats {
 	if h.sharded {
 		return h.shards.Stats()
@@ -937,19 +968,10 @@ func (h *Host) StackStats() core.Stats {
 	return h.stack.Stats()
 }
 
-// Telemetry exposes the host's flight-recorder domain: per-shard event
-// traces plus the batch-size histograms. Snapshot it while the network
-// is quiescent for exact results.
+// Telemetry is the host's live flight-recorder domain (per-shard event
+// traces plus the batch-size histograms), for callers that reset a
+// histogram; Snapshot.Telemetry is its snapshot.
 func (h *Host) Telemetry() *telemetry.Domain { return h.tel }
-
-// RxShards reports the receive path's shard count (1 when single-
-// threaded).
-func (h *Host) RxShards() int {
-	if h.sharded {
-		return h.shards.NumShards()
-	}
-	return 1
-}
 
 // Close stops the shard workers and returns their batched frees to the
 // pools. No-op for a single-threaded host; required to release
@@ -986,7 +1008,7 @@ func (h *Host) deliver(m *mbuf.Mbuf) {
 			// where processing keeps up with delivery by construction.
 			h.shards.Drain()
 			if err := h.shards.Inject(pkt); err != nil {
-				h.telPump.Event(telemetry.EvDrop, 0, int64(telemetry.DropStackFull))
+				h.reject(h.telPump, 0, telemetry.DropStackFull)
 				pkt.M.FreeChain()
 				h.putPacket(pkt)
 			}
@@ -994,7 +1016,7 @@ func (h *Host) deliver(m *mbuf.Mbuf) {
 		return
 	}
 	if err := h.stack.Inject(pkt); err != nil {
-		h.telPump.Event(telemetry.EvDrop, 0, int64(telemetry.DropStackFull))
+		h.reject(h.telPump, 0, telemetry.DropStackFull)
 		pkt.M.FreeChain()
 		h.putPacket(pkt)
 	}
@@ -1071,10 +1093,6 @@ func (h *Host) flushTx() int {
 	if n == 0 {
 		return 0
 	}
-	if n > h.Counters.TxMaxBatch {
-		h.Counters.TxMaxBatch = n
-	}
-	inc(&h.Counters.TxBatches)
 	h.telPump.Event(telemetry.EvTxFlush, 0, int64(n))
 	h.txBatch.Observe(int64(n))
 	for _, ts := range h.tshards {
@@ -1101,28 +1119,26 @@ func (rx *rxPath) freeChain(m *mbuf.Mbuf) {
 	m.FreeChain()
 }
 
-// drop ends a packet's life mid-path: the chain returns to its owner's
+// retire ends the life of a packet the path is done with but did not
+// drop — a pure ACK, a consumed SYN: the chain returns to its owner's
 // pool shard and the wrapper is recycled. Deliberately event-free: the
 // TCP fast path retires every pure ACK through here, and per-frame
 // telemetry there would tax exactly the path the paper measures.
 //
 //ldlp:hotpath
-func (rx *rxPath) drop(p *Packet) {
+func (rx *rxPath) retire(p *Packet) {
 	rx.freeChain(p.M)
 	rx.h.putPacket(p)
 }
 
-// reject ends a packet's life on a protocol error path: flight-record
-// the drop with its layer and reason, then free the packet. Callers
-// bump their error counter via inc() themselves (the atomiccounter
-// analyzer tracks those addresses; they must not escape through here).
-// Error paths are rare by construction, so the event cost never shows
-// on the fast path.
+// reject drops a packet at layer l for reason (Host.reject, on this
+// shard's tracer) and retires it. Error paths are rare by construction,
+// so the event cost never shows on the fast path.
 //
 //ldlp:hotpath
 func (rx *rxPath) reject(p *Packet, l *core.Layer[*Packet], reason telemetry.DropReason) {
-	rx.tel.Event(telemetry.EvDrop, l.Index(), int64(reason))
-	rx.drop(p)
+	rx.h.reject(rx.tel, l.Index(), reason)
+	rx.retire(p)
 }
 
 // deviceInput models the driver layer: frame length sanity. Lock-free:
@@ -1131,7 +1147,6 @@ func (rx *rxPath) reject(p *Packet, l *core.Layer[*Packet], reason telemetry.Dro
 //ldlp:hotpath
 func (rx *rxPath) deviceInput(p *Packet, emit core.Emit[*Packet]) {
 	if p.M.PktLen() < layers.EthernetLen {
-		inc(&rx.h.Counters.BadEther)
 		rx.reject(p, rx.device, telemetry.DropBadEther)
 		return
 	}
@@ -1147,18 +1162,15 @@ func (rx *rxPath) etherInput(p *Packet, emit core.Emit[*Packet]) {
 	buf := p.M.Bytes()
 	n, err := p.Eth.Decode(buf)
 	if err != nil {
-		inc(&h.Counters.BadEther)
 		rx.reject(p, rx.ether, telemetry.DropBadEther)
 		return
 	}
 	if p.Eth.Dst != h.mac && p.Eth.Dst != (layers.MACAddr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) {
-		inc(&h.Counters.BadEther)
 		rx.reject(p, rx.ether, telemetry.DropBadEther)
 		return
 	}
 	p.M.Adj(n)
 	if p.Eth.EtherType != layers.EtherTypeIPv4 {
-		inc(&h.Counters.BadEther)
 		rx.reject(p, rx.ether, telemetry.DropBadEther)
 		return
 	}
@@ -1175,23 +1187,19 @@ func (rx *rxPath) ipInput(p *Packet, emit core.Emit[*Packet]) {
 	var err error
 	p.M, err = p.M.Pullup(min(p.M.PktLen(), layers.IPv4MinLen))
 	if err != nil {
-		inc(&h.Counters.BadIP)
 		rx.reject(p, rx.ipin, telemetry.DropBadIP)
 		return
 	}
 	n, err := p.IP.Decode(p.M.Bytes())
 	if err != nil {
-		inc(&h.Counters.BadIP)
 		rx.reject(p, rx.ipin, telemetry.DropBadIP)
 		return
 	}
 	if p.IP.Dst != h.ip {
-		inc(&h.Counters.BadIP)
 		rx.reject(p, rx.ipin, telemetry.DropBadIP)
 		return
 	}
 	if p.IP.TotalLen > p.M.PktLen() {
-		inc(&h.Counters.BadIP)
 		rx.reject(p, rx.ipin, telemetry.DropBadIP)
 		return
 	}
@@ -1206,7 +1214,7 @@ func (rx *rxPath) ipInput(p *Packet, emit core.Emit[*Packet]) {
 		// completed datagram's flow may hash elsewhere, in which case it
 		// is re-injected through the engine to its owning shard.
 		inc(&h.Counters.Fragments)
-		whole := rx.ts.reassemble(p)
+		whole := rx.reassemble(p)
 		rx.freeChain(p.M)
 		if whole == nil {
 			rx.h.putPacket(p)
@@ -1232,7 +1240,6 @@ func (rx *rxPath) ipInput(p *Packet, emit core.Emit[*Packet]) {
 	case layers.ProtoICMP:
 		emit(rx.icmpin, p)
 	default:
-		inc(&h.Counters.BadIP)
 		rx.reject(p, rx.ipin, telemetry.DropBadIP)
 	}
 }
@@ -1306,7 +1313,7 @@ func (rx *rxPath) continueReassembled(p *Packet, whole []byte) bool {
 	np.M = m
 	np.reinjected = true
 	if err := h.shards.Inject(np); err != nil {
-		rx.tel.Event(telemetry.EvDrop, rx.ipin.Index(), int64(telemetry.DropStackFull))
+		h.reject(rx.tel, rx.ipin.Index(), telemetry.DropStackFull)
 		np.M.FreeChain()
 		h.putPacket(np)
 	}

@@ -90,8 +90,8 @@ func TestUDPNoSocketCounted(t *testing.T) {
 	sa, _ := a.UDPSocket(1)
 	sa.SendTo(ipB, 9999, []byte("nobody home"))
 	n.RunUntilIdle()
-	if b.Counters.NoSocket != 1 {
-		t.Errorf("NoSocket = %d, want 1", b.Counters.NoSocket)
+	if b.Snapshot().Counters.NoSocket != 1 {
+		t.Errorf("NoSocket = %d, want 1", b.Snapshot().Counters.NoSocket)
 	}
 	checkNoLeaks(t)
 }
@@ -253,8 +253,8 @@ func TestTCPBulkTransferAndSegmentation(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("bulk transfer corrupted: %d bytes vs %d", len(got), len(payload))
 	}
-	if b.Counters.DataSegsIn < 13 {
-		t.Errorf("segments in = %d, want >= 13 (MSS segmentation)", b.Counters.DataSegsIn)
+	if b.Snapshot().Counters.DataSegsIn < 13 {
+		t.Errorf("segments in = %d, want >= 13 (MSS segmentation)", b.Snapshot().Counters.DataSegsIn)
 	}
 	checkNoLeaks(t)
 }
@@ -268,18 +268,18 @@ func TestDelayedAckEverySecondSegment(t *testing.T) {
 	n.RunUntilIdle()
 	_ = l.Accept()
 
-	before := b.Counters.AcksSent
+	before := b.Snapshot().Counters.AcksSent
 	// Send 8 separate MSS-sized pushes -> 8 data segments -> ~4 ACKs.
 	for i := 0; i < 8; i++ {
 		cli.Send(make([]byte, tcpMSS))
 		n.RunUntilIdle()
 	}
-	acks := b.Counters.AcksSent - before
+	acks := b.Snapshot().Counters.AcksSent - before
 	if acks != 4 {
 		t.Errorf("acks for 8 data segments = %d, want 4 (every 2nd)", acks)
 	}
-	if b.Counters.TCPFastPath < 6 {
-		t.Errorf("fast path hits = %d, want most of 8 in-order segments", b.Counters.TCPFastPath)
+	if b.Snapshot().Counters.TCPFastPath < 6 {
+		t.Errorf("fast path hits = %d, want most of 8 in-order segments", b.Snapshot().Counters.TCPFastPath)
 	}
 }
 
@@ -290,12 +290,12 @@ func TestDelayedAckTimerFlushesOddSegment(t *testing.T) {
 	n.RunUntilIdle()
 	_ = l.Accept()
 
-	before := b.Counters.DelayedAcks
+	before := b.Snapshot().Counters.DelayedAcks
 	cli.Send([]byte("one lonely segment"))
 	n.RunUntilIdle()
 	n.Tick(0.01)
-	if b.Counters.DelayedAcks != before+1 {
-		t.Errorf("delayed-ack timer fired %d times, want 1", b.Counters.DelayedAcks-before)
+	if b.Snapshot().Counters.DelayedAcks != before+1 {
+		t.Errorf("delayed-ack timer fired %d times, want 1", b.Snapshot().Counters.DelayedAcks-before)
 	}
 }
 
@@ -306,20 +306,20 @@ func TestPCBSingleEntryCache(t *testing.T) {
 	n.RunUntilIdle()
 	srv := l.Accept()
 
-	base := b.FlowStats()
+	base := b.Snapshot().Flows
 	for i := 0; i < 10; i++ {
 		cli.Send([]byte("x"))
 		n.RunUntilIdle()
 		n.Tick(0.01)
 	}
-	fs := b.FlowStats()
+	fs := b.Snapshot().Flows
 	if hits := fs.CacheHits - base.CacheHits; hits < 8 {
 		t.Errorf("PCB cache hits = %d over 10 in-order segments, want nearly all", hits)
 	}
 	if misses := fs.CacheMisses - base.CacheMisses; misses != 0 {
 		t.Errorf("PCB cache missed %d times on its one connection, want 0", misses)
 	}
-	segs := b.ShardTransportStats()[0].TCPSegs
+	segs := b.Snapshot().Shards[0].TCPSegs
 	if fs.CacheHits+fs.CacheMisses != segs || fs.CacheHitRate <= 0.5 {
 		t.Errorf("hits %d + misses %d over %d segments, hit rate %v", fs.CacheHits, fs.CacheMisses, segs, fs.CacheHitRate)
 	}
@@ -361,7 +361,7 @@ func TestRetransmissionOnLoss(t *testing.T) {
 	for i := 0; i < 5 && srv.rcv.len() == 0; i++ {
 		n.Tick(0.25)
 	}
-	if a.Counters.Retransmits == 0 {
+	if a.Snapshot().Counters.Retransmits == 0 {
 		t.Error("no retransmission recorded")
 	}
 	nrec := copy(buf, srv.rcv.bytes())
@@ -447,11 +447,11 @@ func TestBadFramesCounted(t *testing.T) {
 	n.send(frame{dst: b.mac, m: mbuf.FromBytes(good)})
 	n.RunUntilIdle()
 
-	if b.Counters.BadEther != 2 {
-		t.Errorf("BadEther = %d, want 2", b.Counters.BadEther)
+	if b.Snapshot().Counters.BadEther != 2 {
+		t.Errorf("BadEther = %d, want 2", b.Snapshot().Counters.BadEther)
 	}
-	if b.Counters.BadIP != 1 {
-		t.Errorf("BadIP = %d, want 1", b.Counters.BadIP)
+	if b.Snapshot().Counters.BadIP != 1 {
+		t.Errorf("BadIP = %d, want 1", b.Snapshot().Counters.BadIP)
 	}
 	checkNoLeaks(t)
 }
@@ -465,8 +465,8 @@ func TestFragmentsCountedNotCrashed(t *testing.T) {
 	iph.Encode(buf[layers.EthernetLen:])
 	n.send(frame{dst: b.mac, m: mbuf.FromBytes(buf)})
 	n.RunUntilIdle()
-	if b.Counters.Fragments != 1 {
-		t.Errorf("Fragments = %d, want 1", b.Counters.Fragments)
+	if b.Snapshot().Counters.Fragments != 1 {
+		t.Errorf("Fragments = %d, want 1", b.Snapshot().Counters.Fragments)
 	}
 	checkNoLeaks(t)
 }
@@ -482,7 +482,7 @@ func TestLDLPBatchingOnBurst(t *testing.T) {
 	if sb.Pending() != 40 {
 		t.Fatalf("pending = %d, want 40", sb.Pending())
 	}
-	st := b.StackStats()
+	st := b.Snapshot().Stack
 	if st.LargestBatch < 10 {
 		t.Errorf("largest LDLP batch = %d, want a real burst batch", st.LargestBatch)
 	}
@@ -512,7 +512,7 @@ func TestInputLimitDropTail(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		b.deliver(mbuf.FromBytes(make([]byte, 60))) // garbage frames, queued then rejected
 	}
-	if dropped := b.StackStats().Dropped; dropped < 20 {
+	if dropped := b.Snapshot().Stack.Dropped; dropped < 20 {
 		t.Errorf("stack dropped %d of 30 over-limit frames, want >= 20", dropped)
 	}
 	if got := sb.Pending(); got > 40 {

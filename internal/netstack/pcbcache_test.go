@@ -194,7 +194,7 @@ func TestPCBCacheFollowsMigration(t *testing.T) {
 	n.RunUntilIdle()
 	n.Tick(0.01)
 
-	if b.DispatchStats().FlowsMigrated == 0 {
+	if b.Snapshot().Dispatch.FlowsMigrated == 0 {
 		t.Fatal("the connection did not migrate — test lost its premise")
 	}
 	to := srv.pcb.owner

@@ -69,13 +69,13 @@ func TestShardedUDPPerFlowOrder(t *testing.T) {
 			}
 		}
 	}
-	if got := b.Counters.FramesIn; got != flows*perFlow {
+	if got := b.Snapshot().Counters.FramesIn; got != flows*perFlow {
 		t.Errorf("FramesIn = %d, want %d", got, flows*perFlow)
 	}
-	if b.RxShards() != 4 {
-		t.Errorf("RxShards() = %d, want 4", b.RxShards())
+	if got := len(b.Snapshot().Shards); got != 4 {
+		t.Errorf("len(Snapshot().Shards) = %d, want 4", got)
 	}
-	if st := b.StackStats(); st.Delivered != flows*perFlow {
+	if st := b.Snapshot().Stack; st.Delivered != flows*perFlow {
 		t.Errorf("aggregate Delivered = %d, want %d", st.Delivered, flows*perFlow)
 	}
 	checkNoLeaks(t)
@@ -144,8 +144,8 @@ func TestShardedTCPConnectionsStayOrdered(t *testing.T) {
 			t.Fatalf("stream %d corrupted: got %d bytes, want %d", idx, len(got), len(want[idx]))
 		}
 	}
-	if b.Counters.DataSegsIn == 0 || b.Counters.TCPFastPath == 0 {
-		t.Errorf("server counters look wrong: %+v", b.Counters)
+	if b.Snapshot().Counters.DataSegsIn == 0 || b.Snapshot().Counters.TCPFastPath == 0 {
+		t.Errorf("server counters look wrong: %+v", b.Snapshot().Counters)
 	}
 	checkNoLeaks(t)
 }
@@ -193,10 +193,10 @@ func TestShardedFragmentReassembly(t *testing.T) {
 		}
 		seen[fill] = true
 	}
-	if b.Counters.Reassembled != 8 {
-		t.Errorf("Reassembled = %d, want 8", b.Counters.Reassembled)
+	if b.Snapshot().Counters.Reassembled != 8 {
+		t.Errorf("Reassembled = %d, want 8", b.Snapshot().Counters.Reassembled)
 	}
-	if b.Counters.Fragments == 0 {
+	if b.Snapshot().Counters.Fragments == 0 {
 		t.Error("no fragments counted on a sub-MTU path")
 	}
 	checkNoLeaks(t)
@@ -213,8 +213,8 @@ func TestShardedPingEcho(t *testing.T) {
 	if len(replies) != 10 {
 		t.Fatalf("got %d replies, want 10", len(replies))
 	}
-	if b.Counters.EchoRequests != 10 {
-		t.Errorf("server EchoRequests = %d", b.Counters.EchoRequests)
+	if b.Snapshot().Counters.EchoRequests != 10 {
+		t.Errorf("server EchoRequests = %d", b.Snapshot().Counters.EchoRequests)
 	}
 	checkNoLeaks(t)
 }

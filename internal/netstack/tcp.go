@@ -365,7 +365,7 @@ func (pcb *tcpPCB) timeout() {
 	pcb.unacked = nil
 	pcb.snd, pcb.sndSent = byteQueue{}, 0
 	pcb.finQueued = false
-	inc(&pcb.host.Counters.TimeoutDrops)
+	pcb.host.reject(pcb.host.telPump, 0, telemetry.DropTimeout)
 	pcb.teardown()
 }
 
@@ -405,7 +405,6 @@ func (rx *rxPath) tcpInput(p *Packet, emit core.Emit[*Packet]) {
 	seg := p.M.Contiguous()
 	n, err := p.TCP.Decode(seg, p.IP.Src, p.IP.Dst)
 	if err != nil {
-		inc(&h.Counters.BadTCP)
 		rx.reject(p, rx.tcpin, telemetry.DropBadTCP)
 		return
 	}
@@ -417,8 +416,7 @@ func (rx *rxPath) tcpInput(p *Packet, emit core.Emit[*Packet]) {
 	pcb := rx.ts.lookupPCB(tuple)
 
 	if pcb == nil {
-		rx.tcpPassiveOpen(tuple, th)
-		rx.drop(p)
+		rx.tcpPassiveOpen(p, tuple, th)
 		return
 	}
 
@@ -436,7 +434,7 @@ func (rx *rxPath) tcpInput(p *Packet, emit core.Emit[*Packet]) {
 			emit(rx.sock, p)
 			return
 		}
-		rx.drop(p)
+		rx.retire(p)
 		return
 	}
 
@@ -451,22 +449,16 @@ func (rx *rxPath) tcpInput(p *Packet, emit core.Emit[*Packet]) {
 // PCB lands in rx's own shard map — the flow hash that routed this SYN
 // here routes the rest of the connection here too. Only the backlog
 // append crosses shards (other remotes' SYNs hash elsewhere), so just
-// that step takes the listener lock. The caller recycles p. A declared
-// cold step off the hot tcpInput: once per connection, never per
-// segment.
+// that step takes the listener lock. It retires or rejects p. A
+// declared cold step off the hot tcpInput: once per connection, never
+// per segment.
 //
 //ldlp:coldpath
-func (rx *rxPath) tcpPassiveOpen(tuple fourTuple, th *layers.TCP) {
+func (rx *rxPath) tcpPassiveOpen(p *Packet, tuple fourTuple, th *layers.TCP) {
 	h := rx.h
-	if th.Flags&layers.TCPSyn == 0 || th.Flags&layers.TCPAck != 0 {
-		inc(&h.Counters.NoSocket)
-		rx.tel.Event(telemetry.EvDrop, rx.tcpin.Index(), int64(telemetry.DropNoSocket))
-		return
-	}
 	l, ok := h.listeners[th.DstPort]
-	if !ok {
-		inc(&h.Counters.NoSocket)
-		rx.tel.Event(telemetry.EvDrop, rx.tcpin.Index(), int64(telemetry.DropNoSocket))
+	if th.Flags&layers.TCPSyn == 0 || th.Flags&layers.TCPAck != 0 || !ok {
+		rx.reject(p, rx.tcpin, telemetry.DropNoSocket)
 		return
 	}
 	pcb := &tcpPCB{
@@ -480,13 +472,14 @@ func (rx *rxPath) tcpPassiveOpen(tuple fourTuple, th *layers.TCP) {
 	if len(l.backlog) >= tcpBacklog {
 		l.mu.Unlock()
 		atomic.AddInt64(&l.Dropped, 1)
-		rx.tel.Event(telemetry.EvDrop, rx.tcpin.Index(), int64(telemetry.DropListenOverflow))
+		rx.reject(p, rx.tcpin, telemetry.DropListenOverflow)
 		return
 	}
 	l.backlog = append(l.backlog, pcb.sock)
 	l.mu.Unlock()
 	rx.ts.pcbs.Insert(tuple, pcb)
 	pcb.sendSegment(layers.TCPSyn|layers.TCPAck, nil, true)
+	rx.retire(p)
 }
 
 // tcpSlowPath handles everything header prediction does not. Like
@@ -495,7 +488,7 @@ func (rx *rxPath) tcpSlowPath(pcb *tcpPCB, th *layers.TCP, payload []byte, p *Pa
 	h := rx.h
 	if th.Flags&layers.TCPRst != 0 {
 		pcb.teardown()
-		rx.drop(p)
+		rx.retire(p)
 		return
 	}
 
@@ -514,7 +507,7 @@ func (rx *rxPath) tcpSlowPath(pcb *tcpPCB, th *layers.TCP, payload []byte, p *Pa
 			pcb.sendAck()
 			pcb.trySend()
 		}
-		rx.drop(p)
+		rx.retire(p)
 		return
 	case stSynRcvd:
 		if th.Flags&layers.TCPAck != 0 && th.Ack == pcb.iss+1 {
@@ -544,7 +537,7 @@ func (rx *rxPath) tcpSlowPath(pcb *tcpPCB, th *layers.TCP, payload []byte, p *Pa
 		if len(payload) > 0 || th.Flags&(layers.TCPSyn|layers.TCPFin) != 0 {
 			pcb.sendAck()
 		}
-		rx.drop(p)
+		rx.retire(p)
 		return
 	}
 
@@ -584,7 +577,7 @@ func (rx *rxPath) tcpSlowPath(pcb *tcpPCB, th *layers.TCP, payload []byte, p *Pa
 	if delivered {
 		emit(rx.sock, p)
 	} else {
-		rx.drop(p)
+		rx.retire(p)
 	}
 }
 

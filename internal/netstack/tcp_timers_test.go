@@ -59,7 +59,7 @@ func TestPersistProbeRecoversLostWindowUpdate(t *testing.T) {
 	if total != len(payload) {
 		t.Errorf("received %d of %d after persist probing", total, len(payload))
 	}
-	if a.Counters.WindowProbes == 0 {
+	if a.Snapshot().Counters.WindowProbes == 0 {
 		t.Error("no window probes recorded")
 	}
 }
@@ -306,8 +306,8 @@ func TestRetransmitFromSendQueueIsByteIdentical(t *testing.T) {
 	if !bytes.Equal(got, append(data, tail...)) {
 		t.Fatalf("reader got %d bytes, not the %d-byte stream sent", len(got), len(data)+len(tail))
 	}
-	if a.Counters.Retransmits < 3 {
-		t.Errorf("%d retransmissions, want at least the 3 lost segments", a.Counters.Retransmits)
+	if a.Snapshot().Counters.Retransmits < 3 {
+		t.Errorf("%d retransmissions, want at least the 3 lost segments", a.Snapshot().Counters.Retransmits)
 	}
 	for _, f := range first {
 		found := false
@@ -379,16 +379,16 @@ func TestZeroWindowProbeByteIsTrackedAndConsumedOnce(t *testing.T) {
 	lose := true
 	segs := tapData(n, &lose)
 	n.Tick(0.6) // persist fires; the probe is lost
-	if a.Counters.WindowProbes != 1 || len(*segs) != 1 || len((*segs)[0].payload) != 1 {
-		t.Fatalf("%d probes, %d segments on the wire; want one 1-byte probe", a.Counters.WindowProbes, len(*segs))
+	if a.Snapshot().Counters.WindowProbes != 1 || len(*segs) != 1 || len((*segs)[0].payload) != 1 {
+		t.Fatalf("%d probes, %d segments on the wire; want one 1-byte probe", a.Snapshot().Counters.WindowProbes, len(*segs))
 	}
 	if pcb.sndSent != 1 || len(pcb.unacked) != 1 || pcb.unacked[0].n != 1 || pcb.snd.len() != len(data)-tcpWindow {
 		t.Fatalf("probe not tracked in place: %d sent, %d segments, %d queued", pcb.sndSent, len(pcb.unacked), pcb.snd.len())
 	}
 	lose = false
 	n.Tick(0.25) // RTO: the probe byte again, from the queue
-	if a.Counters.Retransmits != 1 || len(*segs) != 2 || !bytes.Equal((*segs)[1].payload, data[tcpWindow:tcpWindow+1]) || (*segs)[1].seq != (*segs)[0].seq {
-		t.Fatalf("probe retransmission: %d retransmits, segments %v", a.Counters.Retransmits, *segs)
+	if a.Snapshot().Counters.Retransmits != 1 || len(*segs) != 2 || !bytes.Equal((*segs)[1].payload, data[tcpWindow:tcpWindow+1]) || (*segs)[1].seq != (*segs)[0].seq {
+		t.Fatalf("probe retransmission: %d retransmits, segments %v", a.Snapshot().Counters.Retransmits, *segs)
 	}
 	n.Tick(0.01) // the probe's delayed ACK
 	if pcb.snd.len() != len(data)-tcpWindow-1 || pcb.sndSent != 0 {

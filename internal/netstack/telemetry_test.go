@@ -36,7 +36,7 @@ func TestTelemetryRecordsLDLPRun(t *testing.T) {
 		t.Fatalf("delivered %d datagrams, want 8", sb.Pending())
 	}
 
-	snap := b.Telemetry().Snapshot()
+	snap := b.Snapshot().Telemetry
 	if snap.Domain != "b" {
 		t.Errorf("domain = %q, want b", snap.Domain)
 	}
@@ -100,7 +100,7 @@ func TestTelemetryRecordsLDLPRun(t *testing.T) {
 	}
 	// The transmit side lives on the sender: a's pump tracer flushed
 	// each datagram's frame batch.
-	asnap := a.Telemetry().Snapshot()
+	asnap := a.Snapshot().Telemetry
 	th, ok := asnap.Hist("tx-batch")
 	if !ok || th.Count == 0 {
 		t.Errorf("sender tx-batch hist = %+v, want flushes recorded", th)
@@ -143,7 +143,7 @@ func TestTelemetryRecordBudgetPerACK(t *testing.T) {
 		ack := buildBareAck(bpcb, ipA, ipB)
 
 		recorded := func() (total uint64, shard telemetry.TracerSnapshot) {
-			for _, tr := range b.Telemetry().Snapshot().Tracers {
+			for _, tr := range b.Snapshot().Telemetry.Tracers {
 				total += tr.Recorded
 				if tr.Label == "shard0" {
 					shard = tr
@@ -152,10 +152,10 @@ func TestTelemetryRecordBudgetPerACK(t *testing.T) {
 			return total, shard
 		}
 		before, _ := recorded()
-		fast := b.Counters.TCPFastPath
+		fast := b.Snapshot().Counters.TCPFastPath
 		b.deliver(mbuf.FromBytes(ack))
 		b.process()
-		if b.Counters.TCPFastPath != fast+1 {
+		if b.Snapshot().Counters.TCPFastPath != fast+1 {
 			t.Fatalf("%v: replayed ACK missed the fast path", disc)
 		}
 		after, shard := recorded()
@@ -201,7 +201,7 @@ func TestTelemetryRecordsDrops(t *testing.T) {
 	sa.SendTo(ipB, 7, []byte("nobody home"))
 	n.RunUntilIdle()
 
-	snap := b.Telemetry().Snapshot()
+	snap := b.Snapshot().Telemetry
 	found := false
 	for _, tr := range snap.Tracers {
 		for _, ev := range tr.Events {
@@ -244,11 +244,11 @@ func TestTelemetryDisabledRecordsNothing(t *testing.T) {
 	if sb.Pending() != 1 {
 		t.Fatalf("delivered %d datagrams, want 1", sb.Pending())
 	}
-	if b.Counters.FramesIn == 0 {
+	if b.Snapshot().Counters.FramesIn == 0 {
 		t.Error("plain counters must keep counting with telemetry off")
 	}
 
-	snap := b.Telemetry().Snapshot()
+	snap := b.Snapshot().Telemetry
 	for _, tr := range snap.Tracers {
 		if tr.Recorded != 0 {
 			t.Errorf("tracer %s recorded %d events with telemetry disabled", tr.Label, tr.Recorded)
@@ -287,7 +287,7 @@ func TestTelemetryShardedSnapshot(t *testing.T) {
 	}
 	n.RunUntilIdle()
 
-	snap := b.Telemetry().Snapshot()
+	snap := b.Snapshot().Telemetry
 	var recorded uint64
 	for _, tr := range snap.Tracers {
 		recorded += tr.Recorded

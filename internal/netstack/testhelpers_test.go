@@ -1,26 +1,37 @@
 package netstack
 
-// Test-side views over the per-shard transport state. Production code
-// never sums across shards outside the declared hand-off points, but
-// tests assert on whole-host totals (PCBs leaked, partial datagrams
-// held, frames queued) regardless of which shard holds them.
+import (
+	"maps"
+	"testing"
+)
+
+// Test-side views. Whole-host totals (PCBs leaked, partial datagrams
+// held) come from the host's Snapshot, like every other assertion;
+// the rest look into per-shard state regardless of which shard holds
+// it, which production code never does outside the declared hand-off
+// points.
 
 // numPCBs counts live PCBs across all transport shards.
-func (h *Host) numPCBs() int {
-	n := 0
-	for _, ts := range h.tshards {
-		n += ts.pcbs.Len()
-	}
-	return n
-}
+func (h *Host) numPCBs() int { return h.Snapshot().Flows.PCBs }
 
 // numFrags counts partial datagrams held across all transport shards.
 func (h *Host) numFrags() int {
 	n := 0
-	for _, ts := range h.tshards {
-		n += ts.fragsLen()
+	for _, st := range h.Snapshot().Shards {
+		n += st.Frags
 	}
 	return n
+}
+
+// checkDropLedger fails t unless every drop h counted has its EvDrop in
+// the flight recorder and vice versa. A tracer that lost events fails it
+// too (DropEvents is nil): size the host's Options.TelemetryRing for the
+// run.
+func checkDropLedger(t *testing.T, h *Host) {
+	t.Helper()
+	if s := h.Snapshot(); !maps.Equal(s.Drops, s.DropEvents) {
+		t.Errorf("%s: counted drops %v, recorded drop events %v", s.Name, s.Drops, s.DropEvents)
+	}
 }
 
 // findPCB locates a tuple's PCB on whichever shard owns it.

@@ -149,7 +149,6 @@ func (rx *rxPath) udpInput(p *Packet, emit core.Emit[*Packet]) {
 	buf := p.M.Contiguous()
 	n, err := p.UDP.Decode(buf, p.IP.Src, p.IP.Dst)
 	if err != nil {
-		inc(&h.Counters.BadUDP)
 		rx.reject(p, rx.udpin, telemetry.DropBadUDP)
 		return
 	}
@@ -158,7 +157,6 @@ func (rx *rxPath) udpInput(p *Packet, emit core.Emit[*Packet]) {
 	// (UDPSocket/Close are pump-side), so the lookup needs no lock.
 	sock, ok := h.udpSocks[p.UDP.DstPort]
 	if !ok {
-		inc(&h.Counters.NoSocket)
 		rx.reject(p, rx.udpin, telemetry.DropNoSocket)
 		return
 	}

@@ -194,7 +194,7 @@ func TestUDPFullQueueDropsBeforeCopy(t *testing.T) {
 		t.Errorf("Dropped = %d, want 1", got)
 	}
 	events := 0
-	for _, tr := range b.Telemetry().Snapshot().Tracers {
+	for _, tr := range b.Snapshot().Telemetry.Tracers {
 		for _, ev := range tr.Events {
 			if ev.Kind == telemetry.EvDrop && telemetry.DropReason(ev.Arg) == telemetry.DropSockBuffer {
 				events++

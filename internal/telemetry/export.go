@@ -158,8 +158,8 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
 	return err
 }
 
-// MarshalJSON-stability helper: Summary condenses a histogram snapshot
-// to the headline stats the bench JSON and expvar exports publish.
+// HistSummary is a histogram snapshot's headline stats, as Summary
+// condenses them.
 type HistSummary struct {
 	Count int64   `json:"count"`
 	Mean  float64 `json:"mean"`

@@ -120,8 +120,9 @@ func (k EventKind) Kind() KindInfo {
 // String returns the kind's registered export name.
 func (k EventKind) String() string { return k.Kind().Name }
 
-// DropReason attributes an EvDrop event. The codes mirror the netstack's
-// per-layer error counters so a trace can be reconciled against them.
+// DropReason attributes an EvDrop event. Each code but DropUnknown has
+// exactly one netstack drop counter, and the netstack's one drop
+// function moves both, so a trace reconciles against the counters.
 type DropReason int64
 
 const (
@@ -135,6 +136,11 @@ const (
 	DropListenOverflow
 	DropSockBuffer
 	DropStackFull
+	// DropTimeout is a TCP connection reaped after its retransmissions
+	// went unanswered; DropReasmTimeout a partial datagram abandoned at
+	// its reassembly deadline or evicted at the state cap.
+	DropTimeout
+	DropReasmTimeout
 
 	numDropReasons
 )
@@ -144,6 +150,7 @@ const (
 var dropNames = [numDropReasons]string{
 	"unknown", "bad-ether", "bad-ip", "bad-tcp", "bad-udp",
 	"bad-icmp", "no-socket", "listen-overflow", "sock-buffer", "stack-full",
+	"timeout", "reasm-timeout",
 }
 
 // String names the reason for export.
@@ -194,25 +201,3 @@ func (v VerdictBits) String() string {
 	appendBit(VerdictReorder, "reorder")
 	return s
 }
-
-// Counter is a lock-free monotonic counter whose increment is hot-path
-// safe: the telemetry-native replacement for ad-hoc atomic.Int64 fields
-// scattered through the substrates.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-//
-//ldlp:hotpath
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-//
-//ldlp:hotpath
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Store overwrites the value (test hygiene / pool resets; not a
-// hot-path operation).
-func (c *Counter) Store(v int64) { c.v.Store(v) }

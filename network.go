@@ -77,7 +77,7 @@ type DispatchMigration = dispatch.Migration
 // HostDispatchStats reports a host's dispatch activity: the active
 // policy, per-shard frame totals and imbalance, and how many rebalances,
 // bucket moves, flow migrations and reassembly adoptions have happened.
-// Read it from Host.DispatchStats.
+// Read it from Host.Snapshot().Dispatch.
 type HostDispatchStats = netstack.DispatchStats
 
 // StaticDispatch returns the default policy: a pure flow hash, identical
