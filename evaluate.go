@@ -31,9 +31,6 @@ func RunSim(cfg SimConfig, src TrafficSource) SimResult {
 	return sim.New(cfg).Run(src)
 }
 
-// PaperSweep is the published methodology (100 seeds × 1 s).
-func PaperSweep() SweepOptions { return sim.PaperSweep() }
-
 // QuickSweep is a cheap smoke-test variant.
 func QuickSweep() SweepOptions { return sim.QuickSweep() }
 
@@ -46,47 +43,12 @@ func Figure5(opts SweepOptions) *Table { return sim.Figure5(opts) }
 // Figure6 regenerates latency vs arrival rate (Poisson).
 func Figure6(opts SweepOptions) *Table { return sim.Figure6(opts) }
 
-// Figure7 regenerates latency vs CPU clock (self-similar traffic).
-func Figure7(opts SweepOptions) *Table { return sim.Figure7(opts) }
-
 // Figure8 regenerates the checksum cold/warm comparison of §5.1.
 func Figure8(maxSize, step int) *Table { return checksum.Figure8(maxSize, step) }
-
-// BatchCapAblation, QueueCostAblation, CacheSizeAblation and
-// DisciplineAblation sweep the design choices DESIGN.md calls out.
-func BatchCapAblation(opts SweepOptions, rate float64, caps []int) *Table {
-	return sim.BatchCapAblation(opts, rate, caps)
-}
-
-// QueueCostAblation sweeps the per-layer queueing overhead.
-func QueueCostAblation(opts SweepOptions, rate float64, costs []float64) *Table {
-	return sim.QueueCostAblation(opts, rate, costs)
-}
 
 // CacheSizeAblation sweeps the primary cache size (§6's question).
 func CacheSizeAblation(opts SweepOptions, rate float64, sizes []int) *Table {
 	return sim.CacheSizeAblation(opts, rate, sizes)
-}
-
-// DisciplineAblation compares conventional, ILP and LDLP at one load.
-func DisciplineAblation(opts SweepOptions, rate float64) *Table {
-	return sim.DisciplineAblation(opts, rate)
-}
-
-// ShardedSimResult aggregates a modeled N-shard run (see RunShardedSim).
-type ShardedSimResult = sim.ShardedResult
-
-// RunShardedSim models an N-shard LDLP host on the paper's machine: N
-// independent single-core simulations, each fed 1/N of a Poisson stream
-// at the given total rate (the flow-hash design's no-shared-state limit).
-func RunShardedSim(cfg SimConfig, shards int, rate float64, msgSize int, seed int64) ShardedSimResult {
-	return sim.RunSharded(cfg, shards, rate, msgSize, seed)
-}
-
-// ShardScaling sweeps the modeled shard count at a fixed total load,
-// reporting delivered throughput and speedup over one shard.
-func ShardScaling(cfg SimConfig, opts SweepOptions, rate float64, shardCounts []int) *Table {
-	return sim.ShardScaling(cfg, opts, rate, shardCounts)
 }
 
 // TrafficSource produces message arrivals.
@@ -98,11 +60,6 @@ type Arrival = traffic.Arrival
 // NewPoisson returns a Poisson source of fixed-size messages.
 func NewPoisson(rate float64, size int, seed int64) TrafficSource {
 	return traffic.NewPoisson(rate, size, seed)
-}
-
-// NewSelfSimilar returns a Bellcore-shaped self-similar source.
-func NewSelfSimilar(rate float64, seed int64) TrafficSource {
-	return traffic.NewSelfSimilar(traffic.DefaultSelfSimilar(rate, seed))
 }
 
 // SynthesizeTrace generates Bellcore-format self-similar arrivals.

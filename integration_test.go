@@ -10,9 +10,7 @@ import (
 	"ldlp/internal/httpd"
 	"ldlp/internal/layers"
 	"ldlp/internal/mbuf"
-	"ldlp/internal/memtrace"
 	"ldlp/internal/netstack"
-	"ldlp/internal/tcpmodel"
 )
 
 // TestFullStackStory exercises several subsystems end to end on one
@@ -95,35 +93,6 @@ func TestFullStackStory(t *testing.T) {
 	n.Tick(3) // drain delayed ACKs and timers before leak accounting
 	if s := mbuf.PoolStats(); s.InUse != 0 {
 		t.Errorf("mbuf leak across the story: %+v", s)
-	}
-}
-
-// TestTraceFileFullModelRoundTrip dumps the complete modeled TCP trace
-// through the file format and verifies the analysis is identical — the
-// cmd/traceutil workflow as a test.
-func TestTraceFileFullModelRoundTrip(t *testing.T) {
-	tr := tcpmodel.New(tcpmodel.DefaultConfig()).Trace()
-	before := memtrace.Analyze(tr, 32)
-
-	var sb strings.Builder
-	if err := memtrace.WriteTrace(&sb, tr); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := memtrace.ReadTrace(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := memtrace.Analyze(loaded, 32)
-	if before.Code != after.Code || before.ReadOnly != after.ReadOnly || before.Mutable != after.Mutable {
-		t.Error("working sets changed across serialization")
-	}
-	if len(before.PerLayer) != len(after.PerLayer) {
-		t.Fatalf("layer rows changed: %d vs %d", len(before.PerLayer), len(after.PerLayer))
-	}
-	for i := range before.PerLayer {
-		if before.PerLayer[i] != after.PerLayer[i] {
-			t.Errorf("row %d changed: %+v vs %+v", i, before.PerLayer[i], after.PerLayer[i])
-		}
 	}
 }
 

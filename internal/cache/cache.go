@@ -79,14 +79,6 @@ func (s *Stats) Add(other Stats) {
 	s.Prefetches += other.Prefetches
 }
 
-// MissRate reports Misses/Accesses, or 0 with no accesses.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a set-associative cache with true-LRU replacement. The zero
 // value is not usable; construct with New.
 type Cache struct {

@@ -165,18 +165,12 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 	New(Config{Size: 7, LineSize: 32})
 }
 
-func TestStatsAddAndMissRate(t *testing.T) {
+func TestStatsAdd(t *testing.T) {
 	a := Stats{Accesses: 10, Hits: 6, Misses: 4, StallCycles: 80}
 	b := Stats{Accesses: 10, Hits: 10}
 	a.Add(b)
 	if a.Accesses != 20 || a.Hits != 16 || a.Misses != 4 {
 		t.Errorf("after Add: %+v", a)
-	}
-	if got := a.MissRate(); got != 0.2 {
-		t.Errorf("MissRate = %v, want 0.2", got)
-	}
-	if (Stats{}).MissRate() != 0 {
-		t.Error("empty MissRate should be 0")
 	}
 }
 

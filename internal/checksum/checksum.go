@@ -187,15 +187,3 @@ func Chain(chunks ...[]byte) uint16 {
 	}
 	return a.Sum16()
 }
-
-// Update adjusts an existing checksum for a 16-bit field change at an even
-// offset (RFC 1624 incremental update), avoiding a full recompute — used
-// by the netstack's IP forwarding-style header rewrites.
-func Update(old uint16, oldField, newField uint16) uint16 {
-	// RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m')
-	sum := uint64(^old&0xffff) + uint64(^oldField&0xffff) + uint64(newField)
-	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
-	}
-	return ^uint16(sum)
-}

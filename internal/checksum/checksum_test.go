@@ -129,31 +129,6 @@ func TestChain(t *testing.T) {
 	}
 }
 
-func TestUpdateMatchesRecompute(t *testing.T) {
-	f := func(data []byte, off uint8, newVal uint16) bool {
-		if len(data) < 4 {
-			return true
-		}
-		if len(data)%2 != 0 {
-			data = data[:len(data)-1]
-		}
-		i := (int(off) * 2) % (len(data) - 1)
-		if i%2 != 0 {
-			i--
-		}
-		old := reference(data)
-		oldField := uint16(data[i])<<8 | uint16(data[i+1])
-		data[i] = byte(newVal >> 8)
-		data[i+1] = byte(newVal)
-		want := reference(data)
-		got := Update(old, oldField, newVal)
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkSimple552(b *testing.B) {
 	data := make([]byte, 552)
 	rand.New(rand.NewSource(1)).Read(data)

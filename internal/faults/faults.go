@@ -219,15 +219,6 @@ func (s *Stats) Merge(other Stats) {
 	s.Corrupted += other.Corrupted
 }
 
-// MergeStats folds a set of per-link stats into one summary.
-func MergeStats(all ...Stats) Stats {
-	var out Stats
-	for _, s := range all {
-		out.Merge(s)
-	}
-	return out
-}
-
 // Stream is the module's seeded draw: a splitmix64 sequence, eight
 // bytes of state held by value, one per consumer (a link's verdicts, a
 // link's jitter, a topology's rewiring), so each sequence depends on its

@@ -47,15 +47,10 @@ type Config struct {
 	// BatchLimit caps LDLP service batches; 0 means the paper's
 	// cache-fit 14.
 	BatchLimit int
-	// Link is the default link model; LinkFor, when non-nil, overrides
-	// it per directed (src, dst) pair.
-	Link    LinkConfig
-	LinkFor func(src, dst int) LinkConfig
+	// Link is the model of every directed link.
+	Link LinkConfig
 	// Seed drives every random stream (link jitter, fault injectors).
 	Seed int64
-	// InboxLimit bounds frames queued awaiting a node's CPU
-	// (drop-tail); 0 means 512.
-	InboxLimit int
 	// Horizon is the simulated-time cutoff in seconds; 0 means 120.
 	Horizon float64
 	// EventLog, when non-nil, receives one line per scheduler event —
@@ -77,9 +72,6 @@ func (c *Config) setDefaults() error {
 	if c.BatchLimit == 0 {
 		c.BatchLimit = 14
 	}
-	if c.InboxLimit == 0 {
-		c.InboxLimit = 512
-	}
 	if c.Horizon == 0 {
 		c.Horizon = 120
 	}
@@ -88,6 +80,10 @@ func (c *Config) setDefaults() error {
 	}
 	return nil
 }
+
+// inboxLimit bounds the frames queued awaiting a node's CPU
+// (drop-tail).
+const inboxLimit = 512
 
 // pending is one frame waiting for a node's CPU.
 type pending struct {
@@ -334,7 +330,7 @@ func (f *Fleet) launch(ls *linkState, m *mbuf.Mbuf, now float64, dup bool) {
 
 // propagate computes a frame's arrival time: FIFO serialization at the
 // link bandwidth from the later of send time and the link's busy
-// horizon, then fixed + distance-weighted + jittered propagation.
+// horizon, then fixed + jittered propagation.
 func (f *Fleet) propagate(ls *linkState, now float64, bytes int) float64 {
 	start := now
 	if ls.busyUntil > start {
@@ -344,7 +340,7 @@ func (f *Fleet) propagate(ls *linkState, now float64, bytes int) float64 {
 		start += float64(bytes*8) / ls.cfg.Bandwidth
 		ls.busyUntil = start
 	}
-	lat := ls.cfg.Latency + ls.cfg.DistanceWeight*ls.dist
+	lat := ls.cfg.Latency
 	if ls.cfg.Jitter > 0 {
 		lat += ls.jit.Float64() * ls.cfg.Jitter
 	}
@@ -412,7 +408,7 @@ func (f *Fleet) Run() Stats {
 
 func (f *Fleet) onArrive(e event) {
 	nd := f.nodes[e.node]
-	if len(nd.inbox) >= f.cfg.InboxLimit {
+	if len(nd.inbox) >= inboxLimit {
 		f.stats.InboxDrops++
 		e.m.FreeChain()
 		return

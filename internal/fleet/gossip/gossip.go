@@ -18,45 +18,23 @@ type Config struct {
 	// TargetStep stops the run once every node's logical clock reaches
 	// it. Required.
 	TargetStep uint32
-	// Threshold is the witness/advance threshold as a fraction of each
-	// node's degree; 0 means 2/3. A node's proposal is witnessed after
-	// ceil(frac*deg) acks, and the node advances once it knows that many
-	// peers' current-step proposals are witnessed.
-	Threshold float64
-	// Heartbeat is the retransmission period in seconds (liveness under
-	// loss); 0 means 50 ms.
-	Heartbeat float64
-	// VectorCap bounds the piggybacked vector entries per message; 0
-	// means 16.
-	VectorCap int
-	// Port is the UDP port the protocol binds; 0 means 9090.
-	Port uint16
 }
 
-func (c *Config) setDefaults() error {
-	if c.TargetStep == 0 {
-		return fmt.Errorf("gossip: TargetStep must be >= 1")
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 2.0 / 3
-	}
-	if c.Threshold < 0 || c.Threshold > 1 {
-		return fmt.Errorf("gossip: threshold %v outside (0, 1]", c.Threshold)
-	}
-	if c.Heartbeat == 0 {
-		c.Heartbeat = 0.05
-	}
-	if c.VectorCap == 0 {
-		c.VectorCap = 16
-	}
-	if c.VectorCap > MaxVec {
-		return fmt.Errorf("gossip: vector cap %d overflows the wire format (max %d)", c.VectorCap, MaxVec)
-	}
-	if c.Port == 0 {
-		c.Port = 9090
-	}
-	return nil
-}
+const (
+	// thresholdFrac is the witness/advance threshold as a fraction of
+	// each node's degree. A node's proposal is witnessed after
+	// ceil(frac*deg) acks, and the node advances once it knows that many
+	// peers' current-step proposals are witnessed.
+	thresholdFrac = 2.0 / 3
+	// heartbeat is the retransmission period in seconds (liveness under
+	// loss).
+	heartbeat = 0.05
+	// vectorCap bounds the piggybacked vector entries per message; at
+	// most MaxVec.
+	vectorCap = 16
+	// port is the UDP port the protocol binds.
+	port = 9090
+)
 
 // StepRecord is one logical-clock advance in a node's history.
 type StepRecord struct {
@@ -103,19 +81,19 @@ type Runner struct {
 
 // NewRunner validates cfg and builds the protocol state for n nodes.
 func NewRunner(cfg Config, n int) (*Runner, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+	if cfg.TargetStep == 0 {
+		return nil, fmt.Errorf("gossip: TargetStep must be >= 1")
 	}
 	return &Runner{
 		cfg: cfg, n: n, nodes: make([]*nodeState, n),
 		rxVec: make([]VecEntry, MaxVec),
-		txVec: make([]VecEntry, 0, cfg.VectorCap),
+		txVec: make([]VecEntry, 0, vectorCap),
 	}, nil
 }
 
 // threshold returns ceil(frac*deg), at least 1, at most deg.
 func (r *Runner) threshold(deg int) int {
-	t := int(math.Ceil(r.cfg.Threshold * float64(deg)))
+	t := int(math.Ceil(thresholdFrac * float64(deg)))
 	if t < 1 {
 		t = 1
 	}
@@ -127,7 +105,7 @@ func (r *Runner) threshold(deg int) int {
 
 // Setup implements fleet.App.
 func (r *Runner) Setup(n *fleet.Node) {
-	sock, err := n.Host().UDPSocket(r.cfg.Port)
+	sock, err := n.Host().UDPSocket(port)
 	if err != nil {
 		panic(err)
 	}
@@ -153,7 +131,7 @@ func (r *Runner) Start(n *fleet.Node) {
 	st := r.nodes[n.ID()]
 	st.step = 1
 	r.broadcast(n, st, Prop, st.step)
-	n.After(r.cfg.Heartbeat, 0)
+	n.After(heartbeat, 0)
 }
 
 // Timer implements fleet.App: the heartbeat retransmits the node's
@@ -169,7 +147,7 @@ func (r *Runner) Timer(n *fleet.Node, _ float64, _ int64) {
 	} else {
 		r.broadcast(n, st, Prop, st.step)
 	}
-	n.After(r.cfg.Heartbeat, 0)
+	n.After(heartbeat, 0)
 }
 
 // Poll implements fleet.App: drain the socket and run the state machine
@@ -264,7 +242,7 @@ func (r *Runner) tryAdvance(n *fleet.Node, st *nodeState, now float64) {
 }
 
 // vector assembles the piggyback: self first, then a rotating window of
-// peers with known witness state, capped at VectorCap. Rotation spreads
+// peers with known witness state, capped at vectorCap. Rotation spreads
 // transitive knowledge across successive messages deterministically.
 // The result lives in r.txVec until the next call.
 func (r *Runner) vector(id int, st *nodeState) []VecEntry {
@@ -272,7 +250,7 @@ func (r *Runner) vector(id int, st *nodeState) []VecEntry {
 	if st.knownWit[id] > 0 {
 		vec = append(vec, VecEntry{ID: uint32(id), WitStep: st.knownWit[id]})
 	}
-	for i := 0; i < len(st.peers) && len(vec) < r.cfg.VectorCap; i++ {
+	for i := 0; i < len(st.peers) && len(vec) < vectorCap; i++ {
 		p := st.peers[(st.vecOff+i)%len(st.peers)]
 		if w := st.knownWit[p]; w > 0 {
 			vec = append(vec, VecEntry{ID: uint32(p), WitStep: w})
@@ -285,7 +263,7 @@ func (r *Runner) vector(id int, st *nodeState) []VecEntry {
 func (r *Runner) send(n *fleet.Node, st *nodeState, t MsgType, step uint32, dst layers.IPAddr) {
 	m := Msg{Type: t, Sender: uint32(n.ID()), Step: step, Vec: r.vector(n.ID(), st)}
 	r.scratch = m.AppendTo(r.scratch[:0])
-	st.sock.SendTo(dst, r.cfg.Port, r.scratch)
+	st.sock.SendTo(dst, port, r.scratch)
 	r.sent++
 }
 
@@ -294,9 +272,6 @@ func (r *Runner) broadcast(n *fleet.Node, st *nodeState, t MsgType, step uint32)
 		r.send(n, st, t, step, fleet.IPOf(int(p)))
 	}
 }
-
-// History returns node id's step advances in order.
-func (r *Runner) History(id int) []StepRecord { return r.nodes[id].history }
 
 // HistoryBytes serializes every node's step history into a canonical
 // byte form — the replay artifact two same-seed runs must reproduce

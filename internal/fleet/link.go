@@ -8,29 +8,23 @@ import (
 )
 
 // LinkConfig models one directed link of the peer graph: propagation
-// delay (fixed + jittered + distance-weighted), serialization at a
-// finite bandwidth, and an optional per-link fault config. The zero
-// value is an ideal link (instant, lossless).
+// delay (fixed + jittered), serialization at a finite bandwidth, and an
+// optional per-link fault config. The zero value is an ideal link
+// (instant, lossless).
 type LinkConfig struct {
 	// Latency is the fixed one-way propagation delay in seconds.
 	Latency float64
 	// Jitter adds a uniform [0, Jitter) seconds per frame, drawn from a
 	// per-link faults.Stream (deterministic per fleet seed).
 	Jitter float64
-	// DistanceWeight adds seconds per unit of topology coordinate
-	// distance between the endpoints — far corners of the unit square
-	// are slower than neighbours.
-	DistanceWeight float64
 	// Bandwidth in bits/second; frames serialize FIFO at this rate
 	// before propagation. 0 means infinite (no serialization delay).
 	Bandwidth float64
 	// Faults, when non-nil, runs every frame on this link through a
 	// seeded faults.Injector (loss, bursts, duplication, reordering,
-	// extra delay, bit corruption, partitions).
+	// extra delay, bit corruption, partitions), seeded from the fleet
+	// seed and the (src, dst) pair.
 	Faults *faults.Config
-	// FaultSeed seeds the link's injector; 0 derives a stable seed from
-	// the fleet seed and the (src, dst) pair.
-	FaultSeed int64
 }
 
 // LANLink is a datacenter-flavoured preset: 50 µs propagation at
@@ -43,12 +37,6 @@ func LANLink() LinkConfig {
 // 100 Mbit/s.
 func WANLink() LinkConfig {
 	return LinkConfig{Latency: 10e-3, Jitter: 2e-3, Bandwidth: 100e6}
-}
-
-// GeoLink weights latency by topology distance: 1 ms floor plus 40 ms
-// across the full unit square (roughly a continent) at 622 Mbit/s.
-func GeoLink() LinkConfig {
-	return LinkConfig{Latency: 1e-3, DistanceWeight: 40e-3, Bandwidth: 622e6}
 }
 
 // FaultyLink overlays a named faults preset (see faults.PresetNames) on
@@ -80,7 +68,6 @@ type heldReorder struct {
 type linkState struct {
 	src, dst  int32
 	cfg       LinkConfig
-	dist      float64
 	inj       *faults.Injector
 	jit       faults.Stream
 	busyUntil float64
@@ -93,21 +80,14 @@ func (f *Fleet) link(src, dst int32) *linkState {
 		return ls
 	}
 	cfg := f.cfg.Link
-	if f.cfg.LinkFor != nil {
-		cfg = f.cfg.LinkFor(int(src), int(dst))
-	}
 	ls := &linkState{
-		src:  src,
-		dst:  dst,
-		cfg:  cfg,
-		dist: f.cfg.Topology.Dist(int(src), int(dst)),
-		jit:  faults.NewStream(uint64(f.cfg.Seed)*0x100000001b3 ^ key),
+		src: src,
+		dst: dst,
+		cfg: cfg,
+		jit: faults.NewStream(uint64(f.cfg.Seed)*0x100000001b3 ^ key),
 	}
 	if cfg.Faults != nil {
-		seed := cfg.FaultSeed
-		if seed == 0 {
-			seed = f.cfg.Seed*1_000_003 + int64(src)*1_000_000 + int64(dst) + 1
-		}
+		seed := f.cfg.Seed*1_000_003 + int64(src)*1_000_000 + int64(dst) + 1
 		ls.inj = faults.New(*cfg.Faults, seed)
 	}
 	f.links[key] = ls

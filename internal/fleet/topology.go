@@ -8,15 +8,12 @@ import (
 	"ldlp/internal/faults"
 )
 
-// Topology is an undirected peer graph plus unit-square coordinates for
-// every node. The graph defines who gossips with whom; the coordinates
-// feed distance-weighted link latency (LinkConfig.DistanceWeight). All
+// Topology is an undirected peer graph: who gossips with whom. All
 // builders produce sorted adjacency lists, so iteration order — and
 // therefore every downstream send schedule — is deterministic.
 type Topology struct {
-	name   string
-	peers  [][]int32
-	coords [][2]float64
+	name  string
+	peers [][]int32
 }
 
 // N returns the node count.
@@ -29,17 +26,6 @@ func (t *Topology) Name() string { return t.name }
 // mutate it.
 func (t *Topology) Peers(i int) []int32 { return t.peers[i] }
 
-// Coord returns node i's position in the unit square.
-func (t *Topology) Coord(i int) (x, y float64) { return t.coords[i][0], t.coords[i][1] }
-
-// Dist is the Euclidean distance between two nodes' coordinates, in
-// unit-square units (diagonal = sqrt(2)).
-func (t *Topology) Dist(i, j int) float64 {
-	dx := t.coords[i][0] - t.coords[j][0]
-	dy := t.coords[i][1] - t.coords[j][1]
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
 // MinDegree returns the smallest adjacency list size — the bound that
 // decides whether a gossip threshold is satisfiable everywhere.
 func (t *Topology) MinDegree() int {
@@ -50,17 +36,6 @@ func (t *Topology) MinDegree() int {
 		}
 	}
 	return min
-}
-
-// circleCoords places n nodes evenly on a circle inscribed in the unit
-// square.
-func circleCoords(n int) [][2]float64 {
-	cs := make([][2]float64, n)
-	for i := range cs {
-		theta := 2 * math.Pi * float64(i) / float64(n)
-		cs[i] = [2]float64{0.5 + 0.5*math.Cos(theta), 0.5 + 0.5*math.Sin(theta)}
-	}
-	return cs
 }
 
 func sortPeers(peers [][]int32) {
@@ -93,7 +68,7 @@ func FullMesh(n int) *Topology {
 		}
 		peers[i] = p
 	}
-	return &Topology{name: fmt.Sprintf("mesh(%d)", n), peers: peers, coords: circleCoords(n)}
+	return &Topology{name: fmt.Sprintf("mesh(%d)", n), peers: peers}
 }
 
 // Ring connects each node to its k nearest neighbours on each side
@@ -111,19 +86,16 @@ func Ring(n, k int) *Topology {
 		peers[i] = p
 	}
 	sortPeers(peers)
-	return &Topology{name: fmt.Sprintf("ring(%d,%d)", n, k), peers: peers, coords: circleCoords(n)}
+	return &Topology{name: fmt.Sprintf("ring(%d,%d)", n, k), peers: peers}
 }
 
 // Torus is a rows x cols grid with wraparound, 4 neighbours per node.
-// Coordinates are the grid positions scaled into the unit square, so
-// distance-weighted links make far grid corners genuinely far.
 func Torus(rows, cols int) *Topology {
 	if rows < 3 || cols < 3 {
 		panic(fmt.Sprintf("fleet: torus needs >= 3x3, got %dx%d", rows, cols))
 	}
 	n := rows * cols
 	peers := make([][]int32, n)
-	coords := make([][2]float64, n)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			i := r*cols + c
@@ -133,11 +105,10 @@ func Torus(rows, cols int) *Topology {
 				int32(r*cols + (c+1)%cols),
 				int32(r*cols + (c-1+cols)%cols),
 			}
-			coords[i] = [2]float64{float64(c) / float64(cols-1), float64(r) / float64(rows-1)}
 		}
 	}
 	sortPeers(peers)
-	return &Topology{name: fmt.Sprintf("torus(%dx%d)", rows, cols), peers: peers, coords: coords}
+	return &Topology{name: fmt.Sprintf("torus(%dx%d)", rows, cols), peers: peers}
 }
 
 // SmallWorld is a Watts–Strogatz graph: Ring(n, k) with each forward

@@ -70,8 +70,7 @@ type Ethernet struct {
 // Decode parses the header from b, returning the header length.
 func (h *Ethernet) Decode(b []byte) (int, error) {
 	if len(b) < EthernetLen {
-		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-		return 0, fmt.Errorf("ethernet: %w (%d bytes)", ErrTruncated, len(b))
+		return 0, ErrTruncated
 	}
 	copy(h.Dst[:], b[0:6])
 	copy(h.Src[:], b[6:12])
@@ -106,9 +105,6 @@ type IPv4 struct {
 // MoreFragments reports the MF bit.
 func (h *IPv4) MoreFragments() bool { return h.Flags&0x1 != 0 }
 
-// DontFragment reports the DF bit.
-func (h *IPv4) DontFragment() bool { return h.Flags&0x2 != 0 }
-
 // IsFragment reports whether this packet is any fragment of a larger
 // datagram.
 func (h *IPv4) IsFragment() bool { return h.MoreFragments() || h.FragOff != 0 }
@@ -116,23 +112,19 @@ func (h *IPv4) IsFragment() bool { return h.MoreFragments() || h.FragOff != 0 }
 // Decode parses and validates the header, verifying the header checksum.
 func (h *IPv4) Decode(b []byte) (int, error) {
 	if len(b) < IPv4MinLen {
-		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-		return 0, fmt.Errorf("ipv4: %w (%d bytes)", ErrTruncated, len(b))
+		return 0, ErrTruncated
 	}
 	if v := b[0] >> 4; v != 4 {
-		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-		return 0, fmt.Errorf("%w %d", ErrBadVersion, v)
+		return 0, ErrBadVersion
 	}
 	h.IHL = int(b[0]&0x0f) * 4
 	if h.IHL < IPv4MinLen || h.IHL > len(b) {
-		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-		return 0, fmt.Errorf("ipv4: %w (ihl %d)", ErrBadLength, h.IHL)
+		return 0, ErrBadLength
 	}
 	h.TOS = b[1]
 	h.TotalLen = int(be.Uint16(b[2:4]))
 	if h.TotalLen < h.IHL {
-		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-		return 0, fmt.Errorf("ipv4: %w (total %d < ihl %d)", ErrBadLength, h.TotalLen, h.IHL)
+		return 0, ErrBadLength
 	}
 	h.ID = be.Uint16(b[4:6])
 	ff := be.Uint16(b[6:8])
@@ -144,8 +136,7 @@ func (h *IPv4) Decode(b []byte) (int, error) {
 	copy(h.Src[:], b[12:16])
 	copy(h.Dst[:], b[16:20])
 	if checksum.Simple(b[:h.IHL]) != 0 {
-		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-		return 0, fmt.Errorf("ipv4: %w", ErrBadChecksum)
+		return 0, ErrBadChecksum
 	}
 	return h.IHL, nil
 }
@@ -187,24 +178,21 @@ type UDP struct {
 // checksum field is nonzero, verifies the checksum over payload.
 func (h *UDP) Decode(b []byte, src, dst IPAddr) (int, error) {
 	if len(b) < UDPLen {
-		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-		return 0, fmt.Errorf("udp: %w (%d bytes)", ErrTruncated, len(b))
+		return 0, ErrTruncated
 	}
 	h.SrcPort = be.Uint16(b[0:2])
 	h.DstPort = be.Uint16(b[2:4])
 	h.Length = int(be.Uint16(b[4:6]))
 	h.Checksum = be.Uint16(b[6:8])
 	if h.Length < UDPLen || h.Length > len(b) {
-		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-		return 0, fmt.Errorf("udp: %w (len %d, have %d)", ErrBadLength, h.Length, len(b))
+		return 0, ErrBadLength
 	}
 	if h.Checksum != 0 {
 		var acc checksum.Accumulator
 		pseudoHeader(&acc, src, dst, ProtoUDP, h.Length)
 		acc.Add(b[:h.Length])
 		if acc.Sum16() != 0 {
-			//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-			return 0, fmt.Errorf("udp: %w", ErrBadChecksum)
+			return 0, ErrBadChecksum
 		}
 	}
 	return UDPLen, nil
@@ -251,26 +239,11 @@ type TCP struct {
 	Checksum         uint16
 }
 
-// FlagString renders the flag bits ("SA", "F", ...).
-func (h *TCP) FlagString() string {
-	s := ""
-	for _, f := range []struct {
-		bit  byte
-		name string
-	}{{TCPSyn, "S"}, {TCPAck, "A"}, {TCPFin, "F"}, {TCPRst, "R"}, {TCPPsh, "P"}} {
-		if h.Flags&f.bit != 0 {
-			s += f.name
-		}
-	}
-	return s
-}
-
 // Decode parses the header, verifying the checksum over the whole segment
 // (seg must span the entire TCP segment: header + payload).
 func (h *TCP) Decode(seg []byte, src, dst IPAddr) (int, error) {
 	if len(seg) < TCPMinLen {
-		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-		return 0, fmt.Errorf("tcp: %w (%d bytes)", ErrTruncated, len(seg))
+		return 0, ErrTruncated
 	}
 	h.SrcPort = be.Uint16(seg[0:2])
 	h.DstPort = be.Uint16(seg[2:4])
@@ -278,8 +251,7 @@ func (h *TCP) Decode(seg []byte, src, dst IPAddr) (int, error) {
 	h.Ack = be.Uint32(seg[8:12])
 	h.DataOff = int(seg[12]>>4) * 4
 	if h.DataOff < TCPMinLen || h.DataOff > len(seg) {
-		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-		return 0, fmt.Errorf("tcp: %w (data offset %d)", ErrBadLength, h.DataOff)
+		return 0, ErrBadLength
 	}
 	h.Flags = seg[13] & 0x3f
 	h.Window = be.Uint16(seg[14:16])
@@ -288,8 +260,7 @@ func (h *TCP) Decode(seg []byte, src, dst IPAddr) (int, error) {
 	pseudoHeader(&acc, src, dst, ProtoTCP, len(seg))
 	acc.Add(seg)
 	if acc.Sum16() != 0 {
-		//lint:ignore hotpathalloc malformed-frame error path, never taken by well-formed traffic
-		return 0, fmt.Errorf("tcp: %w", ErrBadChecksum)
+		return 0, ErrBadChecksum
 	}
 	return h.DataOff, nil
 }

@@ -119,7 +119,7 @@ func TestIPv4FragmentBits(t *testing.T) {
 	if _, err := g2.Decode(buf); err != nil {
 		t.Fatal(err)
 	}
-	if !g2.DontFragment() || g2.IsFragment() {
+	if g2.Flags != 0x2 || g2.IsFragment() {
 		t.Errorf("DF fields: %+v", g2)
 	}
 }
@@ -195,9 +195,6 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	if n != TCPMinLen || g.Seq != h.Seq || g.Ack != h.Ack || g.Flags != h.Flags || g.Window != 8760 {
 		t.Errorf("decoded %+v", g)
-	}
-	if g.FlagString() != "AP" {
-		t.Errorf("flags = %q, want AP", g.FlagString())
 	}
 }
 

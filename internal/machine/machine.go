@@ -75,9 +75,6 @@ func (s *Segment) Addr() uint64 {
 	return s.addr
 }
 
-// Placed reports whether a Layout has assigned this segment an address.
-func (s *Segment) Placed() bool { return s.placed }
-
 // SetAddr places the segment explicitly. Most callers should use a Layout.
 func (s *Segment) SetAddr(addr uint64) {
 	s.addr = addr
@@ -219,17 +216,11 @@ func (c *CPU) ExecSegment(s *Segment, issueCycles float64) {
 // Cycles returns total consumed cycles (issue + stall).
 func (c *CPU) Cycles() float64 { return c.issueCycles + c.stallCycles }
 
-// IssueCycles returns cycles spent issuing instructions.
-func (c *CPU) IssueCycles() float64 { return c.issueCycles }
-
 // StallCycles returns cycles spent stalled on cache misses.
 func (c *CPU) StallCycles() float64 { return c.stallCycles }
 
 // Seconds converts the consumed cycles to wall time at the configured clock.
 func (c *CPU) Seconds() float64 { return c.Cycles() / c.cfg.ClockHz }
-
-// SecondsFor converts a cycle count to seconds at the configured clock.
-func (c *CPU) SecondsFor(cycles float64) float64 { return cycles / c.cfg.ClockHz }
 
 // ResetCycles clears the cycle accumulators but leaves cache contents
 // intact (the cache stays warm across messages; that is the whole point).

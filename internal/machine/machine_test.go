@@ -19,12 +19,12 @@ func TestClassString(t *testing.T) {
 
 func TestSegmentPlacement(t *testing.T) {
 	s := NewSegment("tcp_input", Code, 11872)
-	if s.Placed() {
+	if s.placed {
 		t.Error("fresh segment should be unplaced")
 	}
 	s.SetAddr(0x1000)
-	if !s.Placed() || s.Addr() != 0x1000 {
-		t.Errorf("placement failed: placed=%v addr=%#x", s.Placed(), s.Addr())
+	if !s.placed || s.Addr() != 0x1000 {
+		t.Errorf("placement failed: placed=%v addr=%#x", s.placed, s.Addr())
 	}
 }
 
@@ -123,9 +123,6 @@ func TestCPUCycleAccounting(t *testing.T) {
 	if got := cpu.StallCycles(); got != 192*20 {
 		t.Errorf("stall cycles = %v, want %v", got, 192*20)
 	}
-	if got := cpu.IssueCycles(); got != 1376 {
-		t.Errorf("issue cycles = %v, want 1376", got)
-	}
 	if got := cpu.Cycles(); got != 1376+3840 {
 		t.Errorf("total cycles = %v, want %v", got, 1376+3840)
 	}
@@ -143,9 +140,6 @@ func TestCPUSeconds(t *testing.T) {
 	cpu.AddIssueCycles(100e6) // one second at 100 MHz
 	if got := cpu.Seconds(); got != 1 {
 		t.Errorf("Seconds = %v, want 1", got)
-	}
-	if got := cpu.SecondsFor(50e6); got != 0.5 {
-		t.Errorf("SecondsFor = %v, want 0.5", got)
 	}
 }
 

@@ -35,6 +35,7 @@
 package mbuf
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -199,9 +200,6 @@ var defaultPool = func() *Pool {
 	}
 	return NewPool(n)
 }()
-
-// DefaultPool returns the pool behind the package-level helpers.
-func DefaultPool() *Pool { return defaultPool }
 
 // DefaultShard returns shard i of the default pool (mod its shard
 // count) — the handle callers thread through per-worker state.
@@ -491,6 +489,10 @@ func (m *Mbuf) Adj(n int) {
 	}
 }
 
+// errPullup is Pullup's one failure: the chain is shorter than the
+// bytes asked for, or they exceed a cluster.
+var errPullup = errors.New("mbuf: pullup beyond packet length or cluster size")
+
 // Pullup rearranges the chain so its first n bytes are contiguous in the
 // head mbuf, like m_pullup — decoders need contiguous headers. It returns
 // the new head, or an error if the chain is shorter than n or n exceeds a
@@ -499,13 +501,8 @@ func (m *Mbuf) Pullup(n int) (*Mbuf, error) {
 	if n <= m.length {
 		return m, nil
 	}
-	if n > m.PktLen() {
-		//lint:ignore hotpathalloc pullup error path, never taken by well-formed traffic
-		return m, fmt.Errorf("mbuf: pullup %d beyond packet length %d", n, m.PktLen())
-	}
-	if n > MCLBytes {
-		//lint:ignore hotpathalloc pullup error path, never taken by well-formed traffic
-		return m, fmt.Errorf("mbuf: pullup %d exceeds cluster size", n)
+	if n > m.PktLen() || n > MCLBytes {
+		return m, errPullup
 	}
 	head := m.alikeFor(n)
 	head.off = 0
@@ -602,18 +599,6 @@ func (m *Mbuf) Contiguous() []byte {
 	//lint:ignore hotpathalloc multi-buffer chains only; single-buffer frames return the existing window without copying
 	out := make([]byte, m.PktLen())
 	m.CopyOut(0, out)
-	return out
-}
-
-// Chunks returns the chain's data as a slice of per-mbuf slices, for
-// chained checksumming without copies.
-func (m *Mbuf) Chunks() [][]byte {
-	var out [][]byte
-	for cur := m; cur != nil; cur = cur.next {
-		if cur.length > 0 {
-			out = append(out, cur.Bytes())
-		}
-	}
 	return out
 }
 

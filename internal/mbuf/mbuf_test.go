@@ -180,21 +180,6 @@ func TestCopyOutWindows(t *testing.T) {
 	}
 }
 
-func TestChunksSkipEmpty(t *testing.T) {
-	ResetPool()
-	m := FromBytes([]byte("abc"))
-	m.next = Get() // empty mbuf in the middle
-	m.next.next = FromBytes([]byte("def"))
-	defer m.FreeChain()
-	chunks := m.Chunks()
-	if len(chunks) != 2 {
-		t.Fatalf("chunks = %d, want 2 (empty skipped)", len(chunks))
-	}
-	if string(chunks[0]) != "abc" || string(chunks[1]) != "def" {
-		t.Errorf("chunks = %q", chunks)
-	}
-}
-
 func TestDoubleFreePanics(t *testing.T) {
 	ResetPool()
 	m := Get()

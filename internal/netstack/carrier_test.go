@@ -1,6 +1,9 @@
 package netstack
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"ldlp/internal/core"
@@ -92,4 +95,73 @@ func TestAdvanceToIsMonotonic(t *testing.T) {
 	if n.Now() != 2.25 {
 		t.Fatalf("Now = %v, want 2.25", n.Now())
 	}
+}
+
+// TestSameHostSameWire builds the same pair of hosts twice in one
+// process, once before and once after an unrelated host that opens a
+// connection of its own, and requires identical wire bytes from the
+// two builds: a host's sequence numbers, pool shards and flow-table
+// seeds come from its own Net, not from what else the process built.
+func TestSameHostSameWire(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			first := pairWire(t, shards)
+			other := NewNet()
+			other.AddHost("other", ipA, ShardedOptions(3)).DialTCP(ipB, 80)
+			other.Close()
+			second := pairWire(t, shards)
+			if len(first) < 8 || !slices.EqualFunc(first, second, bytes.Equal) {
+				for i := range min(len(first), len(second)) {
+					if !bytes.Equal(first[i], second[i]) {
+						t.Fatalf("frame %d of %d/%d differs:\n%x\n%x", i, len(first), len(second), first[i], second[i])
+					}
+				}
+				t.Fatalf("builds sent %d and %d frames", len(first), len(second))
+			}
+		})
+	}
+}
+
+// pairWire runs a TCP connection from an LDLP client to a server on
+// shards receive shards, data both ways, and returns every frame the
+// pair put on the wire, in order.
+func pairWire(t *testing.T, shards int) [][]byte {
+	t.Helper()
+	n := NewNet()
+	defer n.Close()
+	var wire [][]byte
+	n.SetCarrier(func(dst layers.MACAddr, m *mbuf.Mbuf) {
+		wire = append(wire, bytes.Clone(m.Contiguous()))
+		n.hosts[dst].InjectFrame(m)
+	})
+	srvOpts := DefaultOptions(core.LDLP)
+	if shards > 1 {
+		srvOpts = ShardedOptions(shards)
+	}
+	a := n.AddHost("a", ipA, DefaultOptions(core.LDLP))
+	b := n.AddHost("b", ipB, srvOpts)
+	l, err := b.ListenTCP(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := a.DialTCP(ipB, 80)
+	var srv *TCPSock
+	for i := 0; i < 20 && srv == nil; i++ {
+		n.Tick(0.01)
+		srv = l.Accept()
+	}
+	if srv == nil {
+		t.Fatal("handshake incomplete")
+	}
+	if err := cli.Send([]byte("request")); err != nil {
+		t.Fatal(err)
+	}
+	n.Tick(0.01)
+	if err := srv.Send([]byte("reply")); err != nil {
+		t.Fatal(err)
+	}
+	for range 10 {
+		n.Tick(0.1)
+	}
+	return wire
 }

@@ -231,9 +231,9 @@ func runEquivWorkload(t testing.TB, script *equivScript, shards int, cfg *faults
 	}
 
 	// Identify each accepted socket by a one-byte id the client sends
-	// first: dial order is the only stable connection key across runs
-	// (ISS comes from a process-global counter, so its values differ
-	// run to run).
+	// first: dial order is the only connection key that holds across
+	// shard counts (accept order and ISS both depend on the shard a flow
+	// hashes to).
 	for c, cli := range clis {
 		if err := cli.Send([]byte{byte(c)}); err != nil {
 			t.Fatal(err)

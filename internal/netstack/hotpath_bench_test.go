@@ -65,10 +65,63 @@ func newAckRig(tb testing.TB, opts Options) (*Net, *Host, []byte) {
 	return n, hb, buildBareAck(bpcb, ipA, ipB)
 }
 
+// malformedFrame is a frame one decoder rejects, and the drop reason
+// the receive path counts it under.
+type malformedFrame struct {
+	name   string
+	frame  []byte
+	reason telemetry.DropReason
+}
+
+// malformedFrames derives from a well-formed ACK one frame per decoder
+// reject reason: every error return of the Ethernet, IPv4, TCP and UDP
+// decoders. The UDP frames reuse the ACK's 20 transport bytes under
+// protocol 17 with a fresh IP header.
+func malformedFrames(ack []byte) []malformedFrame {
+	const e, t = layers.EthernetLen, layers.EthernetLen + layers.IPv4MinLen
+	edit := func(f func(b []byte)) []byte {
+		b := bytes.Clone(ack)
+		f(b)
+		return b
+	}
+	withIP := func(total int, proto byte, f func(b []byte)) []byte {
+		return edit(func(b []byte) {
+			var ip layers.IPv4
+			ip.Decode(b[e:])
+			ip.TotalLen, ip.Protocol = total, proto
+			ip.Encode(b[e:])
+			f(b)
+		})
+	}
+	udp := func(length, sum uint16) func(b []byte) {
+		return func(b []byte) {
+			b[t+4], b[t+5] = byte(length>>8), byte(length)
+			b[t+6], b[t+7] = byte(sum>>8), byte(sum)
+		}
+	}
+	nop := func([]byte) {}
+	const tcpLen = layers.IPv4MinLen + layers.TCPMinLen
+	return []malformedFrame{
+		{"ether-truncated", ack[:e-1], telemetry.DropBadEther},
+		{"ip-truncated", ack[:t-1], telemetry.DropBadIP},
+		{"ip-version", edit(func(b []byte) { b[e] = 6<<4 | 5 }), telemetry.DropBadIP},
+		{"ip-header-length", edit(func(b []byte) { b[e] = 4<<4 | 4 }), telemetry.DropBadIP},
+		{"ip-total-length", edit(func(b []byte) { b[e+2], b[e+3] = 0, 10 }), telemetry.DropBadIP},
+		{"ip-checksum", edit(func(b []byte) { b[e+10] ^= 0xff }), telemetry.DropBadIP},
+		{"tcp-truncated", withIP(tcpLen-1, layers.ProtoTCP, nop), telemetry.DropBadTCP},
+		{"tcp-data-offset", edit(func(b []byte) { b[t+12] = 4 << 4 }), telemetry.DropBadTCP},
+		{"tcp-checksum", edit(func(b []byte) { b[t+16] ^= 0xff }), telemetry.DropBadTCP},
+		{"udp-truncated", withIP(layers.IPv4MinLen+layers.UDPLen-1, layers.ProtoUDP, nop), telemetry.DropBadUDP},
+		{"udp-length", withIP(tcpLen, layers.ProtoUDP, udp(100, 0)), telemetry.DropBadUDP},
+		{"udp-checksum", withIP(tcpLen, layers.ProtoUDP, udp(layers.TCPMinLen, 0x1234)), telemetry.DropBadUDP},
+	}
+}
+
 // The steady-state TCP receive path — frame to mbuf chain, decode,
 // header prediction, chain free, wrapper recycle — allocates nothing,
-// under either discipline and on the sharded engine. This is the gate;
-// the benchmarks below measure the same cycle's time.
+// under either discipline and on the sharded engine. Neither does
+// rejecting a malformed frame, for every reason a decoder has. This is
+// the gate; the benchmarks below measure the same cycle's time.
 func TestTCPReceivePathAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -96,6 +149,20 @@ func TestTCPReceivePathAllocFree(t *testing.T) {
 			// AllocsPerRun makes one warm-up call of its own.
 			if got := hb.Counters.TCPFastPath - before; got != runs+1 {
 				t.Errorf("fast path took %d of %d segments", got, runs+1)
+			}
+			for _, bad := range malformedFrames(ack) {
+				reason := bad.reason.String()
+				before := hb.Snapshot().Drops[reason]
+				allocs := testing.AllocsPerRun(runs, func() {
+					hb.deliver(mbuf.FromBytes(bad.frame))
+					hb.process()
+				})
+				if allocs != 0 {
+					t.Errorf("%s: %v allocations per rejected frame, want 0", bad.name, allocs)
+				}
+				if got := hb.Snapshot().Drops[reason] - before; got != runs+1 {
+					t.Errorf("%s: %d of %d frames dropped as %s", bad.name, got, runs+1, reason)
+				}
 			}
 			checkNoLeaks(t)
 		})

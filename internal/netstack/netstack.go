@@ -36,6 +36,7 @@
 package netstack
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -534,10 +535,6 @@ func (n *Net) Tick(dt float64) {
 type Host struct {
 	net  *Net
 	name string
-	// id is a process-unique instance number (the host's mbuf pool
-	// base), distinguishing same-named hosts from rebuilt Nets in the
-	// expvar registry.
-	id   int
 	mac  layers.MACAddr
 	ip   layers.IPAddr
 	opts Options
@@ -617,9 +614,6 @@ type Host struct {
 	tel     *telemetry.Domain
 	telPump *telemetry.Tracer
 	txBatch *telemetry.Hist
-
-	// expvarOnce publishes the host to the expvar registry at most once.
-	expvarOnce sync.Once
 }
 
 // transportShard owns the transport state of every flow whose 4-tuple
@@ -653,6 +647,8 @@ type transportShard struct {
 	// they remove the PCB it points at.
 	pcbs *flowtable.Table[fourTuple, *tcpPCB]
 	last *tcpPCB
+	// issSeq counts this shard's connections for nextISS.
+	issSeq uint32
 
 	// Reassembly state (frag.go): fragments hash by IP ID, so every
 	// fragment of one datagram lands here. fragq remembers insertion
@@ -822,10 +818,6 @@ func (h *Host) buildRxPath(s *core.Stack[*Packet]) *rxPath {
 	return rx
 }
 
-// hostSeq spreads hosts across the default mbuf pool's shards so two
-// hosts' transmit paths do not share an allocator shard.
-var hostSeq atomic.Int64
-
 // newHost wires up the receive path and the transport shards.
 func newHost(n *Net, name string, ip layers.IPAddr, opts Options) *Host {
 	h := &Host{
@@ -837,8 +829,12 @@ func newHost(n *Net, name string, ip layers.IPAddr, opts Options) *Host {
 	if h.policy == nil {
 		h.policy = dispatch.Static{}
 	}
-	poolBase := int(hostSeq.Add(int64(max(1, opts.RxShards) + 1)))
-	h.id = poolBase
+	// The host's shards of the default mbuf pool (transmit, then one per
+	// receive shard) and its flow-table seeds follow from its address:
+	// the same on every run, and spread across the pool whether hosts
+	// share a Net or each has its own, as fleet nodes do. Hundreds of
+	// fleet hosts on one shard would overflow its freelist.
+	poolBase := int(binary.BigEndian.Uint32(ip[:])) * (max(1, opts.RxShards) + 1)
 	h.txPool = mbuf.DefaultShard(poolBase)
 	h.tshards = make([]*transportShard, max(1, opts.RxShards))
 	// One contiguous padded array: each shard's tally owns a full cache

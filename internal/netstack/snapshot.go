@@ -3,7 +3,6 @@ package netstack
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"slices"
 	"sort"
@@ -18,9 +17,9 @@ import (
 // Snapshot is everything a host reports about itself, taken at one
 // quiescent point: the protocol counters, the drop ledger, the receive
 // engine's stats and queue depths, each transport shard's tallies, the
-// flow table, dispatch, the mbuf pool and the flight recorder. Exporters
-// (expvar, cmd/chaos, the examples) and tests read a host through it,
-// and Diff prints what changed between two.
+// flow table, dispatch, the mbuf pool and the flight recorder.
+// cmd/chaos, the examples and tests read a host through it, and Diff
+// prints what changed between two.
 type Snapshot struct {
 	Name     string // the host's name
 	Counters Counters
@@ -140,18 +139,4 @@ func (h *Host) QueueDepths() []int {
 		return h.shards.QueueDepths()
 	}
 	return []int{h.stack.Pending()}
-}
-
-// PublishExpvars registers the host's Snapshot with the expvar registry
-// as "netstack.<name>.<id>", so any binary that serves net/http has it
-// on /debug/vars. The id is the host's instance number, so the name is
-// unique per host: two same-named hosts — e.g. a test building a fresh
-// Net while the old one's vars are still registered — each get an entry
-// that reads their own state. Publishing a host again is a no-op.
-func (h *Host) PublishExpvars() {
-	h.expvarOnce.Do(func() {
-		expvar.Publish("netstack."+h.name+"."+strconv.Itoa(h.id), expvar.Func(func() any {
-			return h.Snapshot()
-		}))
-	})
 }

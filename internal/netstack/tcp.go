@@ -203,11 +203,14 @@ var (
 	ErrTimeout = errors.New("netstack: connection timed out")
 )
 
-// issCounter feeds initial send sequence numbers; atomic because two
-// sharded hosts' workers can perform passive opens concurrently.
-var issCounter atomic.Uint32
-
-func nextISS() uint32 { return 1000 + issCounter.Add(64000) }
+// nextISS draws an initial send sequence number from ts's own counter,
+// so a host numbers its connections the same way on every run and no
+// two shard workers share the counter. The shard index in the top byte
+// keeps two shards' sequence spaces apart.
+func (ts *transportShard) nextISS() uint32 {
+	ts.issSeq += 64000
+	return 1000 + uint32(ts.idx)<<24 + ts.issSeq
+}
 
 // ListenTCP opens a passive socket on port.
 func (h *Host) ListenTCP(port uint16) (*TCPListener, error) {
@@ -258,9 +261,7 @@ func (h *Host) DialTCP(dst layers.IPAddr, port uint16) *TCPSock {
 	pcb := &tcpPCB{
 		host:  h,
 		tuple: fourTuple{raddr: dst, rport: port},
-		iss:   nextISS(),
 	}
-	pcb.sndUna, pcb.sndNxt = pcb.iss, pcb.iss
 	pcb.sndWnd = tcpWindow
 	pcb.sock = &TCPSock{pcb: pcb}
 	for tries := 0; tries < 1<<15; tries++ {
@@ -268,6 +269,8 @@ func (h *Host) DialTCP(dst layers.IPAddr, port uint16) *TCPSock {
 		pcb.tuple.lport = h.ephemeral
 		pcb.owner = h.tupleShard(pcb.tuple)
 		if _, taken := pcb.owner.pcbs.Lookup(pcb.tuple); !taken {
+			pcb.iss = pcb.owner.nextISS()
+			pcb.sndUna, pcb.sndNxt = pcb.iss, pcb.iss
 			pcb.state = stSynSent
 			pcb.owner.pcbs.Insert(pcb.tuple, pcb)
 			pcb.sendSegment(layers.TCPSyn, nil, true)
@@ -463,7 +466,7 @@ func (rx *rxPath) tcpPassiveOpen(p *Packet, tuple fourTuple, th *layers.TCP) {
 	}
 	pcb := &tcpPCB{
 		host: h, owner: rx.ts, tuple: tuple, state: stSynRcvd,
-		iss: nextISS(), irs: th.Seq,
+		iss: rx.ts.nextISS(), irs: th.Seq,
 		rcvNxt: th.Seq + 1, sndWnd: int32(th.Window),
 	}
 	pcb.sndUna, pcb.sndNxt = pcb.iss, pcb.iss

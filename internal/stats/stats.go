@@ -61,21 +61,6 @@ func (r *Running) Var() float64 {
 	return r.m2 / float64(r.n-1)
 }
 
-// Stddev reports the sample standard deviation.
-func (r *Running) Stddev() float64 { return math.Sqrt(r.Var()) }
-
-// StderrMean reports the standard error of the mean.
-func (r *Running) StderrMean() float64 {
-	if r.n < 1 {
-		return 0
-	}
-	return r.Stddev() / math.Sqrt(float64(r.n))
-}
-
-// CI95 reports the half-width of a normal-approximation 95% confidence
-// interval for the mean.
-func (r *Running) CI95() float64 { return 1.96 * r.StderrMean() }
-
 // Merge folds the samples summarized by other into r, as if every sample
 // added to other had been added to r. Merging an empty recorder is a no-op.
 func (r *Running) Merge(other *Running) {

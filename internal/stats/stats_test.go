@@ -33,7 +33,7 @@ func TestRunningBasics(t *testing.T) {
 
 func TestRunningEmpty(t *testing.T) {
 	var r Running
-	if r.Mean() != 0 || r.Var() != 0 || r.Stddev() != 0 || r.CI95() != 0 {
+	if r.Mean() != 0 || r.Var() != 0 {
 		t.Errorf("empty Running should report zeros, got mean=%v var=%v", r.Mean(), r.Var())
 	}
 }

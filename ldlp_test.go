@@ -152,35 +152,3 @@ func TestPublicEstimateHurst(t *testing.T) {
 		t.Errorf("self-similar H = %.2f, want Bellcore-like (>0.6)", h)
 	}
 }
-
-func TestPublicSSCOP(t *testing.T) {
-	n := ldlp.NewNet()
-	a := n.AddHost("a", ldlp.IPAddr{10, 12, 0, 1}, ldlp.DefaultHostOptions(ldlp.Conventional))
-	b := n.AddHost("b", ldlp.IPAddr{10, 12, 0, 2}, ldlp.DefaultHostOptions(ldlp.Conventional))
-	la, err := ldlp.NewSSCOPLink(a, 2906)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := ldlp.NewSSCOPLink(b, 2906)
-	if err != nil {
-		t.Fatal(err)
-	}
-	la.Connect(b.IP(), 2906)
-	for i := 0; i < 6; i++ {
-		n.RunUntilIdle()
-		la.Poll()
-		lb.Poll()
-	}
-	if !la.Established() {
-		t.Fatal("sscop establishment failed via public API")
-	}
-	la.Send([]byte("assured"))
-	for i := 0; i < 6; i++ {
-		n.RunUntilIdle()
-		la.Poll()
-		lb.Poll()
-	}
-	if m, ok := lb.Recv(); !ok || string(m) != "assured" {
-		t.Errorf("delivery failed: %q %v", m, ok)
-	}
-}
