@@ -217,6 +217,24 @@ func (c *Cache) AccessRange(addr uint64, n int) (misses int) {
 	}
 	first := addr >> c.lineShift
 	last := (addr + uint64(n) - 1) >> c.lineShift
+	if c.assoc == 1 && !c.cfg.PrefetchNext {
+		// Direct-mapped, the paper's geometry: Access's fast path over
+		// the whole range, with the stats added once.
+		for line := first; line <= last; line++ {
+			i := line & c.setMask
+			if !c.valid[i] || c.tags[i] != line {
+				c.valid[i], c.tags[i] = true, line
+				misses++
+			}
+		}
+		lines := int64(last - first + 1)
+		c.tick += uint64(lines)
+		c.stats.Accesses += lines
+		c.stats.Hits += lines - int64(misses)
+		c.stats.Misses += int64(misses)
+		c.stats.StallCycles += int64(misses) * int64(c.cfg.MissPenalty)
+		return misses
+	}
 	for line := first; line <= last; line++ {
 		if !c.Access(line << c.lineShift) {
 			misses++

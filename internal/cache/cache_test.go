@@ -318,3 +318,45 @@ func TestPrefetchAssociativePath(t *testing.T) {
 		t.Error("prefetched line should hit")
 	}
 }
+
+// FuzzAccessRangeDirectMapped holds AccessRange's direct-mapped loop
+// equal to referencing the same lines one Access at a time: the same
+// misses per range, the same Stats and the same resident tags. Each
+// 5-byte record of ops is one range: a 24-bit address and a 16-bit
+// length.
+func FuzzAccessRangeDirectMapped(f *testing.F) {
+	f.Add(uint16(256), uint8(5), uint8(20), []byte{0, 0, 0, 0x17, 0x70, 0, 0x20, 0, 0x17, 0x70, 0, 0, 1, 0, 1})
+	f.Add(uint16(1), uint8(0), uint8(1), []byte{1, 2, 3, 0, 9, 1, 2, 3, 0, 9})
+	f.Add(uint16(750), uint8(3), uint8(7), []byte{0xff, 0xff, 0xf0, 0xff, 0xff, 0, 0, 0x10, 0, 0})
+	f.Fuzz(func(t *testing.T, lines uint16, shift, penalty uint8, ops []byte) {
+		if lines == 0 {
+			lines = 1
+		}
+		line := 1 << (shift % 8)
+		cfg := Config{Size: int(lines) * line, LineSize: line, MissPenalty: int(penalty)}
+		fast, slow := New(cfg), New(cfg)
+		for ; len(ops) >= 5; ops = ops[5:] {
+			addr := uint64(ops[0])<<16 | uint64(ops[1])<<8 | uint64(ops[2])
+			n := int(ops[3])<<8 | int(ops[4])
+			want := 0
+			if n > 0 {
+				for l := addr >> fast.lineShift; l <= (addr+uint64(n)-1)>>fast.lineShift; l++ {
+					if !slow.Access(l << slow.lineShift) {
+						want++
+					}
+				}
+			}
+			if got := fast.AccessRange(addr, n); got != want {
+				t.Fatalf("AccessRange(%#x, %d) = %d misses, per-line Access %d", addr, n, got, want)
+			}
+		}
+		if fast.Stats() != slow.Stats() || fast.tick != slow.tick {
+			t.Errorf("stats %+v (tick %d), per-line %+v (tick %d)", fast.Stats(), fast.tick, slow.Stats(), slow.tick)
+		}
+		for i := range fast.tags {
+			if fast.valid[i] != slow.valid[i] || fast.valid[i] && fast.tags[i] != slow.tags[i] {
+				t.Fatalf("line %d: valid %v tag %#x, per-line valid %v tag %#x", i, fast.valid[i], fast.tags[i], slow.valid[i], slow.tags[i])
+			}
+		}
+	})
+}

@@ -287,6 +287,32 @@ func TestTimeoutAfterMaxAttempts(t *testing.T) {
 	}
 }
 
+// Tick retries overdue lookups in issue order, so which retries a seeded
+// loss model drops is a function of the seed alone.
+func TestTickRetriesInIssueOrder(t *testing.T) {
+	const udp = layers.EthernetLen + layers.IPv4MinLen + layers.UDPLen
+	for run := 0; run < 20; run++ {
+		n, srv, res := deploy(t, core.Conventional)
+		var ids []int
+		n.Loss = func(dst layers.IPAddr, frame []byte) bool {
+			ids = append(ids, int(frame[udp])<<8|int(frame[udp+1]))
+			return true // the server never answers
+		}
+		for i := 0; i < 8; i++ {
+			res.Resolve("www.example.com")
+		}
+		pumpDNS(n, srv, res)
+		ids = nil
+		n.Tick(res.RetryInterval + 0.05)
+		res.Tick()
+		pumpDNS(n, srv, res)
+		if got := fmt.Sprint(ids); got != "[1 2 3 4 5 6 7 8]" {
+			t.Fatalf("resolver %d retried ids %s, want [1 2 3 4 5 6 7 8]", run, got)
+		}
+		n.Close()
+	}
+}
+
 func TestLateResponseIgnored(t *testing.T) {
 	n, srv, res := deploy(t, core.Conventional)
 	lk := res.Resolve("www.example.com")

@@ -2,6 +2,7 @@ package dns
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ldlp/internal/layers"
@@ -94,7 +95,8 @@ type Resolver struct {
 	server layers.IPAddr
 	nextID uint16
 
-	pending map[uint16]*Lookup
+	// pending holds the outstanding lookups in issue order.
+	pending []*Lookup
 	// Retries/Timeouts count recovery activity.
 	Retries, Timeouts int64
 
@@ -124,7 +126,6 @@ func NewResolver(h *netstack.Host, port uint16, server layers.IPAddr) (*Resolver
 	}
 	return &Resolver{
 		host: h, sock: sock, server: server,
-		pending:       make(map[uint16]*Lookup),
 		RetryInterval: 1.0,
 		MaxAttempts:   3,
 	}, nil
@@ -135,12 +136,15 @@ func NewResolver(h *netstack.Host, port uint16, server layers.IPAddr) (*Resolver
 func (r *Resolver) Resolve(name string) *Lookup {
 	r.nextID++
 	lk := &Lookup{Name: name, id: r.nextID}
-	r.pending[lk.id] = lk
-	r.sendQuery(lk)
+	if r.sendQuery(lk) {
+		r.pending = append(r.pending, lk)
+	}
 	return lk
 }
 
-func (r *Resolver) sendQuery(lk *Lookup) {
+// sendQuery (re)transmits lk's query. A name that cannot be encoded
+// finishes lk with the error and reports false.
+func (r *Resolver) sendQuery(lk *Lookup) bool {
 	m := &Message{
 		ID:    lk.id,
 		Flags: FlagRD,
@@ -151,12 +155,12 @@ func (r *Resolver) sendQuery(lk *Lookup) {
 	b, err := m.Encode()
 	if err != nil {
 		lk.Done, lk.Err = true, err
-		delete(r.pending, lk.id)
-		return
+		return false
 	}
 	lk.attempts++
 	lk.deadline = r.host.Now() + r.RetryInterval
 	r.sock.SendTo(r.server, Port, b)
+	return true
 }
 
 // Poll consumes responses.
@@ -170,11 +174,12 @@ func (r *Resolver) Poll() {
 		if err != nil || !m.Response() {
 			continue
 		}
-		lk, ok := r.pending[m.ID]
-		if !ok {
+		i := slices.IndexFunc(r.pending, func(lk *Lookup) bool { return lk.id == m.ID })
+		if i < 0 {
 			continue // late or spoofed response
 		}
-		delete(r.pending, m.ID)
+		lk := r.pending[i]
+		r.pending = slices.Delete(r.pending, i, i+1)
 		lk.Done = true
 		switch {
 		case m.RCode() == RCodeNXDomain:
@@ -189,23 +194,28 @@ func (r *Resolver) Poll() {
 	}
 }
 
-// Tick retries overdue queries and fails exhausted ones.
+// Tick retries overdue queries, in issue order, and fails exhausted
+// ones.
 func (r *Resolver) Tick() {
 	now := r.host.Now()
-	for id, lk := range r.pending {
-		if now < lk.deadline {
-			continue
+	live := r.pending[:0]
+	for _, lk := range r.pending {
+		if now >= lk.deadline {
+			if lk.attempts >= r.MaxAttempts {
+				lk.Done = true
+				lk.Err = fmt.Errorf("dns: %s: timeout after %d attempts", lk.Name, lk.attempts)
+				r.Timeouts++
+				continue
+			}
+			r.Retries++
+			if !r.sendQuery(lk) {
+				continue
+			}
 		}
-		if lk.attempts >= r.MaxAttempts {
-			lk.Done = true
-			lk.Err = fmt.Errorf("dns: %s: timeout after %d attempts", lk.Name, lk.attempts)
-			r.Timeouts++
-			delete(r.pending, id)
-			continue
-		}
-		r.Retries++
-		r.sendQuery(lk)
+		live = append(live, lk)
 	}
+	clear(r.pending[len(live):])
+	r.pending = live
 }
 
 // Outstanding reports in-flight lookups.

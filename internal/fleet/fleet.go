@@ -336,13 +336,14 @@ func (f *Fleet) propagate(ls *linkState, now float64, bytes int) float64 {
 	if ls.busyUntil > start {
 		start = ls.busyUntil
 	}
-	if ls.cfg.Bandwidth > 0 {
-		start += float64(bytes*8) / ls.cfg.Bandwidth
+	lc := &f.cfg.Link
+	if lc.Bandwidth > 0 {
+		start += float64(bytes*8) / lc.Bandwidth
 		ls.busyUntil = start
 	}
-	lat := ls.cfg.Latency
-	if ls.cfg.Jitter > 0 {
-		lat += ls.jit.Float64() * ls.cfg.Jitter
+	lat := lc.Latency
+	if lc.Jitter > 0 {
+		lat += ls.jit.Float64() * lc.Jitter
 	}
 	return start + lat
 }

@@ -59,15 +59,14 @@ type heldReorder struct {
 	span   int
 }
 
-// linkState is the mutable per-directed-link runtime: the resolved
-// config, the fault injector and jitter stream, the serialization
+// linkState is the mutable per-directed-link runtime: the fault
+// injector and jitter stream, the serialization
 // horizon, and the reorder holdback queue. Links materialize on first
 // use only because a mesh has N² of them (a million at 1000 nodes) and
 // a run touches a fraction; each one is small. Lazily is still
 // deterministic: the event order that first touches a link is.
 type linkState struct {
 	src, dst  int32
-	cfg       LinkConfig
 	inj       *faults.Injector
 	jit       faults.Stream
 	busyUntil float64
@@ -79,16 +78,14 @@ func (f *Fleet) link(src, dst int32) *linkState {
 	if ls, ok := f.links[key]; ok {
 		return ls
 	}
-	cfg := f.cfg.Link
 	ls := &linkState{
 		src: src,
 		dst: dst,
-		cfg: cfg,
 		jit: faults.NewStream(uint64(f.cfg.Seed)*0x100000001b3 ^ key),
 	}
-	if cfg.Faults != nil {
+	if fc := f.cfg.Link.Faults; fc != nil {
 		seed := f.cfg.Seed*1_000_003 + int64(src)*1_000_000 + int64(dst) + 1
-		ls.inj = faults.New(*cfg.Faults, seed)
+		ls.inj = faults.New(*fc, seed)
 	}
 	f.links[key] = ls
 	f.linkList = append(f.linkList, ls)

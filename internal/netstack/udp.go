@@ -31,6 +31,10 @@ type Datagram struct {
 	Data    []byte
 }
 
+// minSlotData is the smallest buffer a socket slot is given: enough for
+// a small message, so a slot reallocates only for a larger one.
+const minSlotData = 256
+
 // UDPSock is an unconnected datagram socket bound to a local port.
 type UDPSock struct {
 	host *Host
@@ -169,8 +173,15 @@ func (rx *rxPath) udpInput(p *Packet, emit core.Emit[*Packet]) {
 	}
 	d := sock.slot()
 	d.Src, d.SrcPort = p.IP.Src, p.UDP.SrcPort
-	//lint:ignore hotpathalloc refills the slot's buffer from its last lap; it grows only to the largest datagram the slot has held
-	d.Data = append(d.Data[:0], buf[n:p.UDP.Length]...)
+	data := buf[n:p.UDP.Length]
+	if cap(d.Data) < len(data) {
+		// Sized once for a small message rather than regrown byte by
+		// byte as a flow's datagrams lengthen.
+		//lint:ignore hotpathalloc the slot keeps its buffer across laps; it grows only to the largest datagram the slot has held
+		d.Data = make([]byte, max(len(data), minSlotData))
+	}
+	d.Data = d.Data[:len(data)]
+	copy(d.Data, data)
 	sock.mu.Unlock()
 	emit(rx.sock, p)
 }

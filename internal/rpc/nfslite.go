@@ -57,7 +57,7 @@ func NewFileServer(srv *Server) *FileServer {
 		byFH:  make(map[uint32]*file),
 		names: make(map[uint32]string),
 	}
-	srv.Register(NFSProgram, ProcNull, func([]byte) ([]byte, error) { return nil, nil })
+	srv.Register(NFSProgram, ProcNull, func(reply, _ []byte) ([]byte, error) { return reply, nil })
 	srv.Register(NFSProgram, ProcLookup, fs.lookup)
 	srv.Register(NFSProgram, ProcGetAttr, fs.getattr)
 	srv.Register(NFSProgram, ProcRead, fs.read)
@@ -92,31 +92,28 @@ func putString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func getString(b []byte) (string, []byte, error) {
+// getString returns the length-prefixed string at b's front, in place.
+func getString(b []byte) ([]byte, []byte, error) {
 	if len(b) < 4 {
-		return "", nil, ErrGarbageArgs
+		return nil, nil, ErrGarbageArgs
 	}
 	n := binary.BigEndian.Uint32(b)
 	if int(n) > len(b)-4 || n > 255 {
-		return "", nil, ErrGarbageArgs
+		return nil, nil, ErrGarbageArgs
 	}
-	return string(b[4 : 4+n]), b[4+n:], nil
+	return b[4 : 4+n], b[4+n:], nil
 }
 
-func (fs *FileServer) lookup(args []byte) ([]byte, error) {
+func (fs *FileServer) lookup(reply, args []byte) ([]byte, error) {
 	fs.Lookups++
 	name, _, err := getString(args)
 	if err != nil {
 		return nil, err
 	}
-	fh, ok := fs.files[name]
-	if !ok {
-		return binary.BigEndian.AppendUint32(nil, 0), nil // 0 = no such file
-	}
-	return binary.BigEndian.AppendUint32(nil, fh), nil
+	return binary.BigEndian.AppendUint32(reply, fs.files[string(name)]), nil // 0 = no such file
 }
 
-func (fs *FileServer) getattr(args []byte) ([]byte, error) {
+func (fs *FileServer) getattr(reply, args []byte) ([]byte, error) {
 	if len(args) < 4 {
 		return nil, ErrGarbageArgs
 	}
@@ -125,11 +122,11 @@ func (fs *FileServer) getattr(args []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("nfslite: stale handle %d", fh)
 	}
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(f.data)))
-	return binary.BigEndian.AppendUint32(out, f.mtime), nil
+	reply = binary.BigEndian.AppendUint32(reply, uint32(len(f.data)))
+	return binary.BigEndian.AppendUint32(reply, f.mtime), nil
 }
 
-func (fs *FileServer) read(args []byte) ([]byte, error) {
+func (fs *FileServer) read(reply, args []byte) ([]byte, error) {
 	fs.Reads++
 	if len(args) < 12 {
 		return nil, ErrGarbageArgs
@@ -145,19 +142,16 @@ func (fs *FileServer) read(args []byte) ([]byte, error) {
 		count = 8192
 	}
 	if int(off) >= len(f.data) {
-		return nil, nil
+		return reply, nil
 	}
-	end := int(off) + int(count)
-	if end > len(f.data) {
-		end = len(f.data)
-	}
-	return append([]byte(nil), f.data[off:end]...), nil
+	end := min(int(off)+int(count), len(f.data))
+	return append(reply, f.data[off:end]...), nil
 }
 
 // write appends-or-overwrites at an offset. It is NOT idempotent when
 // extending a file, which is exactly why the RPC layer's duplicate-
 // request cache matters: a retransmitted WRITE must not apply twice.
-func (fs *FileServer) write(args []byte) ([]byte, error) {
+func (fs *FileServer) write(reply, args []byte) ([]byte, error) {
 	fs.Writes++
 	if len(args) < 8 {
 		return nil, ErrGarbageArgs
@@ -178,13 +172,13 @@ func (fs *FileServer) write(args []byte) ([]byte, error) {
 	copy(f.data[off:], data)
 	fs.clock++
 	f.mtime = fs.clock
-	return binary.BigEndian.AppendUint32(nil, uint32(len(data))), nil
+	return binary.BigEndian.AppendUint32(reply, uint32(len(data))), nil
 }
 
 // --- client-side convenience wrappers ---
 
 // LookupArgs encodes a LOOKUP request.
-func LookupArgs(name string) []byte { return putString(nil, name) }
+func LookupArgs(name string) []byte { return putString(make([]byte, 0, 4+len(name)), name) }
 
 // LookupReply decodes a LOOKUP reply (0 means not found).
 func LookupReply(b []byte) (uint32, error) {
@@ -210,14 +204,14 @@ func GetAttrReply(b []byte) (Attr, error) {
 
 // ReadArgs encodes a READ request.
 func ReadArgs(fh, off, count uint32) []byte {
-	b := binary.BigEndian.AppendUint32(nil, fh)
+	b := binary.BigEndian.AppendUint32(make([]byte, 0, 12), fh)
 	b = binary.BigEndian.AppendUint32(b, off)
 	return binary.BigEndian.AppendUint32(b, count)
 }
 
 // WriteArgs encodes a WRITE request.
 func WriteArgs(fh, off uint32, data []byte) []byte {
-	b := binary.BigEndian.AppendUint32(nil, fh)
+	b := binary.BigEndian.AppendUint32(make([]byte, 0, 8+len(data)), fh)
 	b = binary.BigEndian.AppendUint32(b, off)
 	return append(b, data...)
 }

@@ -11,12 +11,17 @@
 // the classic mechanism — a server-side duplicate-request cache so
 // retransmitted non-idempotent calls (NFS WRITE) are answered from the
 // cache instead of re-executed.
+//
+// A round trip allocates only what the caller keeps: the args, the Pending
+// and a reply too large for the Pending's own buffer. The server builds
+// replies by appending (see Handler) and recycles its cache's buffers.
 package rpc
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ldlp/internal/layers"
 	"ldlp/internal/netstack"
@@ -55,15 +60,11 @@ type message struct {
 	payload []byte
 }
 
-func (m message) encode() []byte {
-	b := make([]byte, headerLen+len(m.payload))
-	be := binary.BigEndian
-	be.PutUint32(b[0:4], m.xid)
-	be.PutUint32(b[4:8], m.typ)
-	be.PutUint32(b[8:12], m.prog)
-	be.PutUint32(b[12:16], m.proc)
-	be.PutUint32(b[16:20], m.status)
-	copy(b[headerLen:], m.payload)
+// appendHeader appends a message header to b.
+func appendHeader(b []byte, xid, typ, prog, proc, status uint32) []byte {
+	for _, v := range [...]uint32{xid, typ, prog, proc, status} {
+		b = binary.BigEndian.AppendUint32(b, v)
+	}
 	return b
 }
 
@@ -88,11 +89,14 @@ func decodeMessage(b []byte) (message, error) {
 	return m, nil
 }
 
-// Handler executes one procedure: decode args from the payload, return
-// the reply payload (or an error, which maps to StatusSystemErr). args
-// aliases the received datagram (netstack.Datagram's lifetime: gone at
-// the next pump), so a handler that keeps any of it must copy it.
-type Handler func(args []byte) ([]byte, error)
+// Handler executes one procedure: it decodes args and appends its result
+// to reply, returning the extended slice (append may move it), or an
+// error, which maps to StatusSystemErr or StatusGarbageArgs. reply
+// already holds the reply header and belongs to the Server, which reuses
+// it for the next call: a handler must not keep it. args aliases the
+// received datagram (netstack.Datagram's lifetime: gone at the next
+// pump), so a handler that keeps any of it must copy it.
+type Handler func(reply, args []byte) ([]byte, error)
 
 type procKey struct {
 	prog, proc uint32
@@ -109,6 +113,8 @@ type dupKey struct {
 type Server struct {
 	sock  *netstack.UDPSock
 	procs map[procKey]Handler
+	// scratch is where each reply is built, header then result.
+	scratch []byte
 
 	// Duplicate-request cache: retransmitted calls are answered from
 	// here, never re-executed — what makes retrying WRITE safe.
@@ -163,23 +169,25 @@ func (s *Server) Poll() {
 			s.sock.SendTo(dg.Src, dg.SrcPort, cached)
 			continue
 		}
-		reply := message{xid: call.xid, typ: msgReply, prog: call.prog, proc: call.proc}
+		wire := appendHeader(s.scratch[:0], call.xid, msgReply, call.prog, call.proc, StatusOK)
+		status := uint32(StatusOK)
 		if h, ok := s.procs[procKey{call.prog, call.proc}]; !ok {
 			if s.hasProg(call.prog) {
-				reply.status = StatusProcUnavail
+				status = StatusProcUnavail
 			} else {
-				reply.status = StatusProgUnavail
+				status = StatusProgUnavail
 			}
-		} else if out, err := h(call.payload); err != nil {
+		} else if out, err := h(wire, call.payload); err != nil {
 			if errors.Is(err, ErrGarbageArgs) {
-				reply.status = StatusGarbageArgs
+				status = StatusGarbageArgs
 			} else {
-				reply.status = StatusSystemErr
+				status = StatusSystemErr
 			}
 		} else {
-			reply.payload = out
+			wire = out
 		}
-		wire := reply.encode()
+		binary.BigEndian.PutUint32(wire[16:headerLen], status)
+		s.scratch = wire[:0]
 		s.remember(key, wire)
 		s.sock.SendTo(dg.Src, dg.SrcPort, wire)
 	}
@@ -197,20 +205,28 @@ func (s *Server) hasProg(prog uint32) bool {
 	return false
 }
 
-// remember caches the reply to a call Poll has just found absent from
-// the cache, evicting the oldest entry once DupCacheSize are held.
+// remember caches a copy of the reply to a call Poll has just found
+// absent, evicting the oldest entry once DupCacheSize are held. The copy
+// goes into the evicted buffer if that is 1–2× the size needed, else into
+// an exact-size one, so the cache holds no more than its replies take.
 func (s *Server) remember(key dupKey, wire []byte) {
 	if s.DupCacheSize <= 0 {
 		return
 	}
+	var buf []byte
 	if len(s.dupRing) < s.DupCacheSize {
 		s.dupRing = append(s.dupRing, key)
 	} else {
-		delete(s.dupCache, s.dupRing[s.dupNext])
+		old := s.dupRing[s.dupNext]
+		buf = s.dupCache[old]
+		delete(s.dupCache, old)
 		s.dupRing[s.dupNext] = key
 		s.dupNext = (s.dupNext + 1) % len(s.dupRing)
 	}
-	s.dupCache[key] = wire
+	if cap(buf) < len(wire) || cap(buf) > 2*len(wire) {
+		buf = make([]byte, 0, len(wire))
+	}
+	s.dupCache[key] = append(buf[:0], wire...)
 }
 
 // Pending is one in-flight (or finished) call.
@@ -228,6 +244,9 @@ type Pending struct {
 	wire     []byte
 	deadline float64
 	attempts int
+	// inline holds wire while the call is outstanding and then Reply, if
+	// each fits: a GETATTR, LOOKUP or READ call; a GETATTR or LOOKUP reply.
+	inline [32]byte
 }
 
 // Client issues calls toward one server.
@@ -238,7 +257,8 @@ type Client struct {
 	port   uint16
 	nextX  uint32
 
-	pending map[uint32]*Pending
+	// pending holds the outstanding calls in xid order.
+	pending []*Pending
 
 	// RetryInterval and MaxAttempts tune persistence; retransmissions
 	// reuse the same XID, which is what exercises the server's duplicate
@@ -257,7 +277,6 @@ func NewClient(h *netstack.Host, localPort uint16, server layers.IPAddr, port ui
 	}
 	return &Client{
 		host: h, sock: sock, server: server, port: port,
-		pending:       make(map[uint32]*Pending),
 		RetryInterval: 0.5,
 		MaxAttempts:   3,
 	}, nil
@@ -267,9 +286,9 @@ func NewClient(h *netstack.Host, localPort uint16, server layers.IPAddr, port ui
 // is copied into the call's wire form before Call returns.
 func (c *Client) Call(prog, proc uint32, args []byte) *Pending {
 	c.nextX++
-	call := message{xid: c.nextX, typ: msgCall, prog: prog, proc: proc, payload: args}
-	p := &Pending{xid: c.nextX, wire: call.encode()}
-	c.pending[p.xid] = p
+	p := &Pending{xid: c.nextX}
+	p.wire = append(appendHeader(p.inline[:0], p.xid, msgCall, prog, proc, 0), args...)
+	c.pending = append(c.pending, p)
 	c.transmit(p)
 	return p
 }
@@ -291,39 +310,43 @@ func (c *Client) Poll() {
 		if err != nil || m.typ != msgReply {
 			continue
 		}
-		p, ok := c.pending[m.xid]
-		if !ok {
+		i := slices.IndexFunc(c.pending, func(p *Pending) bool { return p.xid == m.xid })
+		if i < 0 {
 			continue // late reply after a retry already completed
 		}
-		delete(c.pending, m.xid)
+		p := c.pending[i]
+		c.pending = slices.Delete(c.pending, i, i+1)
 		p.Done = true
 		p.Status = m.status
 		if m.status == StatusOK {
 			// The one copy of the payload: m aliases the socket's slot.
-			p.Reply = append([]byte(nil), m.payload...)
+			p.Reply = append(p.inline[:0], m.payload...)
 		} else {
 			p.Err = fmt.Errorf("rpc: status %d", m.status)
 		}
 	}
 }
 
-// Tick retries overdue calls (same XID) and fails exhausted ones.
+// Tick retries overdue calls (same XID), in xid order, and fails
+// exhausted ones.
 func (c *Client) Tick() {
 	now := c.host.Now()
-	for xid, p := range c.pending {
-		if now < p.deadline {
-			continue
+	live := c.pending[:0]
+	for _, p := range c.pending {
+		if now >= p.deadline {
+			if p.attempts >= c.MaxAttempts {
+				p.Done = true
+				p.Err = fmt.Errorf("rpc: xid %d timed out after %d attempts", p.xid, p.attempts)
+				c.Timeouts++
+				continue
+			}
+			c.Retries++
+			c.transmit(p)
 		}
-		if p.attempts >= c.MaxAttempts {
-			p.Done = true
-			p.Err = fmt.Errorf("rpc: xid %d timed out after %d attempts", p.xid, p.attempts)
-			c.Timeouts++
-			delete(c.pending, xid)
-			continue
-		}
-		c.Retries++
-		c.transmit(p)
+		live = append(live, p)
 	}
+	clear(c.pending[len(live):])
+	c.pending = live
 }
 
 // Outstanding reports in-flight calls.

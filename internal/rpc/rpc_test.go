@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,10 @@ func call(t *testing.T, n *netstack.Net, srv *Server, cli *Client, prog, proc ui
 		t.Fatalf("call %d/%d never completed", prog, proc)
 	}
 	return p
+}
+
+func (m message) encode() []byte {
+	return append(appendHeader(nil, m.xid, m.typ, m.prog, m.proc, m.status), m.payload...)
 }
 
 func TestMessageCodecRoundTrip(t *testing.T) {
@@ -233,7 +238,7 @@ func TestTimeoutWhenServerGone(t *testing.T) {
 func TestStringCodec(t *testing.T) {
 	b := putString(nil, "hello")
 	s, rest, err := getString(b)
-	if err != nil || s != "hello" || len(rest) != 0 {
+	if err != nil || string(s) != "hello" || len(rest) != 0 {
 		t.Errorf("string codec: %q %v %v", s, rest, err)
 	}
 	if _, _, err := getString([]byte{0, 0, 0, 9, 'x'}); err == nil {
@@ -277,35 +282,123 @@ func BenchmarkNFSGetAttr(b *testing.B) {
 	}
 }
 
-// One GETATTR round trip, args encoding included, costs six heap
-// allocations — the args, the Pending, the call's wire form, the
-// handler's result, the cached reply, the caller's Reply — and nothing
-// in the netstack under it. Pinned as a count (with one spare for a map
-// rehash); there is no timing gate.
+// roundTripAllocs runs one procedure's round trip, args encoding
+// included, after enough calls to fill the dup cache and warm the
+// queues, and returns its heap allocations per call. check vets the last
+// reply.
+func roundTripAllocs(t *testing.T, d core.Discipline, proc uint32, args func(fh uint32) []byte, check func(fh uint32, reply []byte) error) float64 {
+	t.Helper()
+	n, srv, fs, cli := deploy(t, d)
+	defer n.Close()
+	fh := fs.Create("f", bytes.Repeat([]byte("sixteen bytes..."), 64))
+	var last *Pending
+	roundTrip := func() {
+		last = cli.Call(NFSProgram, proc, args(fh))
+		n.RunUntilIdle()
+		srv.Poll()
+		n.RunUntilIdle()
+		cli.Poll()
+	}
+	for i := 0; i < 2*srv.DupCacheSize; i++ {
+		roundTrip()
+	}
+	allocs := testing.AllocsPerRun(200, roundTrip)
+	if !last.Done || last.Err != nil {
+		t.Fatalf("[%v] proc %d: done %v, err %v", d, proc, last.Done, last.Err)
+	}
+	if err := check(fh, last.Reply); err != nil {
+		t.Fatalf("[%v] proc %d reply: %v", d, proc, err)
+	}
+	return allocs
+}
+
+// A GETATTR round trip costs two heap allocations, the args and the
+// Pending, whose own buffer holds the encoded call and then the reply.
+// The server builds the reply in a buffer it owns and copies it into a
+// recycled dup-cache buffer; the netstack under it allocates nothing.
+// Pinned as a count; there is no timing gate.
 func TestGetAttrRoundTripAllocations(t *testing.T) {
 	for _, d := range []core.Discipline{core.Conventional, core.LDLP} {
-		n, srv, fs, cli := deploy(t, d)
-		fh := fs.Create("f", []byte("sixteen bytes..."))
-		roundTrip := func() *Pending {
-			p := cli.Call(NFSProgram, ProcGetAttr, GetAttrArgs(fh))
-			n.RunUntilIdle()
-			srv.Poll()
-			n.RunUntilIdle()
-			cli.Poll()
-			return p
+		allocs := roundTripAllocs(t, d, ProcGetAttr, GetAttrArgs, func(_ uint32, reply []byte) error {
+			if a, err := GetAttrReply(reply); err != nil || a.Size != 1024 {
+				return fmt.Errorf("%+v, %v", a, err)
+			}
+			return nil
+		})
+		if allocs > 2 {
+			t.Errorf("[%v] %v allocations per GETATTR round trip, want <= 2", d, allocs)
 		}
-		for i := 0; i < 2*srv.DupCacheSize; i++ { // fill the dup cache, warm the queues
-			roundTrip()
+	}
+}
+
+// LOOKUP costs the same two: the name is looked up in place, and the
+// handle fits the Pending's buffer.
+func TestLookupRoundTripAllocations(t *testing.T) {
+	for _, d := range []core.Discipline{core.Conventional, core.LDLP} {
+		allocs := roundTripAllocs(t, d, ProcLookup, func(uint32) []byte { return LookupArgs("f") }, func(fh uint32, reply []byte) error {
+			if got, err := LookupReply(reply); err != nil || got != fh {
+				return fmt.Errorf("handle %d, %v", got, err)
+			}
+			return nil
+		})
+		if allocs > 2 {
+			t.Errorf("[%v] %v allocations per LOOKUP round trip, want <= 2", d, allocs)
 		}
-		var last *Pending
-		allocs := testing.AllocsPerRun(200, func() { last = roundTrip() })
-		if a, err := GetAttrReply(last.Reply); !last.Done || err != nil || a.Size != 16 {
-			t.Fatalf("[%v] GETATTR reply: %+v, %v (done %v)", d, a, err, last.Done)
+	}
+}
+
+// A 512-byte READ adds a third, the caller's copy of the data, which
+// does not fit the Pending's buffer.
+func TestReadRoundTripAllocations(t *testing.T) {
+	for _, d := range []core.Discipline{core.Conventional, core.LDLP} {
+		allocs := roundTripAllocs(t, d, ProcRead, func(fh uint32) []byte { return ReadArgs(fh, 16, 512) }, func(_ uint32, reply []byte) error {
+			if want := bytes.Repeat([]byte("sixteen bytes..."), 32); !bytes.Equal(reply, want) {
+				return fmt.Errorf("%d bytes, not the file's", len(reply))
+			}
+			return nil
+		})
+		if allocs > 3 {
+			t.Errorf("[%v] %v allocations per READ round trip, want <= 3", d, allocs)
 		}
-		if allocs > 7 {
-			t.Errorf("[%v] %v allocations per GETATTR round trip, want <= 7", d, allocs)
+	}
+}
+
+// Once the dup cache has wrapped, replies live in recycled buffers. A
+// retransmitted WRITE must still get the bytes of its own first reply,
+// not those of whatever the server built since, and must not run again.
+func TestDupCacheRecycledReplyIsIdentical(t *testing.T) {
+	n, srv, fs, cli := deploy(t, core.Conventional)
+	srv.DupCacheSize = 4
+	cli.RetryInterval = 0.3
+	fh := fs.Create("append.log", nil)
+	for i := 0; i < 3*srv.DupCacheSize; i++ { // same-size replies: every eviction recycles
+		call(t, n, srv, cli, NFSProgram, ProcWrite, WriteArgs(fh, uint32(i), []byte{'a'}))
+	}
+	const udp = layers.EthernetLen + layers.IPv4MinLen + layers.UDPLen
+	var replies [][]byte
+	n.Loss = func(dst layers.IPAddr, frame []byte) bool {
+		if dst != ipCli {
+			return false
 		}
-		n.Close()
+		replies = append(replies, bytes.Clone(frame[udp:]))
+		return len(replies) == 1 // lose the WRITE's first reply
+	}
+	p := cli.Call(NFSProgram, ProcWrite, WriteArgs(fh, 0, []byte("once")))
+	pump(n, srv, cli)
+	writes := fs.Writes
+	// Another call overwrites the server's reply buffer before the retry.
+	call(t, n, srv, cli, NFSProgram, ProcGetAttr, GetAttrArgs(fh))
+	n.Tick(0.35)
+	cli.Tick()
+	pump(n, srv, cli)
+	if !p.Done || p.Err != nil {
+		t.Fatalf("retried WRITE: done %v, err %v", p.Done, p.Err)
+	}
+	if len(replies) != 3 || !bytes.Equal(replies[0], replies[2]) {
+		t.Fatalf("cached reply differs from the first:\n%x", replies)
+	}
+	if fs.Writes != writes || srv.Duplicates != 1 {
+		t.Errorf("writes %d -> %d, duplicates %d; want no re-execution and one duplicate", writes, fs.Writes, srv.Duplicates)
 	}
 }
 
@@ -380,5 +473,82 @@ func TestDupCacheEvictsOldestFirst(t *testing.T) {
 	}
 	if got := fmt.Sprint(cached()); got != "[8 9 10 11]" {
 		t.Errorf("after 11 calls the cache holds %s, want [8 9 10 11]", got)
+	}
+}
+
+// The wire bytes of one call and its reply per procedure, from the UDP
+// payload on (xid, type, prog, proc, status, then args or result): the
+// encoding is fixed, whatever the code that builds it.
+func TestWireGolden(t *testing.T) {
+	n, srv, fs, cli := deploy(t, core.Conventional)
+	fh := fs.Create("motd", []byte("small messages rule"))
+	var payloads [][]byte
+	n.Loss = func(_ layers.IPAddr, frame []byte) bool {
+		payloads = append(payloads, bytes.Clone(frame[layers.EthernetLen+layers.IPv4MinLen+layers.UDPLen:]))
+		return false
+	}
+	for _, c := range []struct {
+		proc        uint32
+		args        []byte
+		call, reply string
+	}{
+		{ProcNull, nil,
+			"0000000100000000000186a30000000000000000",
+			"0000000100000001000186a30000000000000000"},
+		{ProcGetAttr, GetAttrArgs(fh),
+			"0000000200000000000186a3000000010000000000000001",
+			"0000000200000001000186a300000001000000000000001300000001"},
+		{ProcLookup, LookupArgs("motd"),
+			"0000000300000000000186a30000000400000000000000046d6f7464",
+			"0000000300000001000186a3000000040000000000000001"},
+		{ProcRead, ReadArgs(fh, 6, 8),
+			"0000000400000000000186a30000000600000000000000010000000600000008",
+			"0000000400000001000186a300000006000000006d65737361676573"},
+		{ProcWrite, WriteArgs(fh, 19, []byte("!")),
+			"0000000500000000000186a30000000800000000000000010000001321",
+			"0000000500000001000186a3000000080000000000000001"},
+		{ProcGetAttr, GetAttrArgs(99),
+			"0000000600000000000186a3000000010000000000000063",
+			"0000000600000001000186a30000000100000005"}, // stale handle: StatusSystemErr
+	} {
+		payloads = nil
+		call(t, n, srv, cli, NFSProgram, c.proc, c.args)
+		if len(payloads) != 2 {
+			t.Fatalf("proc %d: %d datagrams on the wire, want 2", c.proc, len(payloads))
+		}
+		if got := fmt.Sprintf("%x", payloads[0]); got != c.call {
+			t.Errorf("proc %d call:\n got %s\nwant %s", c.proc, got, c.call)
+		}
+		if got := fmt.Sprintf("%x", payloads[1]); got != c.reply {
+			t.Errorf("proc %d reply:\n got %s\nwant %s", c.proc, got, c.reply)
+		}
+	}
+}
+
+// Tick retransmits overdue calls in xid order, so which retries a seeded
+// loss model drops is a function of the seed alone. Each of twenty fresh
+// clients gets eight overdue calls; map-ordered retries would come out
+// shuffled in some of them.
+func TestTickRetransmitsInXIDOrder(t *testing.T) {
+	const udp = layers.EthernetLen + layers.IPv4MinLen + layers.UDPLen
+	for run := 0; run < 20; run++ {
+		n, srv, _, cli := deploy(t, core.Conventional)
+		var xids []uint32
+		n.Loss = func(dst layers.IPAddr, frame []byte) bool {
+			xids = append(xids, binary.BigEndian.Uint32(frame[udp:]))
+			return true // the server never answers
+		}
+		for i := 0; i < 8; i++ {
+			cli.Call(NFSProgram, ProcNull, nil)
+		}
+		pump(n, srv, cli)
+		xids = nil
+		n.Tick(cli.RetryInterval + 0.05)
+		cli.Tick()
+		pump(n, srv, cli)
+		if got := fmt.Sprint(xids); got != "[1 2 3 4 5 6 7 8]" {
+			t.Fatalf("client %d retransmitted xids %s, want [1 2 3 4 5 6 7 8]", run, got)
+		}
+		n.Close()
 	}
 }
