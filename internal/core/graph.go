@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -156,7 +157,7 @@ func BuildStack[M any](opts Options, spec string, handlers map[string]Handler[M]
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	if len(handlers) != len(g.Order) {
-		for name := range handlers {
+		for _, name := range slices.Sorted(maps.Keys(handlers)) {
 			if !slices.Contains(g.Order, name) {
 				return nil, nil, fmt.Errorf("core: handler for unknown layer %q", name)
 			}

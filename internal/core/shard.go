@@ -45,8 +45,7 @@ const defaultShardQueue = 4096
 //   - Close shuts the workers down (processing anything still queued);
 //     Inject after Close panics.
 type ShardedStack[M any] struct {
-	hash  func(M) uint64
-	route func(key uint64, shards int) int
+	hash func(M) uint64
 
 	shards []*shard[M]
 	sink   Sink[M]
@@ -127,24 +126,12 @@ func NewShardedStack[M any](opts Options, hash func(M) uint64, build func(shard 
 // with itself. Must be called before the first Inject.
 func (s *ShardedStack[M]) SetSink(fn Sink[M]) { s.sink = fn }
 
-// SetRoute installs a key-to-shard routing function, replacing the
-// default modulo mapping. fn receives the flow key produced by the hash
-// and the shard count, and must return an index in [0, n). Like SetSink
-// it must be called before the first Inject; fn itself must be safe for
-// concurrent use (Inject may run from many goroutines).
-func (s *ShardedStack[M]) SetRoute(fn func(key uint64, shards int) int) { s.route = fn }
-
 // Inject routes one arriving message to its flow's shard. It returns
 // ErrStackFull (counted in Stats.Dropped) when that shard's input queue
 // is full — drop-tail, matching the single-threaded engine's MaxQueued
 // behaviour. Safe for concurrent use.
 func (s *ShardedStack[M]) Inject(m M) error {
-	key := s.hash(m)
-	idx := int(key % uint64(len(s.shards)))
-	if s.route != nil {
-		idx = s.route(key, len(s.shards))
-	}
-	sh := s.shards[idx]
+	sh := s.shards[s.hash(m)%uint64(len(s.shards))]
 	s.pending.Add(1)
 	select {
 	case sh.in <- m:

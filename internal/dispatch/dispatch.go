@@ -1,14 +1,20 @@
-// Package dispatch is the programmable receive-side dispatch layer for
-// the sharded LDLP engine: it decides which worker shard a frame's flow
-// runs on. The paper's engine assumes work arrives evenly at the
-// batching layer; a static flow hash breaks that assumption under
-// skewed traffic (one elephant flow pins a shard at 100% while the
-// others idle). Following the NIC receive-side-dispatching line of work
-// (see PAPERS.md), the mapping is a pluggable Policy instead of a
-// hard-wired hash:
+// Package dispatch derives flow keys for the sharded LDLP engine and
+// models receive-side dispatch policies.
 //
-//   - Static is the classic RSS mapping (flow key modulo shard count) —
-//     exactly the behaviour the netstack had before this package.
+// FrameKey and its decomposed twins TupleKey / FragmentKey / ProtoKey
+// are the single source of truth for what "a flow" is. The netstack
+// routes every frame to shard FrameKey(frame) % shards, and places a
+// connection's PCB on TupleKey(tuple) % shards: its control plane (where
+// DialTCP plants a PCB) and data plane (where the engine routes a frame)
+// call the same code, so they cannot silently desynchronize.
+//
+// The Policy implementations are an experiment beside that mapping.
+// Following the NIC receive-side-dispatching line of work (see
+// PAPERS.md), they ask what a pluggable mapping would buy under skewed
+// traffic, where one elephant flow pins a shard at 100% while the
+// others idle:
+//
+//   - Static is the netstack's mapping: flow key modulo shard count.
 //   - RPCDispatch spreads a UDP RPC service's independent requests
 //     across shards by XID, so one busy client/server pair no longer
 //     serializes on a single worker.
@@ -16,19 +22,14 @@
 //     rebalancing: hot buckets detected from per-shard load are
 //     re-homed to cold shards at quiescent points.
 //
-// Every policy derives its flow key through the canonical builders in
-// this file (FrameKey and its decomposed twins TupleKey / FragmentKey /
-// ProtoKey), which are the single source of truth for key derivation:
-// the netstack's control plane (where DialTCP plants a PCB) and data
-// plane (where the engine routes a frame) call the same code, so they
-// cannot silently desynchronize.
+// The netstack takes no policy. They run in the modelled skew
+// experiment (internal/sim, `ldlpreport dispatch_skew`) and in the
+// benchmark's per-frame micro-rows.
 //
-// Concurrency contract: Key and Shard run on the hot path from any
-// goroutine (the pump and, for re-injected datagrams, shard workers)
-// and must not allocate. Rebalance runs only at quiescent points — no
-// worker processing, no concurrent Key/Shard except from the caller —
-// which is when LoadAware rewrites its indirection table; later readers
-// observe the writes through the engine's channel hand-off.
+// Concurrency contract: Key and Shard may run from any goroutine and
+// must not allocate. Rebalance runs only at quiescent points — no
+// concurrent Key/Shard — which is when LoadAware rewrites its
+// indirection table.
 package dispatch
 
 import (

@@ -3,10 +3,8 @@ package dispatch
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
-	"ldlp/internal/core"
 	"ldlp/internal/layers"
 )
 
@@ -289,108 +287,6 @@ func TestRPCDispatchKeysCallsByXID(t *testing.T) {
 	if p.Key(frag) != FragmentKey(srcA, dstB, layers.ProtoUDP, 7) {
 		t.Error("first fragment of an RPC call was keyed by XID — reassembly would split across shards")
 	}
-}
-
-// fifoMsg is the FIFO property test's message: flow is the canonical
-// flow key, alt a fragment-analog alternate key used on first injection
-// (hop 0), seq the per-flow sequence number.
-type fifoMsg struct {
-	flow uint64
-	alt  uint64
-	seq  int
-	hop  int
-}
-
-// TestLoadAwareFIFOUnderMigration is the property behind the migration
-// design: per-flow FIFO order survives rebalancing because the routing
-// table changes only at quiescent points. The schedule mirrors the
-// netstack's: bursts of messages are injected (some under an alternate
-// key first, then re-injected under the flow key by the worker — the
-// reassembly reinject analog), the stack drains, the policy rebalances,
-// repeat. Every flow's directly-injected sequence and re-injected
-// sequence must each come out strictly increasing at the recording
-// layer, no matter how many buckets moved. Run under -race, this also
-// checks the table-write/worker-read hand-off.
-func TestLoadAwareFIFOUnderMigration(t *testing.T) {
-	const shards, flows, bursts, perBurst = 4, 8, 30, 40
-	pol := NewLoadAware(shards, 64)
-
-	var mu sync.Mutex
-	direct := make(map[uint64][]int)
-	reinjected := make(map[uint64][]int)
-
-	var s *core.ShardedStack[*fifoMsg]
-	s = core.NewShardedStack(core.Options{Discipline: core.LDLP, Shards: shards},
-		func(m *fifoMsg) uint64 {
-			if m.hop == 0 && m.alt != 0 {
-				return m.alt
-			}
-			return m.flow
-		},
-		func(shard int, st *core.Stack[*fifoMsg]) {
-			l := st.AddLayer("record", func(m *fifoMsg, emit core.Emit[*fifoMsg]) {
-				if m.hop == 0 && m.alt != 0 {
-					// Reassembly-reinject analog: completed on the alt-key
-					// shard, handed to the flow-key shard via Inject.
-					m.hop = 1
-					if err := s.Inject(m); err != nil {
-						t.Errorf("reinject: %v", err)
-					}
-					return
-				}
-				mu.Lock()
-				if m.alt != 0 {
-					reinjected[m.flow] = append(reinjected[m.flow], m.seq)
-				} else {
-					direct[m.flow] = append(direct[m.flow], m.seq)
-				}
-				mu.Unlock()
-			})
-			_ = l
-		})
-	s.SetRoute(pol.Shard)
-	defer s.Close()
-
-	rng := rand.New(rand.NewSource(7))
-	seqs := make([]int, flows)
-	for burst := 0; burst < bursts; burst++ {
-		for i := 0; i < perBurst; i++ {
-			// Zipf-ish skew: flow 0 gets half the traffic, so the policy
-			// has a hot bucket to chase.
-			f := 0
-			if rng.Intn(2) == 1 {
-				f = 1 + rng.Intn(flows-1)
-			}
-			m := &fifoMsg{flow: uint64(f)*7919 + 1, seq: seqs[f]}
-			seqs[f]++
-			if rng.Intn(5) == 0 {
-				m.alt = uint64(f)*104729 + 31 // fragment-analog alternate key
-			}
-			if err := s.Inject(m); err != nil {
-				t.Fatalf("inject: %v", err)
-			}
-		}
-		s.Drain() // quiescent point ...
-		pol.Rebalance(nil)
-		// ... where the table may have been rewritten; next burst routes
-		// through the new mapping.
-	}
-	s.Drain()
-
-	if pol.Stats().BucketMoves == 0 {
-		t.Fatal("no buckets migrated — the property was not exercised")
-	}
-	check := func(kind string, got map[uint64][]int) {
-		for flow, seq := range got {
-			for i := 1; i < len(seq); i++ {
-				if seq[i] <= seq[i-1] {
-					t.Fatalf("%s flow %#x reordered at %d: %v", kind, flow, i, seq[i-1:i+1])
-				}
-			}
-		}
-	}
-	check("direct", direct)
-	check("reinjected", reinjected)
 }
 
 // TestLoadAwareShardBoundsDefensive: a policy built for more shards than

@@ -14,6 +14,8 @@
 package layout
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"ldlp/internal/memtrace"
@@ -72,11 +74,7 @@ func Optimize(t *memtrace.Trace, lineSize int) *Plan {
 	align := uint64(lineSize)
 	for _, name := range order {
 		fr := byFunc[name]
-		addrs := make([]uint64, 0, len(fr.bytes))
-		for b := range fr.bytes {
-			addrs = append(addrs, b)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		addrs := slices.Sorted(maps.Keys(fr.bytes))
 
 		// Coalesce into contiguous runs, then pack the runs back to back
 		// at the cursor (dropping the gaps: those are the never-executed

@@ -52,17 +52,6 @@ func DefaultAnalyzers() []*Analyzer {
 				// Recv out of the receive queue.
 				"ldlp/internal/netstack.TCPSock.Send",
 				"ldlp/internal/netstack.TCPSock.Recv",
-				// The dispatch policies' per-frame surface, called through
-				// the Policy interface: every frame pays Key + Shard before
-				// it reaches a shard queue, so all three policies must key
-				// and route without allocating (rebalancing is pump-side and
-				// exempt).
-				"ldlp/internal/dispatch.Static.Key",
-				"ldlp/internal/dispatch.Static.Shard",
-				"ldlp/internal/dispatch.LoadAware.Key",
-				"ldlp/internal/dispatch.LoadAware.Shard",
-				"ldlp/internal/dispatch.RPCDispatch.Key",
-				"ldlp/internal/dispatch.RPCDispatch.Shard",
 				// Growth allocates, but only in the cold grow(); the passive
 				// open that inserts is itself cold, so nothing tagged calls it.
 				"ldlp/internal/flowtable.Table.Insert",
@@ -86,11 +75,9 @@ func DefaultAnalyzers() []*Analyzer {
 			Registrars: engineRegistrars,
 			// The at-quiescence walks that touch no shard-owned state, so
 			// only this list notices the directive going: the rest
-			// (applyMigration, tcpTick, fragTick, flushTx) turn into
-			// shardaffinity findings the moment they lose it.
+			// (tcpTick, fragTick, flushTx) turn into shardaffinity
+			// findings the moment they lose it.
 			Required: []string{
-				"ldlp/internal/netstack.Host.dispatchTick",
-				"ldlp/internal/dispatch.LoadAware.Rebalance",
 				"ldlp/internal/mbuf.FreeQueue.Flush",
 			},
 		}),
@@ -155,7 +142,7 @@ func DefaultAnalyzers() []*Analyzer {
 			// workers, each mediated by a lock or an atomic (the TCPListener
 			// backlog lock and the PCB's atomic estab flag for Accept).
 			// Everything that runs only between pump iterations — timer
-			// ticks, migration, the stats walks, the quiescent socket API —
+			// ticks, the stats walks, the quiescent socket API —
 			// carries //ldlp:quiescent instead, and the quiescence analyzer
 			// proves those unreachable from the worker roots.
 			Handoffs: []string{
@@ -169,31 +156,12 @@ func DefaultAnalyzers() []*Analyzer {
 			},
 		}),
 		NewDeterminism(DeterminismConfig{
-			Packages: []string{
-				"ldlp/internal/sim",
-				"ldlp/internal/faults",
-				"ldlp/internal/traffic",
-				// Telemetry timestamps must come from an injected Clock so
-				// sim-driven traces depend on the seed alone; time.Now
-				// anywhere in the package would silently break replay.
-				"ldlp/internal/telemetry",
-				// The flow table promises deterministic iteration — no map
-				// ranging, no global rand, no clock.
-				"ldlp/internal/flowtable",
-				// Dispatch policies must be replay-deterministic: identical
-				// frame sequences and rebalance points yield identical shard
-				// assignments, which the cross-policy equivalence harness
-				// depends on.
-				"ldlp/internal/dispatch",
-				// The fleet simulator's whole contract is byte-identical
-				// replay per seed: event times, link jitter, fault streams
-				// and merged telemetry all flow from Config.Seed. Wall
-				// clocks, global rand, or map ranging anywhere in the
-				// scheduler or the gossip protocol would break the replay
-				// test silently on some future run.
-				"ldlp/internal/fleet",
-				"ldlp/internal/fleet/gossip",
-			},
+			// Every package of the stack, its simulators and its artifact
+			// builders: a map range or a wall-clock read anywhere in them
+			// can break per-seed replay. The linter itself times its own
+			// phases and prints sorted findings.
+			Tree:   "ldlp/internal",
+			Exempt: []string{"ldlp/internal/lint"},
 		}),
 	}
 }

@@ -3,20 +3,24 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
 // DeterminismConfig parameterizes the determinism analyzer.
 type DeterminismConfig struct {
-	// Packages are import-path patterns (MatchQName-style suffixes) the
-	// rules apply to. Test files within them are exempt — tests may
-	// legitimately iterate maps to assert set contents.
-	Packages []string
+	// Tree is the import path the rules apply to: that package and every
+	// package beneath it. Test files are exempt — tests may legitimately
+	// iterate maps to assert set contents.
+	Tree string
+	// Exempt lists the packages under Tree the rules skip.
+	Exempt []string
 }
 
-// NewDeterminism builds the determinism analyzer. The simulation,
-// fault-injection, and traffic packages must replay bit-identically per
-// seed, so three nondeterminism sources are banned outright in them:
+// NewDeterminism builds the determinism analyzer. Everything under the
+// tree must replay bit-identically per seed (the simulators, the fault
+// injectors, the stack's timers and retries, the artifacts they print),
+// so three nondeterminism sources are banned outright there:
 // wall-clock time (time.Now and friends — simulated time is threaded
 // explicitly), the global math/rand PRNG (package-level functions share
 // unseeded process-global state; a locally seeded *rand.Rand is fine),
@@ -27,8 +31,8 @@ func NewDeterminism(cfg DeterminismConfig) *Analyzer {
 		Doc:  "no wall-clock, global PRNG, or map-iteration order in seed-replayable packages",
 	}
 	a.Run = func(pass *Pass) error {
-		if !MatchQName(pass.PkgPath, cfg.Packages) &&
-			!MatchQName(strings.TrimSuffix(pass.PkgPath, "_test"), cfg.Packages) {
+		if pass.PkgPath != cfg.Tree && !strings.HasPrefix(pass.PkgPath, cfg.Tree+"/") ||
+			slices.Contains(cfg.Exempt, pass.PkgPath) {
 			return nil
 		}
 		info := pass.TypesInfo

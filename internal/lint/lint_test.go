@@ -182,9 +182,7 @@ func TestShardAffinity(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	runFixture(t, "determinism", []*Analyzer{NewDeterminism(DeterminismConfig{
-		Packages: []string{"determinism"},
-	})})
+	runFixture(t, "determinism", []*Analyzer{NewDeterminism(DeterminismConfig{Tree: "determinism"})})
 }
 
 // TestIgnoreRequiresReason proves a reason-less //lint:ignore both gets
@@ -196,9 +194,7 @@ func TestIgnoreRequiresReason(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags, err := Run(fset, []*Package{pkg}, []*Analyzer{NewDeterminism(DeterminismConfig{
-		Packages: []string{"lintignore"},
-	})})
+	diags, err := Run(fset, []*Package{pkg}, []*Analyzer{NewDeterminism(DeterminismConfig{Tree: "lintignore"})})
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}

@@ -26,7 +26,7 @@ type QuiescenceConfig struct {
 // NewQuiescence builds the quiescence analyzer: functions whose doc
 // comment carries //ldlp:quiescent declare that they run only while
 // every shard worker is parked behind the pump's drain barrier —
-// rebalancing, migration re-homing, timer ticks, the stats walks. The
+// timer ticks, the stats walks, the quiescent socket API. The
 // analyzer turns that comment into a checked invariant: a tagged
 // function must be statically unreachable from the rx-worker roots
 // (resolved call edges plus the handlers its Registrars were given). A

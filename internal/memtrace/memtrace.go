@@ -322,6 +322,7 @@ func Analyze(t *Trace, lineSize int) *Analysis {
 
 	// Table 1 rows.
 	counts := make(map[string]*LayerSet)
+	//lint:ignore determinism sums into per-layer counts, which are read out in layerOrder below
 	for k, layer := range lineLayer {
 		ls := counts[layer]
 		if ls == nil {
@@ -358,6 +359,7 @@ func Analyze(t *Trace, lineSize int) *Analysis {
 	a.CodeByPhaseFunc = make([][]FuncTouch, len(t.Phases))
 	for p := range t.Phases {
 		var fts []FuncTouch
+		//lint:ignore determinism fts is sorted below by (Bytes, Func), a total order since Func is the key
 		for fn, ls := range funcLines[p] {
 			fts = append(fts, FuncTouch{Func: fn, Bytes: len(ls) * lineSize, Refs: funcRefs[p][fn]})
 		}
@@ -455,6 +457,7 @@ func PhaseOverlap(t *Trace, lineSize int) [][]int {
 				continue
 			}
 			shared := 0
+			//lint:ignore determinism a count: every line is visited once whatever the order
 			for line := range perPhase[i] {
 				if perPhase[j][line] {
 					shared++

@@ -163,10 +163,8 @@ func ledgerFor(name string, c Counters) map[string]int64 {
 // runEquivWorkload replays script against a server at the given shard
 // count. cfg impairs both directions when non-nil (fault runs compare
 // stream contents only — injector draws depend on frame order, which
-// legitimately differs across shard counts). mutate, when non-nil,
-// adjusts the server's Options before the host is built (the dispatch-
-// policy runs use it to install a policy).
-func runEquivWorkload(t testing.TB, script *equivScript, shards int, cfg *faults.Config, mutate func(*Options)) *equivRun {
+// legitimately differs across shard counts).
+func runEquivWorkload(t testing.TB, script *equivScript, shards int, cfg *faults.Config) *equivRun {
 	t.Helper()
 	mbuf.ResetPool()
 	n := NewNet()
@@ -179,9 +177,6 @@ func runEquivWorkload(t testing.TB, script *equivScript, shards int, cfg *faults
 			o = DefaultOptions(core.LDLP)
 		}
 		o.MTU = 600 // big TCP segments and big datagrams must fragment
-		if mutate != nil {
-			mutate(&o)
-		}
 		return o
 	}
 	a := n.AddHost("client", ipA, mkOpts(1))
@@ -433,15 +428,15 @@ func compareStreams(t *testing.T, script *equivScript, base, got *equivRun, shar
 // ledger, and the merged per-shard transport counters must all be equal
 // between RxShards=1 and RxShards∈{2,4}.
 func TestDifferentialShardEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
+	for _, seed := range []int64{1, 2, 3, 13} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			script := genEquivScript(seed, 512)
-			base := runEquivWorkload(t, script, 1, nil, nil)
+			base := runEquivWorkload(t, script, 1, nil)
 			if base.reinjects != 0 {
 				t.Errorf("single-threaded run reinjected %d datagrams, want 0", base.reinjects)
 			}
 			for _, shards := range []int{2, 4} {
-				got := runEquivWorkload(t, script, shards, nil, nil)
+				got := runEquivWorkload(t, script, shards, nil)
 				compareStreams(t, script, base, got, shards)
 				for f := range got.udpSeqs {
 					if got.udpSeqs[f] != base.udpSeqs[f] {
@@ -491,7 +486,7 @@ func TestDifferentialShardEquivalence(t *testing.T) {
 // impairment presets. Injector verdicts depend on frame order — which
 // legitimately differs across shard counts — so the claim narrows to
 // the one that matters: recovery converges to byte-identical streams at
-// every shard count.
+// every shard count. Each preset replays two scripts.
 func TestDifferentialEquivalenceUnderFaults(t *testing.T) {
 	presets := faults.Presets()
 	names := []string{"bernoulli", "reorder", "corrupt", "duplication"}
@@ -501,13 +496,16 @@ func TestDifferentialEquivalenceUnderFaults(t *testing.T) {
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			cfg := presets[name]
-			// Over-MTU messages: fragmented TCP segments cross shards through
-			// the reassembly reinject, the one path the ledger runs scope out.
-			script := genEquivScript(7, 1000)
-			base := runEquivWorkload(t, script, 1, &cfg, nil)
-			for _, shards := range []int{4} {
-				got := runEquivWorkload(t, script, shards, &cfg, nil)
-				compareStreams(t, script, base, got, shards)
+			for _, seed := range []int64{7, 17} {
+				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+					// Over-MTU messages: fragmented TCP segments cross shards
+					// through the reassembly reinject, the one path the
+					// ledger runs scope out.
+					script := genEquivScript(seed, 1000)
+					base := runEquivWorkload(t, script, 1, &cfg)
+					got := runEquivWorkload(t, script, 4, &cfg)
+					compareStreams(t, script, base, got, 4)
+				})
 			}
 		})
 	}
@@ -516,127 +514,40 @@ func TestDifferentialEquivalenceUnderFaults(t *testing.T) {
 // TestTupleShardMatchesRxFlowHash is the pin holding the whole ownership
 // model together: the shard DialTCP plants a PCB on (tupleShard) must be
 // the shard the engine routes the connection's inbound segments to
-// (policy.Key over the wire frame, then policy.Shard). Checked over
-// random tuples by building the actual wire frame an inbound segment
-// would carry, under both a static and a load-aware policy — the
-// load-aware indirection table must give the control plane and the data
-// plane the same answer too.
+// (dispatch.FrameKey over the wire frame, modulo the shard count).
+// Checked over random tuples by building the actual wire frame an
+// inbound segment would carry.
 func TestTupleShardMatchesRxFlowHash(t *testing.T) {
-	policies := map[string]func() dispatch.Policy{
-		"static":    func() dispatch.Policy { return dispatch.Static{} },
-		"loadaware": func() dispatch.Policy { return dispatch.NewLoadAware(4, 64) },
-	}
-	for name, mk := range policies {
-		t.Run(name, func(t *testing.T) {
-			mbuf.ResetPool()
-			n := NewNet()
-			t.Cleanup(n.Close)
-			pol := mk()
-			o := ShardedOptions(4)
-			o.Dispatch = pol
-			b := n.AddHost("b", ipB, o)
-			rng := rand.New(rand.NewSource(99))
-			for i := 0; i < 200; i++ {
-				tup := fourTuple{
-					raddr: layers.IPAddr{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))},
-					rport: uint16(rng.Intn(65536)),
-					lport: uint16(rng.Intn(65536)),
-				}
-				// The frame an inbound segment of this connection carries: peer
-				// is the IP source, we are the destination; ports in wire order.
-				ip := layers.IPv4{
-					TotalLen: layers.IPv4MinLen + layers.TCPMinLen,
-					TTL:      64, Protocol: layers.ProtoTCP,
-					Src: tup.raddr, Dst: b.IP(),
-				}
-				frame := make([]byte, layers.EthernetLen+layers.IPv4MinLen+layers.TCPMinLen)
-				eth := layers.Ethernet{Dst: MACFor(b.IP()), Src: MACFor(tup.raddr), EtherType: layers.EtherTypeIPv4}
-				eth.Encode(frame[:layers.EthernetLen])
-				ip.Encode(frame[layers.EthernetLen : layers.EthernetLen+layers.IPv4MinLen])
-				tcpHdr := frame[layers.EthernetLen+layers.IPv4MinLen:]
-				tcpHdr[0], tcpHdr[1] = byte(tup.rport>>8), byte(tup.rport)
-				tcpHdr[2], tcpHdr[3] = byte(tup.lport>>8), byte(tup.lport)
+	mbuf.ResetPool()
+	n := NewNet()
+	t.Cleanup(n.Close)
+	b := n.AddHost("b", ipB, ShardedOptions(4))
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 200; i++ {
+		tup := fourTuple{
+			raddr: layers.IPAddr{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))},
+			rport: uint16(rng.Intn(65536)),
+			lport: uint16(rng.Intn(65536)),
+		}
+		// The frame an inbound segment of this connection carries: peer
+		// is the IP source, we are the destination; ports in wire order.
+		ip := layers.IPv4{
+			TotalLen: layers.IPv4MinLen + layers.TCPMinLen,
+			TTL:      64, Protocol: layers.ProtoTCP,
+			Src: tup.raddr, Dst: b.IP(),
+		}
+		frame := make([]byte, layers.EthernetLen+layers.IPv4MinLen+layers.TCPMinLen)
+		eth := layers.Ethernet{Dst: MACFor(b.IP()), Src: MACFor(tup.raddr), EtherType: layers.EtherTypeIPv4}
+		eth.Encode(frame[:layers.EthernetLen])
+		ip.Encode(frame[layers.EthernetLen : layers.EthernetLen+layers.IPv4MinLen])
+		tcpHdr := frame[layers.EthernetLen+layers.IPv4MinLen:]
+		tcpHdr[0], tcpHdr[1] = byte(tup.rport>>8), byte(tup.rport)
+		tcpHdr[2], tcpHdr[3] = byte(tup.lport>>8), byte(tup.lport)
 
-				owner := b.tupleShard(tup)
-				routed := pol.Shard(dispatch.FrameKey(frame), len(b.tshards))
-				if owner.idx != routed {
-					t.Fatalf("tuple %v: DialTCP would own shard %d but segments route to shard %d", tup, owner.idx, routed)
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialEquivalenceDispatchPolicies runs the workload under
-// every dispatch policy at every shard count: each must produce the
-// same streams, datagram sequences and ledger as the static single-
-// shard baseline. The rpc-xid policy only rekeys RPC calls to its port
-// (none exist in this workload, so it must behave exactly like static
-// — any divergence means it rekeyed something it shouldn't). The
-// load-aware policy migrates flows mid-run at rebalance points; the
-// equality proves migrations are behaviour-free. A fault-preset leg
-// narrows to stream equality, like the other fault runs.
-func TestDifferentialEquivalenceDispatchPolicies(t *testing.T) {
-	script := genEquivScript(13, 512)
-	base := runEquivWorkload(t, script, 1, nil, nil)
-	policies := []struct {
-		name string
-		mk   func(shards int) dispatch.Policy
-	}{
-		{"static", func(int) dispatch.Policy { return dispatch.Static{} }},
-		// Small buckets + a fresh instance per run: rebalancing must
-		// actually fire and still change nothing observable.
-		{"loadaware", func(sh int) dispatch.Policy { return dispatch.NewLoadAware(sh, 64) }},
-		{"rpcxid", func(int) dispatch.Policy { return dispatch.NewRPCDispatch(2000) }},
-	}
-	shardCounts := []int{1, 2, 4}
-	if testing.Short() {
-		shardCounts = []int{1, 4}
-	}
-	for _, pc := range policies {
-		pc := pc
-		t.Run(pc.name, func(t *testing.T) {
-			for _, shards := range shardCounts {
-				mutate := func(o *Options) { o.Dispatch = pc.mk(o.RxShards) }
-				got := runEquivWorkload(t, script, shards, nil, mutate)
-				compareStreams(t, script, base, got, shards)
-				for f := range got.udpSeqs {
-					if got.udpSeqs[f] != base.udpSeqs[f] {
-						t.Errorf("policy=%s shards=%d: UDP flow %d sequence differs", pc.name, shards, f)
-					}
-				}
-				if fmt.Sprint(got.bigSet) != fmt.Sprint(base.bigSet) {
-					t.Errorf("policy=%s shards=%d: fragmented datagrams %v, want %v", pc.name, shards, got.bigSet, base.bigSet)
-				}
-				for k, v := range base.ledger {
-					if got.ledger[k] != v {
-						t.Errorf("policy=%s shards=%d: ledger[%s] = %d, want %d", pc.name, shards, k, got.ledger[k], v)
-					}
-				}
-				if got.shardTCPSegs != base.shardTCPSegs {
-					t.Errorf("policy=%s shards=%d: ΣTCPSegs = %d, want %d", pc.name, shards, got.shardTCPSegs, base.shardTCPSegs)
-				}
-				if got.reinjects+got.reasmLocal != got.reassembled {
-					t.Errorf("policy=%s shards=%d: %d reinjects + %d local for %d reassembled",
-						pc.name, shards, got.reinjects, got.reasmLocal, got.reassembled)
-				}
-				if got.tcpReinjects != 0 {
-					t.Errorf("policy=%s shards=%d: %d TCP reinjects in a sub-MTU run, want 0", pc.name, shards, got.tcpReinjects)
-				}
-			}
-		})
-	}
-	if !testing.Short() {
-		cfg := faults.Presets()["bernoulli"]
-		fscript := genEquivScript(17, 1000)
-		fbase := runEquivWorkload(t, fscript, 1, &cfg, nil)
-		for _, pc := range policies {
-			pc := pc
-			t.Run(pc.name+"/faults", func(t *testing.T) {
-				mutate := func(o *Options) { o.Dispatch = pc.mk(o.RxShards) }
-				got := runEquivWorkload(t, fscript, 4, &cfg, mutate)
-				compareStreams(t, fscript, fbase, got, 4)
-			})
+		owner := b.tupleShard(tup)
+		routed := int(dispatch.FrameKey(frame) % uint64(len(b.tshards)))
+		if owner.idx != routed {
+			t.Fatalf("tuple %v: DialTCP would own shard %d but segments route to shard %d", tup, owner.idx, routed)
 		}
 	}
 }

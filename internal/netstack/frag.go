@@ -41,11 +41,11 @@ type fragQEntry struct {
 }
 
 // fragQueue is a shard's partial datagrams in deadline order, oldest at
-// head. Entries go stale in place when their datagram completes, expires,
-// is evicted or migrates away; the queue sheds them at its head as the
-// head advances and everywhere when its array fills, so it holds at most
-// fragQueueCap slots however long the host runs, and a shed slot is
-// zeroed so it does not pin the datagram's reassembly buffers.
+// head. Entries go stale in place when their datagram completes, expires
+// or is evicted; the queue sheds them at its head as the head advances
+// and everywhere when its array fills, so it holds at most fragQueueCap
+// slots however long the host runs, and a shed slot is zeroed so it
+// does not pin the datagram's reassembly buffers.
 type fragQueue struct {
 	buf  []fragQEntry
 	head int
@@ -218,29 +218,6 @@ func (rx *rxPath) reassemble(p *Packet) []byte {
 	ts.frags.Delete(key)
 	inc(&h.Counters.Reassembled)
 	return st.data[:st.totalLen]
-}
-
-// adoptFrag takes ownership of a partial reassembly migrated from
-// another shard (dispatch rebalancing re-homed its datagram's flow
-// key). Pump-side at quiescence. fragq stays deadline-ordered: the
-// adopted state keeps its original deadline, so it is inserted at its
-// sorted position rather than appended (migrated states are the one
-// source of out-of-order deadlines).
-func (ts *transportShard) adoptFrag(k fragKey, st *fragState) {
-	ts.initFrags()
-	if ts.frags.Len() >= maxFragStates {
-		ts.evictOldestFrag(ts.h.telPump, 0)
-	}
-	ts.frags.Insert(k, st)
-	ts.fragRoom()
-	q := &ts.fragq
-	i := len(q.buf)
-	q.buf = append(q.buf, fragQEntry{})
-	for i > q.head && q.buf[i-1].st.deadline > st.deadline {
-		q.buf[i] = q.buf[i-1]
-		i--
-	}
-	q.buf[i] = fragQEntry{key: k, st: st}
 }
 
 // initFrags builds the shard's reassembly state on its first fragment,

@@ -1,26 +1,24 @@
 package netstack
 
 import (
-	"fmt"
 	"maps"
 	"testing"
 	"time"
 
 	"ldlp/internal/core"
-	"ldlp/internal/dispatch"
 	"ldlp/internal/layers"
 	"ldlp/internal/mbuf"
 )
 
 // FuzzRxPath feeds arbitrary frames into a server's receive path under
-// every discipline, shard count and dispatch policy, and holds every
+// every discipline and shard count, and holds every
 // run to the same contract: no panic, done inside rxFuzzBound, no mbuf
 // outstanding after Close, every shard's cached PCB live in that shard's
 // own table at each quiescent point, counted drops equal to recorded
 // drop events reason by reason, and one drop ledger for all.
 //
 // An input is a list of records. A record starting with a zero byte is
-// a Tick (timers, and the load-aware policy's rebalance point); any
+// a Tick (the host timers); any
 // other first byte is a repeat count, followed by a 2-byte big-endian
 // length and that many frame bytes, delivered that many times. At most
 // rxFuzzFrames frames and rxFuzzTicks ticks are taken from one input.
@@ -37,7 +35,7 @@ func FuzzRxPath(f *testing.F) {
 	// configs per try, so a large seed would spend the run minimizing.
 	script := genEquivScript(1, 32)
 	script.tap = true
-	captured := runEquivWorkload(f, script, 1, nil, nil).toServer
+	captured := runEquivWorkload(f, script, 1, nil).toServer
 	for _, seed := range rxFuzzSeeds(captured) {
 		f.Add(seed)
 	}
@@ -86,38 +84,23 @@ func FuzzRxPath(f *testing.F) {
 const (
 	rxFuzzFrames = 96
 	rxFuzzTicks  = 128
-	rxFuzzTickDt = 0.25 // ~64 ticks time out an unanswered connection
+	rxFuzzTickDt = 0.25 // rxFuzzTicks ticks time out an unanswered passive open; 64 do not
 	rxFuzzBound  = 10 * time.Second
 )
 
 // rxFuzzConfigs is every receive-path configuration an input runs
 // under; the first is the ledger baseline.
-var rxFuzzConfigs = func() []rxFuzzConfig {
-	cfgs := []rxFuzzConfig{
-		{"conventional", core.Conventional, 1, nil},
-		{"ldlp", core.LDLP, 1, nil},
-	}
-	policies := []struct {
-		name string
-		mk   func(shards int) dispatch.Policy
-	}{
-		{"static", func(int) dispatch.Policy { return dispatch.Static{} }},
-		{"loadaware", func(sh int) dispatch.Policy { return dispatch.NewLoadAware(sh, 64) }},
-		{"rpcxid", func(int) dispatch.Policy { return dispatch.NewRPCDispatch(2000) }},
-	}
-	for _, shards := range []int{2, 4} {
-		for _, p := range policies {
-			cfgs = append(cfgs, rxFuzzConfig{fmt.Sprintf("ldlp-rx%d/%s", shards, p.name), core.LDLP, shards, p.mk})
-		}
-	}
-	return cfgs
-}()
+var rxFuzzConfigs = []rxFuzzConfig{
+	{"conventional", core.Conventional, 1},
+	{"ldlp", core.LDLP, 1},
+	{"ldlp-rx2", core.LDLP, 2},
+	{"ldlp-rx4", core.LDLP, 4},
+}
 
 type rxFuzzConfig struct {
 	name   string
 	disc   core.Discipline
 	shards int
-	policy func(shards int) dispatch.Policy
 }
 
 // parseRxFuzz returns the frames to deliver in order, a nil entry at
@@ -188,9 +171,6 @@ func runRxFuzzConfig(steps [][]byte, cfg rxFuzzConfig) rxFuzzResult {
 	n := NewNet()
 	o := DefaultOptions(cfg.disc)
 	o.RxShards = cfg.shards
-	if cfg.policy != nil {
-		o.Dispatch = cfg.policy(cfg.shards)
-	}
 	// The server the equivalence workload talks to: the captured seeds
 	// address these ports.
 	b := n.AddHost("server", ipB, o)
@@ -201,7 +181,7 @@ func runRxFuzzConfig(steps [][]byte, cfg rxFuzzConfig) rxFuzzResult {
 	res := rxFuzzResult{name: cfg.name, shards: cfg.shards}
 	for _, frame := range steps {
 		if frame == nil {
-			n.RunUntilIdle() // Tick's timers and rebalance run at quiescence
+			n.RunUntilIdle() // Tick's timers run at quiescence
 			res.cacheFaults = append(res.cacheFaults, pcbCacheFaults(b)...)
 			n.Tick(rxFuzzTickDt)
 			continue
@@ -237,7 +217,7 @@ func rxLedgerKeys(a, b map[string]int64) []string {
 // rxFuzzSeeds cuts the equivalence workload's captured server traffic
 // (nil entries are Ticks) into corpus inputs, and adds two hand-built
 // ones for the PCB cache's invalidation sites: a connection reset and
-// reopened on one 4-tuple, and a flow the load-aware policy migrates.
+// reopened on one 4-tuple, and one its timers abandon and reopened.
 func rxFuzzSeeds(captured [][]byte) [][]byte {
 	enc := func(steps [][]byte, reps []int) []byte {
 		var out []byte
@@ -299,29 +279,12 @@ func rxFuzzSeeds(captured [][]byte) [][]byte {
 	rst := buildRawSegment(ipA, sport, ipB, 80, 1, 0, layers.TCPRst)
 	seeds = append(seeds, enc([][]byte{s, rst, s, nil, s}, nil))
 
-	// Migration: the SYN twice (the retransmission is what caches the new
-	// PCB), then the connection's bucket and a second one on the same
-	// shard carry most of the load, the other shards a trickle; the Tick
-	// rebalances, and the connection's next segment lands on its new
-	// shard.
-	const buckets = 64
-	connBucket := dispatch.TupleKey(ipA, ipB, layers.ProtoTCP, sport, 80) & (buckets - 1)
-	probe := func(bucket uint64) []byte {
-		for p := uint16(1024); ; p++ {
-			if dispatch.TupleKey(ipA, ipB, layers.ProtoUDP, p, 9999)&(buckets-1) == bucket {
-				m := udpProbe(ipA, ipB, p, 9999)
-				defer m.FreeChain()
-				return append([]byte(nil), m.Contiguous()...)
-			}
-		}
+	// Timeout and reopen: the SYN twice (the retransmission is what
+	// caches the new PCB), enough Ticks for the unanswered connection to
+	// give up, the same SYN again.
+	steps := [][]byte{s, s}
+	for i := 0; i < rxFuzzTicks; i++ {
+		steps = append(steps, nil)
 	}
-	steps := [][]byte{s, probe(connBucket), probe((connBucket + 4) % buckets)}
-	reps := []int{2, 40, 24}
-	for off := uint64(1); off <= 3; off++ {
-		steps = append(steps, probe((connBucket+off)%buckets))
-		reps = append(reps, 4)
-	}
-	steps = append(steps, nil, s)
-	reps = append(reps, 0, 1)
-	return append(seeds, enc(steps, reps))
+	return append(seeds, enc(append(steps, s), nil))
 }

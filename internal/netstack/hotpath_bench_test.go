@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"ldlp/internal/core"
-	"ldlp/internal/dispatch"
 	"ldlp/internal/layers"
 	"ldlp/internal/mbuf"
 	"ldlp/internal/telemetry"
@@ -415,71 +414,6 @@ func BenchmarkHotPathInjectShards(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(hit), "shards-hit")
-			if st := mbuf.PoolStats(); st.InUse != 0 {
-				b.Fatalf("mbuf leak on hot path: %+v", st)
-			}
-		})
-	}
-}
-
-// BenchmarkHotPathInjectDispatch is the shards=4 fast-path cycle under
-// each dispatch policy: the per-frame policy cost (key derivation plus
-// the shard decision — for load-aware, one atomic bucket bump and an
-// indirection-table read) is the only thing that varies. Every variant
-// must hold the hot-path contract: all segments on the fast path, 0
-// allocs/op, no leaks.
-func BenchmarkHotPathInjectDispatch(b *testing.B) {
-	for _, pc := range []struct {
-		name string
-		mk   func() dispatch.Policy
-	}{
-		{"static", func() dispatch.Policy { return dispatch.Static{} }},
-		{"loadaware", func() dispatch.Policy { return dispatch.NewLoadAware(4, dispatch.DefaultBuckets) }},
-		{"rpcxid", func() dispatch.Policy { return dispatch.NewRPCDispatch(2049) }},
-	} {
-		b.Run(pc.name, func(b *testing.B) {
-			mbuf.ResetPool()
-			n := NewNet()
-			defer n.Close()
-			ha := n.AddHost("a", ipA, DefaultOptions(core.LDLP))
-			opts := ShardedOptions(4)
-			opts.Dispatch = pc.mk()
-			hb := n.AddHost("b", ipB, opts)
-			if _, err := hb.ListenTCP(80); err != nil {
-				b.Fatal(err)
-			}
-			const conns = 8
-			acks := make([][]byte, conns)
-			for c := range acks {
-				s := ha.DialTCP(ipB, 80)
-				n.RunUntilIdle()
-				if !s.Established() {
-					b.Fatalf("handshake %d did not complete", c)
-				}
-				bpcb := hb.findPCB(fourTuple{raddr: ipA, rport: s.pcb.tuple.lport, lport: 80})
-				acks[c] = buildBareAck(bpcb, ipA, ipB)
-			}
-
-			for i := 0; i < 32*conns; i++ {
-				hb.deliver(mbuf.FromBytes(acks[i%conns]))
-			}
-			hb.process()
-			before := hb.Counters.TCPFastPath
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				hb.deliver(mbuf.FromBytes(acks[i%conns]))
-				if i&63 == 63 {
-					hb.process()
-				}
-			}
-			hb.process()
-			b.StopTimer()
-
-			if got := hb.Counters.TCPFastPath - before; got != int64(b.N) {
-				b.Fatalf("fast path took %d of %d segments", got, b.N)
-			}
 			if st := mbuf.PoolStats(); st.InUse != 0 {
 				b.Fatalf("mbuf leak on hot path: %+v", st)
 			}

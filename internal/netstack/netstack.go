@@ -176,11 +176,6 @@ type Options struct {
 	// TelemetryRing sizes each shard's flight-recorder ring (<= 0 uses
 	// the telemetry default).
 	TelemetryRing int
-	// Dispatch selects the receive-side dispatch policy mapping frames
-	// to shards (and, for dispatch.LoadAware, rebalancing hot flows at
-	// quiescent points). Nil uses dispatch.Static — the classic flow-hash
-	// modulo mapping. A policy instance must not be shared across hosts.
-	Dispatch dispatch.Policy
 }
 
 // DefaultOptions mirror the paper's LDLP setup bounded by a 500-packet
@@ -594,18 +589,6 @@ type Host struct {
 	// hash to different shards but share one bound port).
 	udpSocks map[uint16]*UDPSock
 
-	// policy maps frames to shards (Options.Dispatch, defaulted to
-	// dispatch.Static). Its Key/Shard run on the hot path; Rebalance
-	// runs from dispatchTick with the workers quiescent.
-	policy dispatch.Policy
-
-	// Dispatch-rebalancing bookkeeping, pump-side only (dispatch.go):
-	// prevShardLoad holds each shard's absolute Processed count at the
-	// last dispatchTick, so the policy sees per-window deltas; dispatch
-	// holds the rebalancing counters of Snapshot.Dispatch.
-	prevShardLoad []int64
-	dispatch      DispatchStats
-
 	// tel is the host's telemetry domain: one flight-recorder tracer
 	// per receive shard (wired into the LDLP engine), one pump-side
 	// tracer (telPump) for events that happen outside the receive
@@ -643,8 +626,8 @@ type transportShard struct {
 	// flow table, fronted by last, the paper's single-entry PCB cache
 	// (4.4BSD's tcp_last_inpcb): the PCB the previous segment on this
 	// shard resolved to. Per shard, so two flows on different shards
-	// cannot evict each other. teardown and applyMigration clear it when
-	// they remove the PCB it points at.
+	// cannot evict each other. teardown clears it when it removes the
+	// PCB it points at.
 	pcbs *flowtable.Table[fourTuple, *tcpPCB]
 	last *tcpPCB
 	// issSeq counts this shard's connections for nextISS.
@@ -824,10 +807,6 @@ func newHost(n *Net, name string, ip layers.IPAddr, opts Options) *Host {
 		net: n, name: name, ip: ip, mac: MACFor(ip), opts: opts,
 		listeners: make(map[uint16]*TCPListener),
 		udpSocks:  make(map[uint16]*UDPSock),
-		policy:    opts.Dispatch,
-	}
-	if h.policy == nil {
-		h.policy = dispatch.Static{}
 	}
 	// The host's shards of the default mbuf pool (transmit, then one per
 	// receive shard) and its flow-table seeds follow from its address:
@@ -876,9 +855,8 @@ func newHost(n *Net, name string, ip layers.IPAddr, opts Options) *Host {
 			panic("netstack: RxShards > 1 requires the LDLP discipline")
 		}
 		h.sharded = true
-		h.prevShardLoad = make([]int64, opts.RxShards)
 		h.shards = core.NewShardedStack(engineOpts,
-			func(p *Packet) uint64 { return h.policy.Key(p.M.Bytes()) },
+			func(p *Packet) uint64 { return dispatch.FrameKey(p.M.Bytes()) },
 			func(i int, st *core.Stack[*Packet]) {
 				rx := h.buildRxPath(st)
 				rx.ts = h.tshards[i]
@@ -889,7 +867,6 @@ func newHost(n *Net, name string, ip layers.IPAddr, opts Options) *Host {
 				st.SetTelemetry(rx.tel, rxBatch)
 				h.rxs = append(h.rxs, rx)
 			})
-		h.shards.SetRoute(h.policy.Shard)
 		h.shards.SetSink(h.putPacket)
 		return h
 	}
@@ -932,21 +909,22 @@ func (h *Host) putPacket(p *Packet) {
 // (src, dst, proto) — interleaving across shards is harmless.
 func (h *Host) nextIPID() uint16 { return uint16(h.ipID.Add(1)) }
 
-// tupleShard maps a connection 4-tuple to its owning transport shard by
-// asking the dispatch policy the same question the engine asks per
-// frame: dispatch.TupleKey produces exactly the flow key an inbound
-// segment of that connection yields under dispatch.FrameKey (pinned by
-// TestTupleShardMatchesFrameKey), and policy.Shard maps it through the
-// same routing (including LoadAware's indirection table). So the shard
-// DialTCP picks is exactly the shard the engine routes the connection's
-// segments to — the control plane and data plane share one key builder
-// and one router, and cannot desynchronize.
+// flowShard is the shard the engine routes a frame with flow key key
+// to: the key modulo the shard count, as core.ShardedStack.Inject
+// computes it.
+func (h *Host) flowShard(key uint64) int { return int(key % uint64(len(h.tshards))) }
+
+// tupleShard maps a connection 4-tuple to its owning transport shard:
+// dispatch.TupleKey produces exactly the flow key an inbound segment of
+// that connection yields under dispatch.FrameKey (pinned by
+// TestTupleShardMatchesRxFlowHash). So the shard DialTCP picks is the
+// shard the engine routes the connection's segments to — the control
+// plane and data plane share one key builder and cannot desynchronize.
 func (h *Host) tupleShard(t fourTuple) *transportShard {
 	if len(h.tshards) == 1 {
 		return h.tshards[0]
 	}
-	key := dispatch.TupleKey(t.raddr, h.ip, layers.ProtoTCP, t.rport, t.lport)
-	return h.tshards[h.policy.Shard(key, len(h.tshards))]
+	return h.tshards[h.flowShard(dispatch.TupleKey(t.raddr, h.ip, layers.ProtoTCP, t.rport, t.lport))]
 }
 
 // Name returns the host's name.
@@ -1253,12 +1231,11 @@ func (rx *rxPath) sockInput(p *Packet, emit core.Emit[*Packet]) {
 }
 
 // continueReassembled routes a datagram completed on this shard:
-// reassembly partitions by IP ID, transport by the dispatch policy's
-// flow key, and the two can disagree. The datagram is rebuilt as a
-// plain (non-fragment) frame and keyed through the policy exactly like
-// a frame off the wire. When the flow belongs to this very shard — the
-// common case whenever src/dst/proto alone pin both keys, and always
-// possible since the policy is deterministic — the rebuilt chain
+// reassembly partitions by IP ID, transport by the flow key
+// (dispatch.FrameKey), and the two can disagree. The datagram is rebuilt as a plain
+// (non-fragment) frame and keyed exactly like a frame off the wire.
+// When the flow belongs to this very shard — the common case whenever
+// src/dst/proto alone pin both keys — the rebuilt chain
 // continues up the pipeline inline: it keeps its arrival position
 // relative to later same-flow segments, so same-shard reassembly is
 // order-exact (this replaces the old behaviour of re-queuing even local
@@ -1292,8 +1269,7 @@ func (rx *rxPath) continueReassembled(p *Packet, whole []byte) bool {
 	eth := layers.Ethernet{Dst: h.mac, Src: MACFor(p.IP.Src), EtherType: layers.EtherTypeIPv4}
 	m, hdr = m.Prepend(layers.EthernetLen)
 	eth.Encode(hdr)
-	key := h.policy.Key(m.Bytes())
-	if h.policy.Shard(key, len(h.tshards)) == rx.ts.idx {
+	if h.flowShard(dispatch.FrameKey(m.Bytes())) == rx.ts.idx {
 		// Ours: strip the headers we just rebuilt and continue the demux
 		// inline, in this packet's original arrival position.
 		m.Adj(layers.EthernetLen + layers.IPv4MinLen)
@@ -1348,10 +1324,8 @@ func (ts *transportShard) ipOutput(m *mbuf.Mbuf, proto byte, dst layers.IPAddr) 
 }
 
 // tick fires host timers (TCP retransmit / delayed ACK, reassembly
-// expiry) and gives the dispatch policy its rebalance point. Runs on
-// the pump goroutine with shard workers quiescent.
+// expiry). Runs on the pump goroutine with shard workers quiescent.
 func (h *Host) tick() {
 	h.tcpTick()
 	h.fragTick()
-	h.dispatchTick()
 }

@@ -1,18 +1,15 @@
 package netstack
 
 // The single-entry PCB cache's invalidation obligation: every site that
-// removes a PCB from its shard's table — teardown (reset, close,
-// timeout) and migration — must also drop it from that shard's cached
-// entry, or the next segment on the same 4-tuple is handed a dead or
-// foreign PCB.
+// removes a PCB from its shard's table — teardown on reset, close or
+// timeout — must also drop it from that shard's cached entry, or the
+// next segment on the same 4-tuple is handed a dead or foreign PCB.
 
 import (
 	"bytes"
 	"fmt"
 	"testing"
 
-	"ldlp/internal/core"
-	"ldlp/internal/dispatch"
 	"ldlp/internal/layers"
 	"ldlp/internal/mbuf"
 )
@@ -151,70 +148,4 @@ func TestPCBCacheRedialSameTuple(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestPCBCacheFollowsMigration moves an established connection to
-// another shard under the load-aware policy, with its PCB cached on the
-// shard it leaves. After the move only the new shard may hold it, and
-// the connection's next segments are served there from the same PCB.
-func TestPCBCacheFollowsMigration(t *testing.T) {
-	mbuf.ResetPool()
-	n := NewNet()
-	t.Cleanup(n.Close)
-	const shards, buckets = 4, 64
-	optB := ShardedOptions(shards)
-	optB.Dispatch = dispatch.NewLoadAware(shards, buckets)
-	a := n.AddHost("client", ipA, DefaultOptions(core.LDLP))
-	b := n.AddHost("server", ipB, optB)
-	l, err := b.ListenTCP(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, srv := connect(t, n, a, l)
-	exchange(t, n, cli, srv, "before the move")
-	from := srv.pcb.owner
-	if from.last != srv.pcb {
-		t.Fatal("the source shard's cache does not hold the connection — test lost its premise")
-	}
-
-	// Make the connection's bucket the elephant on an otherwise lightly
-	// loaded host, so the next rebalance moves it.
-	connBucket := dispatch.TupleKey(ipA, ipB, layers.ProtoTCP, cli.pcb.tuple.lport, 80) & (buckets - 1)
-	load := func(bucket uint64, frames int) {
-		sport := sportForBucket(t, ipB, 9999, buckets, bucket)
-		for i := 0; i < frames; i++ {
-			b.deliver(udpProbe(ipA, ipB, sport, 9999))
-		}
-	}
-	load(connBucket, 700)
-	load((connBucket+4)%buckets, 300)
-	for off := uint64(1); off <= 3; off++ {
-		load((connBucket+off)%buckets, 100)
-	}
-	n.RunUntilIdle()
-	n.Tick(0.01)
-
-	if b.Snapshot().Dispatch.FlowsMigrated == 0 {
-		t.Fatal("the connection did not migrate — test lost its premise")
-	}
-	to := srv.pcb.owner
-	if to == from {
-		t.Fatal("FlowsMigrated counted a move but the PCB kept its owner")
-	}
-	if from.last == srv.pcb {
-		t.Error("the source shard still caches the migrated PCB")
-	}
-	checkPCBCache(t, b)
-
-	segsFrom, segsTo := from.tally.tcpSegs, to.tally.tcpSegs
-	exchange(t, n, cli, srv, "after the move")
-	if to.last != srv.pcb {
-		t.Error("the migrated connection was not served from its new shard's PCB")
-	}
-	if from.tally.tcpSegs != segsFrom || to.tally.tcpSegs == segsTo {
-		t.Errorf("segments after the move: source shard +%d, new shard +%d; want 0 and > 0",
-			from.tally.tcpSegs-segsFrom, to.tally.tcpSegs-segsTo)
-	}
-	checkPCBCache(t, b)
-	checkNoLeaks(t)
 }

@@ -17,7 +17,7 @@ import (
 // Snapshot is everything a host reports about itself, taken at one
 // quiescent point: the protocol counters, the drop ledger, the receive
 // engine's stats and queue depths, each transport shard's tallies, the
-// flow table, dispatch, the mbuf pool and the flight recorder.
+// flow table, the mbuf pool and the flight recorder.
 // cmd/chaos, the examples and tests read a host through it, and Diff
 // prints what changed between two.
 type Snapshot struct {
@@ -33,7 +33,6 @@ type Snapshot struct {
 	QueueDepths       []int
 	Shards            []ShardTransportStats // index-aligned with the receive shards
 	Flows             FlowStats
-	Dispatch          DispatchStats
 	// Pool is the process-wide mbuf pool every host draws from: InUse 0
 	// at quiescence means no chain leaked anywhere.
 	Pool      mbuf.Stats
@@ -49,7 +48,7 @@ func (h *Host) Snapshot() Snapshot {
 		Name: h.name, Counters: h.Counters,
 		Drops: map[string]int64{}, DropEvents: map[string]int64{},
 		Stack: h.StackStats(), QueueDepths: h.QueueDepths(),
-		Shards: h.shardStats(), Flows: h.FlowStats(), Dispatch: h.dispatchStats(),
+		Shards: h.shardStats(), Flows: h.FlowStats(),
 		Pool: mbuf.PoolStats(), Telemetry: h.tel.Snapshot(),
 	}
 	for r := telemetry.DropReason(1); r.String() != "invalid"; r++ {
@@ -78,12 +77,14 @@ func (h *Host) Snapshot() Snapshot {
 // are kept.
 func Diff(a, b Snapshot) string {
 	la, lb := a.leaves(), b.leaves()
+	//lint:ignore determinism fills a map: the result is the same in any order
 	for p := range la {
 		if _, ok := lb[p]; !ok {
 			lb[p] = "-"
 		}
 	}
 	var lines []string
+	//lint:ignore determinism the lines are sorted before they are joined
 	for p, vb := range lb {
 		va, ok := la[p]
 		if !ok {
@@ -116,6 +117,7 @@ func (s Snapshot) leaves() map[string]string {
 	walk = func(path string, v any) {
 		switch x := v.(type) {
 		case map[string]any:
+			//lint:ignore determinism every leaf lands in out under its own path, whatever the order
 			for k, e := range x {
 				walk(path+"."+k, e)
 			}

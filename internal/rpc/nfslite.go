@@ -3,7 +3,8 @@ package rpc
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // NFS-lite: a file service in the shape of NFSv2 over the RPC layer. The
@@ -77,12 +78,7 @@ func (fs *FileServer) Create(name string, data []byte) uint32 {
 
 // Names lists stored files, sorted.
 func (fs *FileServer) Names() []string {
-	out := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(fs.files))
 }
 
 // --- argument/result codecs (length-prefixed, big-endian) ---

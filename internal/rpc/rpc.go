@@ -197,6 +197,7 @@ func (s *Server) Poll() {
 var ErrGarbageArgs = errors.New("rpc: garbage arguments")
 
 func (s *Server) hasProg(prog uint32) bool {
+	//lint:ignore determinism an existence check: the answer is the same in any order
 	for k := range s.procs {
 		if k.prog == prog {
 			return true

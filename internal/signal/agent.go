@@ -1,7 +1,10 @@
 package signal
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 
 	"ldlp/internal/core"
 	"ldlp/internal/layers"
@@ -54,6 +57,9 @@ type Call struct {
 
 	// peerLeg ties a transit switch's incoming and outgoing legs.
 	peerLeg *Call
+	// issued orders the agent's calls by when each was added, so Tick
+	// retransmits in that order.
+	issued uint64
 
 	// Timer state: guard deadline and transmission attempts for the
 	// message currently awaiting a response (T303/T308).
@@ -105,6 +111,7 @@ type Agent struct {
 	Address uint32 // this agent's party number
 	calls   map[callKey]*Call
 	nextRef uint32
+	issued  uint64 // calls ever added
 	Stats   Stats
 	// Admission, if set, decides whether to accept a SETUP; rejection
 	// sends RELEASE COMPLETE with CauseRejected. nil accepts everything.
@@ -132,6 +139,7 @@ func NewAgent(h *netstack.Host, address uint32) (*Agent, error) {
 // ActiveCalls returns the number of calls in StateActive.
 func (a *Agent) ActiveCalls() int {
 	n := 0
+	//lint:ignore determinism a count: every call is visited once whatever the order
 	for _, c := range a.calls {
 		if c.state == StateActive {
 			n++
@@ -143,6 +151,7 @@ func (a *Agent) ActiveCalls() int {
 // CallFor returns the locally-originated call with the given reference,
 // if any.
 func (a *Agent) CallFor(ref uint32) *Call {
+	//lint:ignore determinism our references are unique, so at most one call matches
 	for k, c := range a.calls {
 		if k.ours && k.ref == ref {
 			return c
@@ -156,6 +165,13 @@ func (c *Call) key() callKey {
 	return callKey{remote: c.Peer, ref: c.Ref, ours: c.outgoing}
 }
 
+// track adds c to the agent's calls, stamped with its issue order.
+func (a *Agent) track(c *Call) {
+	a.issued++
+	c.issued = a.issued
+	a.calls[c.key()] = c
+}
+
 // Dial starts a call setup toward the agent at dst with the given called-
 // party number and peak rate.
 func (a *Agent) Dial(dst layers.IPAddr, called uint32, peak uint32) *Call {
@@ -165,7 +181,7 @@ func (a *Agent) Dial(dst layers.IPAddr, called uint32, peak uint32) *Call {
 		Called: called, Calling: a.Address, Peak: peak,
 		state: StateCallInitiated, outgoing: true,
 	}
-	a.calls[c.key()] = c
+	a.track(c)
 	a.send(c, Message{CallRef: c.Ref, Type: MsgSetup, Called: called, Calling: a.Address, PeakCells: peak})
 	a.Stats.SetupsSent++
 	t303, _ := a.timers()
@@ -244,7 +260,7 @@ func (a *Agent) handle(src layers.IPAddr, srcPort uint16, m Message) {
 			a.sock.SendTo(src, srcPort, reply.Encode())
 			return
 		}
-		a.calls[c.key()] = c
+		a.track(c)
 		a.send(c, Message{CallRef: c.Ref, Type: MsgCallProceeding})
 		if m.Called != a.Address && a.Route != nil {
 			// Transit: extend the call toward the called party and hold
@@ -405,12 +421,13 @@ func (c *Call) armTimer(d float64) {
 }
 
 // Tick fires the agent's protocol timers: retransmit unanswered SETUPs
-// (T303) and RELEASEs (T308), abandoning the call after maxAttempts.
-// Call it whenever the network clock advances.
+// (T303) and RELEASEs (T308), in issue order, abandoning the call after
+// maxAttempts. Call it whenever the network clock advances.
 func (a *Agent) Tick() {
 	now := a.host.Now()
 	t303, t308 := a.timers()
-	for _, c := range a.calls {
+	byIssue := func(x, y *Call) int { return cmp.Compare(x.issued, y.issued) }
+	for _, c := range slices.SortedFunc(maps.Values(a.calls), byIssue) {
 		switch c.state {
 		case StateCallInitiated:
 			if now < c.deadline {

@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"fmt"
 	"testing"
 
 	"ldlp/internal/core"
@@ -195,5 +196,33 @@ func TestCustomTimerValues(t *testing.T) {
 	tickPump(n, 0.6, au, an) // custom short T303 fires
 	if au.Stats.SetupRetransmits != 1 || call.State() != StateActive {
 		t.Errorf("short T303: retransmits=%d state=%v", au.Stats.SetupRetransmits, call.State())
+	}
+}
+
+// Tick retransmits overdue calls in issue order, so which retries a
+// seeded loss model drops is a function of the seed alone.
+func TestTickRetransmitsInIssueOrder(t *testing.T) {
+	const udp = layers.EthernetLen + layers.IPv4MinLen + layers.UDPLen
+	for run := 0; run < 20; run++ {
+		n, au, _ := lossyPair(t)
+		var refs []uint32
+		n.Loss = func(dst layers.IPAddr, frame []byte) bool {
+			if m, err := Decode(frame[udp:]); err == nil {
+				refs = append(refs, m.CallRef&^callRefFlag)
+			}
+			return true // the network side never answers
+		}
+		for i := 0; i < 10; i++ {
+			au.Dial(ipN, 200, 1)
+		}
+		n.RunUntilIdle()
+		refs = nil
+		n.Tick(4.1) // past T303
+		au.Tick()
+		n.RunUntilIdle()
+		if got := fmt.Sprint(refs); got != "[1 2 3 4 5 6 7 8 9 10]" {
+			t.Fatalf("agent %d retransmitted refs %s, want [1 2 3 4 5 6 7 8 9 10]", run, got)
+		}
+		n.Close()
 	}
 }

@@ -10,17 +10,17 @@ import (
 )
 
 // Modeled receive-side dispatch under flow skew. The netstack's shard
-// engine routes each frame through a dispatch.Policy; this model strips
-// that engine to its queueing skeleton — N single-server queues in
-// discrete slots, one service per shard per slot — and feeds it a
-// Zipf-distributed flow population, the regime where a static flow hash
-// is weakest: a handful of elephant flows pin their shards near or past
-// saturation while the rest idle. Running the *real* policy
-// implementations (dispatch.Static, dispatch.LoadAware) against the
-// modeled queues shows what rebalancing buys: worst-shard utilization
-// bounded near the elephant share instead of the elephant-plus-mice
-// share, and the p99 queueing delay of an overloaded shard collapsing
-// back to the stable-queue regime.
+// engine routes each frame by its flow key modulo the shard count
+// (dispatch.Static's mapping); this model strips that engine to its
+// queueing skeleton — N single-server queues in discrete slots, one
+// service per shard per slot — and feeds it a Zipf-distributed flow
+// population, the regime where a static flow hash is weakest: a handful
+// of elephant flows pin their shards near or past saturation while the
+// rest idle. Running the *real* policy implementations (dispatch.Static,
+// dispatch.LoadAware) against the modeled queues shows what rebalancing
+// would buy: worst-shard utilization bounded near the elephant share
+// instead of the elephant-plus-mice share, and the p99 queueing delay of
+// an overloaded shard collapsing back to the stable-queue regime.
 
 // DispatchSkewConfig parameterizes one modeled run.
 type DispatchSkewConfig struct {
